@@ -14,8 +14,7 @@ PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest
 
 .PHONY: check test test-schedulers bench-kernel bench-compiled bench-batch \
         bench-replay bench-flightrec bench-warm bench-service bench \
-        artifacts faults faults-batched faults-flightrec faults-warm \
-        serve-smoke
+        artifacts faults faults-batched faults-warm serve-smoke
 
 check: test bench-kernel bench-compiled bench-batch bench-replay \
        bench-flightrec bench-warm bench-service faults
@@ -28,15 +27,10 @@ faults-batched:  ## batched campaign smoke: record legs 16 per batch kernel
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
 	  $(PYTHON) -m repro.harness campaign --faults 60 --seed 0 --batch-size 16
 
-faults-flightrec: ## campaign with flight-recorder record legs + v3 attacks
+faults-warm:     ## compiled-kernel campaign smoke over the persistent cache
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
 	  $(PYTHON) -m repro.harness campaign --faults 60 --seed 0 \
-	  --flight-recorder
-
-faults-warm:     ## campaign smoke over the warm pool + persistent cache
-	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
-	  $(PYTHON) -m repro.harness campaign --faults 60 --seed 0 \
-	  --scheduler compiled --warm-pool --cache-dir .repro-cache/schedules
+	  --scheduler compiled --cache-dir .repro-cache/schedules
 
 test:            ## tier-1: the full unit/integration suite
 	$(PYTEST) -x -q

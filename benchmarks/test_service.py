@@ -33,6 +33,7 @@ from time import perf_counter
 from conftest import RESULTS_DIR
 
 from repro.harness import worker_pool
+from repro.sim import schedule_store
 
 BATCH_SPEEDUP_FLOOR = 2.0
 INGEST_OVERHEAD_CEILING = 1.15
@@ -107,6 +108,7 @@ def test_daemon_batch_beats_sequential_cli(emit, tmp_path):
 
     # -- daemon: the same 32 jobs through the queue + warm pool -----------
     worker_pool.shutdown_pool()
+    prev_cache = schedule_store.cache_dir()
     service = TraceService(tmp_path / "svc", jobs=DAEMON_JOBS,
                            cache_dir=str(tmp_path / "sched")).run_in_thread()
     try:
@@ -154,6 +156,8 @@ def test_daemon_batch_beats_sequential_cli(emit, tmp_path):
                 assert result["silent_accepts"] == 0
     finally:
         service.shutdown()
+        # The embedded daemon set this process's schedule-cache directory.
+        schedule_store.configure(prev_cache)
 
     speedup = t_cli / t_daemon
     _merge_report("daemon_batch", {

@@ -14,11 +14,12 @@ built for.
   reported alongside with its own regression floor.
 
 * **Warm-pool campaign speedup.** An 8-cell campaign over two distinct
-  topologies, dispatched with ``run_cells``: the cold baseline builds a
-  fresh process pool per call and compiles in every worker; the warm
-  side reuses the module-level pool with topology-affinity dispatch, so
-  steady-state cells bind already-compiled schedules in already-started
-  workers.
+  topologies, dispatched with ``run_cells``: the cold baseline starts a
+  fresh pool before every call (``shutdown_pool()``, an empty RAM tier,
+  no disk tier), so each call pays worker fork, import and a compile in
+  every worker; the warm side keeps the module-level pool and a disk
+  tier, so steady-state cells bind already-compiled schedules in
+  already-started workers.
 
 Both measurements cross-check results bit-for-bit against the cold
 path — a speedup bought with divergence is a failure, not a win.
@@ -185,29 +186,29 @@ def test_warm_pool_campaign_speedup(emit, tmp_path):
     cells = [SweepCell(app=f"chain{s % 2}", config="r2", seed=s)
              for s in range(CAMPAIGN_CELLS)]
     try:
-        # Cold baseline: no disk tier, a fresh pool per call, every worker
-        # levelizes its topologies from scratch (the parent cache is
-        # cleared first so forked children cannot inherit a warm one).
+        # Cold baseline: no disk tier and a fresh pool per call, so every
+        # worker starts, imports and levelizes its topologies from scratch
+        # (the parent cache is cleared first so forked children cannot
+        # inherit a warm one).
         schedule_store.configure(None)
-        worker_pool.shutdown_pool()
         colds = []
         for _ in range(3):
+            worker_pool.shutdown_pool()
             clear_schedule_cache()
             t0 = perf_counter()
             cold_res = run_cells(cells, _chain_cell, jobs=CAMPAIGN_JOBS)
             colds.append(perf_counter() - t0)
 
-        # Warm: persistent store + module-level pool with affinity
-        # dispatch. The first call pays worker startup and the compiles;
-        # the gated number is the steady state after it.
-        cache = tmp_path / "sched"
-        schedule_store.configure(cache)
+        # Warm: persistent store + the module-level pool, kept across
+        # calls (the directory change restarts it once). The first call
+        # pays worker startup and the compiles; the gated number is the
+        # steady state after it.
+        schedule_store.configure(tmp_path / "sched")
         warms = []
         for i in range(4):
             clear_schedule_cache()
             t0 = perf_counter()
-            warm_res = run_cells(cells, _chain_cell, jobs=CAMPAIGN_JOBS,
-                                 warm_pool=True, cache_dir=str(cache))
+            warm_res = run_cells(cells, _chain_cell, jobs=CAMPAIGN_JOBS)
             if i > 0:
                 warms.append(perf_counter() - t0)
 

@@ -166,8 +166,7 @@ class _Campaign:
     def __init__(self, app: str, seed: int, crash_app: str,
                  progress: Optional[Callable[[str], None]],
                  scheduler: Optional[str] = None,
-                 flight_recorder: bool = False,
-                 warm_pool: bool = False):
+                 flight_recorder: bool = False):
         import functools
 
         from repro.apps.registry import get_app
@@ -179,7 +178,6 @@ class _Campaign:
         self.seed = seed
         self.scheduler = scheduler
         self.flight_recorder = flight_recorder
-        self.warm_pool = warm_pool
         self.progress = progress or (lambda _msg: None)
         self.spec = get_app(app)
         self.config = bench_config(VidiConfig.r2,
@@ -363,7 +361,7 @@ class _Campaign:
             sharded = replay_sharded(
                 spec, metrics.result["trace"], checkpoints,
                 segments=3, jobs=2, retries=2, injector=injector,
-                scheduler=self.scheduler, warm_pool=self.warm_pool)
+                scheduler=self.scheduler)
         except ReproError as exc:
             return "detected", f"sharded replay failed: {type(exc).__name__}"
         if bytes(sharded.validation.body) == clean_body:
@@ -391,8 +389,7 @@ class _Campaign:
             else:
                 clean = replay_sharded(spec, metrics.result["trace"],
                                        checkpoints, segments=3, jobs=2,
-                                       scheduler=self.scheduler,
-                                       warm_pool=self.warm_pool)
+                                       scheduler=self.scheduler)
                 self._crash_reference = (
                     spec, metrics, checkpoints,
                     bytes(clean.validation.body))
@@ -406,9 +403,7 @@ def run_campaign(app: str = "sha256", n_faults: int = 200, seed: int = 0,
                  progress: Optional[Callable[[str], None]] = None,
                  scheduler: Optional[str] = None,
                  batch_size: Optional[int] = None,
-                 flight_recorder: Optional[bool] = None,
-                 warm_pool: bool = False,
-                 cache_dir: Optional[str] = None) -> CampaignReport:
+                 flight_recorder: Optional[bool] = None) -> CampaignReport:
     """Run a seeded fault campaign; see the module docstring for verdicts.
 
     ``app`` hosts the cheap per-trial record/replay faults; ``crash_app``
@@ -435,20 +430,14 @@ def run_campaign(app: str = "sha256", n_faults: int = 200, seed: int = 0,
     ``False`` (CLI: ``--no-flight-recorder``) to opt out and attack the
     flat v2 container instead.
 
-    ``warm_pool`` routes the worker-crash trials' sharded replays through
-    the process-persistent warm worker pool; ``cache_dir`` points the
-    two-level compiled-schedule cache at a directory so campaigns share
-    kernels across processes and invocations.
+    The worker-crash trials' sharded replays run on the warm worker pool
+    (:mod:`repro.harness.worker_pool`).
     """
     if flight_recorder is None:
         flight_recorder = True
-    if cache_dir is not None:
-        from repro.sim import schedule_store
-        schedule_store.configure(cache_dir)
     rng = random.Random(seed)
     campaign = _Campaign(app, seed, crash_app, progress, scheduler=scheduler,
-                         flight_recorder=flight_recorder,
-                         warm_pool=warm_pool)
+                         flight_recorder=flight_recorder)
     report = CampaignReport(app=app, seed=seed)
     kinds = _schedule(n_faults, rng)
     # Materialise every trial's seed and plan up front (one rng pass, in

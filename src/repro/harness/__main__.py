@@ -47,11 +47,12 @@ Fault injection rides on the same commands (see ``repro.faults``)::
         --checkpoints d.ckpt --inject 'worker-crash:crashes=1'
     python -m repro.harness campaign --faults 200
 
-Parallel commands amortize kernel compilation and worker start-up with
-the two-level schedule cache and the process-persistent warm pool
-(``--cache-dir`` is also read from ``REPRO_SCHEDULE_CACHE``)::
+Parallel commands (``--jobs``, sharded replay, the campaign's crash
+trials) run on one process-persistent warm worker pool. ``--cache-dir``
+(also read from ``REPRO_SCHEDULE_CACHE``) persists compiled kernels so
+later runs and their workers re-bind them instead of recompiling::
 
-    python -m repro.harness campaign --faults 200 --warm-pool \
+    python -m repro.harness campaign --faults 200 \
         --cache-dir /tmp/repro-schedules
     python -m repro.harness cache stats --cache-dir /tmp/repro-schedules
     python -m repro.harness cache clear --cache-dir /tmp/repro-schedules
@@ -67,23 +68,19 @@ from typing import List, Optional, Sequence
 from repro.harness import experiments as exp
 
 
-def _artifact(name: str, runs: int, jobs: Optional[int] = None,
-              warm_pool: bool = False) -> str:
+def _artifact(name: str, runs: int, jobs: Optional[int] = None) -> str:
     if name == "table1":
-        return exp.render_table1(exp.run_table1(runs=runs, jobs=jobs,
-                                                warm_pool=warm_pool))
+        return exp.render_table1(exp.run_table1(runs=runs, jobs=jobs))
     if name == "table2":
         return exp.render_table2(exp.run_table2())
     if name == "fig7":
         return exp.render_fig7(exp.run_fig7())
     if name == "divergence":
-        return exp.render_divergence(exp.run_divergence(
-            runs=runs, jobs=jobs, warm_pool=warm_pool))
+        return exp.render_divergence(exp.run_divergence(runs=runs, jobs=jobs))
     if name == "panopticon":
         return exp.render_panopticon(*exp.run_panopticon())
     if name == "timewarp":
-        return exp.render_time_warp(exp.run_time_warp(jobs=jobs,
-                                                      warm_pool=warm_pool))
+        return exp.render_time_warp(exp.run_time_warp(jobs=jobs))
     if name == "case-debugging":
         return exp.render_case_debugging(exp.run_case_debugging())
     if name == "case-testing":
@@ -285,9 +282,7 @@ def _cmd_replay(args) -> int:
         checkpoints = load_checkpoints(args.checkpoints)
         result = replay_sharded(spec, trace, checkpoints, jobs=args.jobs,
                                 time_warp=time_warp, injector=injector,
-                                scheduler=args.scheduler,
-                                warm_pool=args.warm_pool,
-                                cache_dir=args.cache_dir)
+                                scheduler=args.scheduler)
         if injector is not None:
             for entry in injector.log:
                 print(f"fault: {entry}")
@@ -318,8 +313,6 @@ def _cmd_campaign(args) -> int:
                           scheduler=args.scheduler,
                           batch_size=args.batch_size,
                           flight_recorder=args.flight_recorder,
-                          warm_pool=args.warm_pool,
-                          cache_dir=args.cache_dir,
                           progress=lambda msg: print(f"  {msg}"))
     print(report.render())
     return 0 if not report.silent_accepts else 1
@@ -330,8 +323,6 @@ def _cmd_cache(args) -> int:
     from repro.sim import schedule_store
     from repro.sim.compile import schedule_cache_stats
 
-    if args.cache_dir:
-        schedule_store.configure(args.cache_dir)
     if schedule_store.cache_dir() is None:
         print("no schedule cache directory configured (use --cache-dir "
               "or set REPRO_SCHEDULE_CACHE)", file=sys.stderr)
@@ -351,28 +342,13 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _add_cache_args(parser: argparse.ArgumentParser,
-                    warm: bool = True) -> None:
+def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="two-level compiled-schedule cache directory (also set by "
              "the REPRO_SCHEDULE_CACHE environment variable): cold "
              "compiles persist kernels there, later runs and warm "
              "workers re-bind them without re-levelizing")
-    if warm:
-        parser.add_argument(
-            "--warm-pool", action="store_true",
-            help="dispatch worker cells through the process-persistent "
-                 "warm pool (pre-imported workers, schedules pre-bound "
-                 "from the disk cache, topology-affinity routing) "
-                 "instead of a throwaway process pool")
-
-
-def _apply_cache_dir(args) -> None:
-    if getattr(args, "cache_dir", None):
-        from repro.sim import schedule_store
-
-        schedule_store.configure(args.cache_dir)
 
 
 def _add_scheduler_arg(parser: argparse.ArgumentParser) -> None:
@@ -400,7 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             "(table1/divergence; deterministic)")
     p_art.add_argument("-o", "--output",
                        help="also write the artefact(s) to this file")
-    _add_cache_args(p_art)
+    _add_cache_arg(p_art)
     p_rec = sub.add_parser("record", help="record one application run")
     p_rec.add_argument("app")
     p_rec.add_argument("-o", "--output", required=True)
@@ -440,7 +416,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        default=DEFAULT_FLIGHT_ANCHOR_STRIDE, metavar="N",
                        help="cycles between re-anchor checkpoint attempts")
     _add_scheduler_arg(p_rec)
-    _add_cache_args(p_rec, warm=False)
+    _add_cache_arg(p_rec)
     p_rec.set_defaults(func=_cmd_record)
     p_rep = sub.add_parser("replay", help="replay and validate a trace")
     p_rep.add_argument("app")
@@ -465,7 +441,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_rep.add_argument("--inject-seed", type=int, default=0,
                        help="seed for the fault plan's random choices")
     _add_scheduler_arg(p_rep)
-    _add_cache_args(p_rep)
+    _add_cache_arg(p_rep)
     p_rep.set_defaults(func=_cmd_replay)
     p_cam = sub.add_parser(
         "campaign", help="seeded fault-injection campaign: inject hundreds "
@@ -481,23 +457,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             "record legs N at a time behind one batch "
                             "kernel (bit-identical verdicts, less "
                             "wall-clock)")
-    p_cam.add_argument("--flight-recorder", action="store_true",
-                       dest="flight_recorder", default=None,
-                       help="run every record leg through the flight "
-                            "recorder and attack the v3 container in the "
-                            "blob trials (the default for campaigns)")
     p_cam.add_argument("--no-flight-recorder", action="store_false",
                        dest="flight_recorder",
-                       help="opt out: flat record legs, v2 container "
+                       help="opt out of the flight recorder (the campaign "
+                            "default): flat record legs, v2 container "
                             "attacks")
     _add_scheduler_arg(p_cam)
-    _add_cache_args(p_cam)
+    _add_cache_arg(p_cam)
     p_cam.set_defaults(func=_cmd_campaign)
     p_cache = sub.add_parser(
         "cache", help="inspect or clear the on-disk compiled-schedule "
         "cache shared by --cache-dir runs")
     p_cache.add_argument("action", choices=("stats", "clear"))
-    _add_cache_args(p_cache, warm=False)
+    _add_cache_arg(p_cache)
     p_cache.set_defaults(func=_cmd_cache)
 
     # Back-compat: `python -m repro.harness table2` without the
@@ -511,11 +483,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    if args.command in ("record", "replay", "campaign", "cache"):
-        if args.command != "cache":
-            _apply_cache_dir(args)
+    if args.cache_dir:
+        from repro.sim import schedule_store
+
+        schedule_store.configure(args.cache_dir)
+    if args.command != "artifact":
         return args.func(args)
-    _apply_cache_dir(args)
     if args.artifact == "all":
         names: List[str] = list(ALL)
     elif args.artifact == "fast":
@@ -524,8 +497,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         names = [args.artifact]
     pieces = []
     for name in names:
-        text = _artifact(name, args.runs, jobs=args.jobs,
-                         warm_pool=args.warm_pool)
+        text = _artifact(name, args.runs, jobs=args.jobs)
         print(text)
         print()
         pieces.append(text)

@@ -1,8 +1,8 @@
 """Batched sweep execution: N structurally-identical record runs per kernel.
 
-Campaigns and Table-1-style sweeps run the *same* deployment over and
-over — only the seed or the armed fault plan differs between cells. The
-scalar harness pays the full per-cycle simulation cost N times;
+Fault campaigns run the *same* deployment over and over — only the seed
+or the armed fault plan differs between record legs. The scalar harness
+pays the full per-cycle simulation cost N times;
 :class:`BatchRunner` instead builds all N deployments, hands their
 simulators to one :class:`~repro.sim.batch.BatchKernel`, and advances
 them in lock-stepped rounds whose quiet gaps are skipped per instance.
@@ -24,9 +24,6 @@ from repro.core.config import VidiConfig
 from repro.errors import ConfigError
 from repro.harness.runner import (
     RunMetrics,
-    SweepCell,
-    _cell_config,
-    _cell_spec,
     build_record_deployment,
     finish_record_metrics,
 )
@@ -52,18 +49,11 @@ class BatchRunner:
     """
 
     def __init__(self, batch_size: int = DEFAULT_BATCH_SIZE,
-                 scheduler: Optional[str] = "compiled",
-                 cache_dir: Optional[str] = None):
+                 scheduler: Optional[str] = "compiled"):
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
         self.scheduler = scheduler
-        self.cache_dir = cache_dir
-        if cache_dir is not None:
-            # Point the two-level schedule cache at the directory so the
-            # per-instance elaborations the batches pack from hit disk.
-            from repro.sim import schedule_store
-            schedule_store.configure(cache_dir)
 
     # ------------------------------------------------------------------
     def record_batch(self, spec: AppSpec, config: VidiConfig,
@@ -165,50 +155,6 @@ class BatchRunner:
             else:
                 results[j] = error
 
-    # ------------------------------------------------------------------
-    def run_record_cells(self, cells: Sequence[SweepCell]) -> List[dict]:
-        """Batched :func:`~repro.harness.runner.run_record_cell` over cells.
-
-        Cells are grouped by everything but the seed — only cells of the
-        same (app, config, scale, patched-dma, scheduler) shape can share
-        a kernel — and each group records as one batch. Returns the same
-        picklable dicts as the scalar worker, in cell order.
-        """
-        results: List[Optional[dict]] = [None] * len(cells)
-        groups: dict = {}
-        for i, cell in enumerate(cells):
-            key = (cell.app, cell.config, cell.scale, cell.patched_dma,
-                   cell.scheduler, cell.flight_recorder)
-            groups.setdefault(key, []).append(i)
-        for indices in groups.values():
-            group = [cells[i] for i in indices]
-            runner = self
-            if group[0].scheduler not in (None, self.scheduler):
-                # An explicit per-cell scheduler: pack on that kernel
-                # instead (fixpoint cells fall back to scalar inside).
-                runner = BatchRunner(batch_size=self.batch_size,
-                                     scheduler=group[0].scheduler,
-                                     cache_dir=self.cache_dir)
-            metrics_list = runner.record_batch(
-                _cell_spec(group[0]), _cell_config(group[0]),
-                seeds=[c.seed for c in group], scale=group[0].scale)
-            for i, cell, metrics in zip(indices, group, metrics_list):
-                results[i] = {
-                    "app": cell.app,
-                    "config": cell.config,
-                    "seed": cell.seed,
-                    "cycles": metrics.cycles,
-                    "trace_bytes": metrics.trace_bytes,
-                    "stored_bytes": metrics.stored_bytes,
-                    "store_stall_cycles": metrics.store_stall_cycles,
-                    "monitored_transactions": metrics.monitored_transactions,
-                }
-                if "flight" in metrics.result:
-                    flight = dict(metrics.result["flight"])
-                    flight.pop("dedup", None)
-                    results[i]["flight"] = flight
-        return results  # type: ignore[return-value]
-
 
 # ----------------------------------------------------------------------
 # module-level conveniences (the common one-shot calls)
@@ -224,10 +170,3 @@ def record_batch(spec: AppSpec, config: VidiConfig, seeds: Sequence[int],
             runner_kwargs[key] = kwargs.pop(key)
     return BatchRunner(**runner_kwargs).record_batch(
         spec, config, seeds, **kwargs)
-
-
-def run_record_cells_batched(cells: Sequence[SweepCell],
-                             batch_size: int = DEFAULT_BATCH_SIZE,
-                             ) -> List[dict]:
-    """One-shot :meth:`BatchRunner.run_record_cells`."""
-    return BatchRunner(batch_size=batch_size).run_record_cells(cells)

@@ -74,8 +74,8 @@ class Table1Row:
 
 
 def run_table1(runs: int = 5, apps: Optional[Sequence[str]] = None,
-               base_seed: int = 100, jobs: Optional[int] = None,
-               warm_pool: bool = False) -> List[Table1Row]:
+               base_seed: int = 100,
+               jobs: Optional[int] = None) -> List[Table1Row]:
     """Measure every application under R1/R2 (the paper's Table 1).
 
     The app × config × seed cells are independent runs with per-cell
@@ -92,8 +92,7 @@ def run_table1(runs: int = 5, apps: Optional[Sequence[str]] = None,
                      for i in range(runs))
         # The trace-size sample, same seed the sequential driver used.
         cells.append(SweepCell(key, "r2", base_seed))
-    results = run_cells(cells, run_record_cell, jobs=jobs,
-                        warm_pool=warm_pool)
+    results = run_cells(cells, run_record_cell, jobs=jobs)
     rows: List[Table1Row] = []
     per_app = 2 * runs + 1
     for n, key in enumerate(keys):
@@ -245,8 +244,8 @@ class DivergenceRow:
 
 
 def run_divergence(runs: int = 3, apps: Optional[Sequence[str]] = None,
-                   base_seed: int = 300, jobs: Optional[int] = None,
-                   warm_pool: bool = False) -> List[DivergenceRow]:
+                   base_seed: int = 300,
+                   jobs: Optional[int] = None) -> List[DivergenceRow]:
     """Record (R2) then replay (R3) every app; compare traces (§5.4).
 
     Includes the interrupt-patched DRAM DMA as an extra row demonstrating
@@ -261,8 +260,7 @@ def run_divergence(runs: int = 3, apps: Optional[Sequence[str]] = None,
     cells = [SweepCell(key, "r2", base_seed + i, patched_dma=patched)
              for _label, key, patched in targets
              for i in range(runs)]
-    results = run_cells(cells, run_divergence_cell, jobs=jobs,
-                        warm_pool=warm_pool)
+    results = run_cells(cells, run_divergence_cell, jobs=jobs)
     rows: List[DivergenceRow] = []
     for n, (label, _key, _patched) in enumerate(targets):
         chunk = results[n * runs:(n + 1) * runs]
@@ -446,8 +444,7 @@ class TimeWarpRow:
 
 def run_time_warp(apps: Sequence[str] = ("sha256", "dram_dma", "bnn"),
                   seed: int = 7, segments: int = 4,
-                  jobs: Optional[int] = None,
-                  warm_pool: bool = False) -> List[TimeWarpRow]:
+                  jobs: Optional[int] = None) -> List[TimeWarpRow]:
     """Measure replay acceleration: quiescent-gap skipping and sharding.
 
     Records each app once (harvesting checkpoints), replays the trace
@@ -475,8 +472,7 @@ def run_time_warp(apps: Sequence[str] = ("sha256", "dram_dma", "bnn"),
         warp = replay_run(spec, trace, time_warp=True)
         warp_s = time.perf_counter() - t0
         sharded = replay_sharded(spec, trace, checkpoints,
-                                 segments=segments, jobs=jobs,
-                                 warm_pool=warm_pool)
+                                 segments=segments, jobs=jobs)
 
         reference_body = bytes(percycle.result["validation"].body)
         identical = (

@@ -176,17 +176,23 @@ def _job_salvage(params: Dict[str, Any]) -> Dict[str, Any]:
 
 def _job_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.faults import run_campaign
+    from repro.harness.worker_pool import shutdown_pool
 
-    report = run_campaign(
-        app=params.get("app", "sha256"),
-        n_faults=int(params.get("n_faults", 200)),
-        seed=int(params.get("seed", 0)),
-        crash_app=params.get("crash_app", "dram_dma"),
-        scheduler=params.get("scheduler"),
-        batch_size=params.get("batch_size"),
-        flight_recorder=params.get("flight_recorder"),
-        warm_pool=False,   # already inside a pool worker: no nesting
-    )
+    try:
+        report = run_campaign(
+            app=params.get("app", "sha256"),
+            n_faults=int(params.get("n_faults", 200)),
+            seed=int(params.get("seed", 0)),
+            crash_app=params.get("crash_app", "dram_dma"),
+            scheduler=params.get("scheduler"),
+            batch_size=params.get("batch_size"),
+            flight_recorder=params.get("flight_recorder"),
+        )
+    finally:
+        # Inside a daemon worker the crash trials' sharded replays build
+        # a pool of their own; stop it now rather than keep its idle
+        # processes alive until the worker exits.
+        shutdown_pool()
     trials = [[t.index, t.kind, t.seed, t.outcome, t.detail]
               for t in report.trials]
     digest = hashlib.sha256()
@@ -227,12 +233,11 @@ def execute_job(kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def job_affinity(kind: str, params: Dict[str, Any]) -> Optional[Tuple]:
-    """Topology-affinity key for warm-pool routing.
+    """Topology-affinity key for the daemon's warm-pool routing.
 
-    Mirrors :func:`repro.harness.worker_pool.cell_affinity`: everything
-    that feeds the compiled-schedule key — app, scale, scheduler, flight
-    mode — without per-job noise like seeds, so jobs that share a kernel
-    land on a worker that has already bound it.
+    Everything that feeds the compiled-schedule key — app, scale,
+    scheduler, flight mode — without per-job noise like seeds, so jobs
+    that share a kernel land on a worker that has already bound it.
     """
     params = params or {}
     if kind == "salvage":

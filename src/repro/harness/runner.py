@@ -349,126 +349,67 @@ def run_divergence_cell(cell: SweepCell) -> dict:
     }
 
 
-# Post-mortem of the most recent parallel run_cells call (tests and
-# profiling): how many executors were built and which dispatch mode ran.
-last_run_stats: dict = {"pools_created": 0, "rounds": 0, "mode": "inline"}
-
-
 def run_cells(cells: List[SweepCell], worker: Callable[[SweepCell], dict],
               jobs: Optional[int] = None, retries: int = 0,
               fallback_inline: bool = False,
-              backoff_s: float = 0.05,
-              warm_pool: bool = False,
-              cache_dir: Optional[str] = None) -> List[dict]:
+              backoff_s: float = 0.05) -> List[dict]:
     """Execute sweep cells, optionally sharded across worker processes.
 
-    ``jobs`` of ``None``/``0``/``1`` runs inline; larger values use a
-    ``ProcessPoolExecutor``. Results always come back in cell order, and
-    each cell is fully self-seeded, so the parallel sweep's numbers are
-    identical to the sequential ones.
-
-    ``warm_pool=True`` dispatches through the process-persistent
-    :mod:`~repro.harness.worker_pool` instead of a throwaway executor:
-    workers survive across calls with pre-imported modules and pre-bound
-    schedules, and cells are routed by topology affinity so equal
-    schedule keys reuse one worker's in-process kernel cache.
-    ``cache_dir`` points both tiers at an on-disk schedule cache.
+    ``jobs`` of ``None``/``0``/``1`` runs inline; larger values dispatch
+    through the process-persistent :mod:`~repro.harness.worker_pool`
+    (widened to ``jobs`` slots), round-robin, so cells of one topology
+    run side by side on pre-imported workers that outlive the call.
+    Results always come back in cell order, and each cell is fully
+    self-seeded, so the parallel sweep's numbers are identical to the
+    sequential ones.
 
     Worker failures — exceptions *and* hard process deaths (a crashed
-    worker breaks its pool, poisoning every pending future) — are
+    worker breaks its slot, poisoning every future pending there) — are
     retried per cell: each of up to ``retries`` extra rounds re-submits
     only the still-failing cells, after an escalating ``backoff_s``
-    pause. A pool that survived its round intact is reused for the next
-    round; only executors actually lost to ``BrokenProcessPool`` are
-    replaced (in the warm pool, only the broken slot is). Cells still
-    failing after the pool rounds are replayed inline when
-    ``fallback_inline`` is set (same process, no pool to break); a cell
-    that fails even inline — or that exhausts the rounds without a
-    fallback — raises :class:`~repro.errors.ShardReplayError` chaining
-    the last cause. Because every cell is self-seeded, a result that
-    needed three attempts is byte-identical to one that needed one.
+    pause. Only the slots actually lost to ``BrokenProcessPool`` are
+    recycled; every other worker stays warm. Cells still failing after
+    the pool rounds are replayed inline when ``fallback_inline`` is set
+    (same process, no pool to break); a cell that fails even inline —
+    or that exhausts the rounds without a fallback — raises
+    :class:`~repro.errors.ShardReplayError` chaining the last cause.
+    Because every cell is self-seeded, a result that needed three
+    attempts is byte-identical to one that needed one.
     """
-    if cache_dir is not None:
-        from repro.sim import schedule_store
-        schedule_store.configure(cache_dir)
     cells = list(cells)
     if not jobs or jobs <= 1 or len(cells) <= 1:
         return [_run_cell_inline(cell, worker, retries, backoff_s)
                 for cell in cells]
     import time
-    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
+
+    from repro.harness import worker_pool
 
     results: List[Optional[dict]] = [None] * len(cells)
     remaining = list(range(len(cells)))
     causes: dict = {}
-    last_run_stats.update(pools_created=0, rounds=0,
-                          mode="warm" if warm_pool else "cold")
-    if warm_pool:
-        from repro.harness import worker_pool
-
-        pool = worker_pool.get_pool(jobs, cache_dir=cache_dir)
-        for attempt in range(retries + 1):
-            if not remaining:
-                break
-            if attempt and backoff_s:
-                time.sleep(backoff_s * attempt)
-            last_run_stats["rounds"] += 1
-            futures = {
-                i: pool.submit(worker, cells[i],
-                               affinity=worker_pool.cell_affinity(cells[i]))
-                for i in remaining}
-            failed = []
-            broken_slots = set()
-            for i in remaining:
-                try:
-                    results[i] = futures[i].result()
-                except BrokenProcessPool as exc:
-                    causes[i] = exc
-                    failed.append(i)
-                    broken_slots.add(futures[i].warm_slot)
-                except Exception as exc:
-                    causes[i] = exc
-                    failed.append(i)
-            for slot in broken_slots:   # surgical: warm slots survive
-                pool.recycle(slot)
-            remaining = failed
-    else:
-        pool = None
-        try:
-            for attempt in range(retries + 1):
-                if not remaining:
-                    break
-                if attempt and backoff_s:
-                    time.sleep(backoff_s * attempt)
-                last_run_stats["rounds"] += 1
-                if pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=min(jobs, len(remaining)))
-                    last_run_stats["pools_created"] += 1
-                futures = {i: pool.submit(worker, cells[i])
-                           for i in remaining}
-                failed = []
-                broken = False
-                for i in remaining:
-                    try:
-                        results[i] = futures[i].result()
-                    except BrokenProcessPool as exc:
-                        causes[i] = exc
-                        failed.append(i)
-                        broken = True
-                    except Exception as exc:
-                        causes[i] = exc
-                        failed.append(i)
-                remaining = failed
-                if broken:
-                    # Only a hard worker death poisons the executor; a
-                    # plain exception leaves it healthy, so keep it.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = None
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+    pool = worker_pool.get_pool(jobs)
+    for attempt in range(retries + 1):
+        if not remaining:
+            break
+        if attempt and backoff_s:
+            time.sleep(backoff_s * attempt)
+        futures = {i: pool.submit(worker, cells[i]) for i in remaining}
+        failed = []
+        broken_slots = set()
+        for i in remaining:
+            try:
+                results[i] = futures[i].result()
+            except BrokenProcessPool as exc:
+                causes[i] = exc
+                failed.append(i)
+                broken_slots.add(futures[i].warm_slot)
+            except Exception as exc:
+                causes[i] = exc
+                failed.append(i)
+        for slot in broken_slots:   # surgical: warm slots survive
+            pool.recycle(slot)
+        remaining = failed
     if remaining and fallback_inline:
         still = []
         for i in remaining:

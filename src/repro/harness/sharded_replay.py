@@ -48,7 +48,6 @@ from repro.harness.runner import (
     trace_interfaces,
 )
 from repro.platform.shell import F1Deployment
-from repro.sim.batch import BatchKernel
 
 # How often (in cycles) the recording hook attempts a checkpoint. Snapshots
 # copy the populated DRAM/register state, so per-cycle attempts would tax the
@@ -148,8 +147,8 @@ class ReplayShardCell:
     scheduler: Optional[str] = None   # simulation kernel for the worker
 
 
-def _build_shard_deployment(cell: ReplayShardCell) -> F1Deployment:
-    """Fresh replay deployment for one segment, checkpoint restored."""
+def run_replay_shard(cell: ReplayShardCell) -> dict:
+    """Worker: replay one segment from its checkpoint; return picklable stats."""
     spec = get_app(cell.app)
     segment = TraceFile(table=cell.table, body=cell.body,
                         with_validation=cell.with_validation,
@@ -162,12 +161,7 @@ def _build_shard_deployment(cell: ReplayShardCell) -> F1Deployment:
                               scheduler=cell.scheduler)
     if cell.checkpoint is not None:
         restore_checkpoint(deployment, cell.checkpoint, restore_host=False)
-    return deployment
-
-
-def _shard_result(cell: ReplayShardCell, deployment: F1Deployment,
-                  cycles: int) -> dict:
-    """Picklable per-segment stats (after the deployment has drained)."""
+    cycles = deployment.run_replay(max_cycles=cell.max_cycles)
     validation = deployment.recorded_trace(
         {"shard": [cell.start, cell.stop], "validation": True})
     return {
@@ -178,47 +172,6 @@ def _shard_result(cell: ReplayShardCell, deployment: F1Deployment,
         "warp_jumps": deployment.sim.warp_jumps,
         "validation_body": bytes(validation.body),
     }
-
-
-def run_replay_shard(cell: ReplayShardCell) -> dict:
-    """Worker: replay one segment from its checkpoint; return picklable stats."""
-    deployment = _build_shard_deployment(cell)
-    cycles = deployment.run_replay(max_cycles=cell.max_cycles)
-    return _shard_result(cell, deployment, cycles)
-
-
-def run_replay_shards_batched(cells: List[ReplayShardCell]) -> List[dict]:
-    """Replay every segment inline inside one :class:`BatchKernel`.
-
-    The segments share one deployment topology (they replay slices of the
-    same trace), so they pack the way a campaign's record legs do; each
-    instance stops at its own ``replay_done`` boundary and drains the same
-    64 trailing cycles as :meth:`~repro.platform.shell.F1Deployment
-    .run_replay`, keeping the per-segment validation bodies byte-identical
-    to the worker path's. Instances the kernel cannot keep — or that fail
-    to finish batched (the batch has no livelock watchdog, so a stalled
-    segment burns its budget here first) — are replayed scalar, which also
-    re-raises the structured stall diagnostics a sequential replay would.
-    """
-    deployments = [_build_shard_deployment(cell) for cell in cells]
-    kernel, packed, _scalar = BatchKernel.pack([d.sim for d in deployments])
-    results: List[Optional[dict]] = [None] * len(cells)
-    if kernel is not None:
-        predicates = [
-            (lambda shim=deployments[j].shim: shim.replay_done)
-            for j in packed]
-        outcomes = kernel.run_until(predicates, cells[0].max_cycles,
-                                    what="sharded replay: batched segments")
-        kernel.run(64)          # run_replay's drain_cycles, per instance
-        kernel.detach_all()
-        for j, outcome in zip(packed, outcomes):
-            if outcome.status == "done":
-                results[j] = _shard_result(cells[j], deployments[j],
-                                           outcome.cycles)
-    for j, cell in enumerate(cells):
-        if results[j] is None:
-            results[j] = run_replay_shard(cell)
-    return results  # type: ignore[return-value]
 
 
 @dataclass
@@ -251,42 +204,26 @@ def replay_sharded(spec: AppSpec, trace: TraceFile,
                    max_cycles: int = 4_000_000,
                    retries: int = 2,
                    injector=None,
-                   scheduler: Optional[str] = None,
-                   batched: bool = False,
-                   warm_pool: bool = False,
-                   cache_dir: Optional[str] = None) -> ShardedReplayResult:
+                   scheduler: Optional[str] = None) -> ShardedReplayResult:
     """Replay ``trace`` split at checkpointed boundaries across workers.
 
     ``segments`` defaults to ``jobs`` (one segment per worker); ``jobs`` of
     ``None``/``0``/``1`` replays the segments inline, still exercising the
     slicing and stitching path. The stitched validation trace is
     byte-identical to a sequential replay's, so callers feed it straight
-    into :func:`~repro.core.divergence.compare_traces`.
-
-    ``warm_pool=True`` routes the shard workers through the
-    process-persistent :mod:`~repro.harness.worker_pool` (pre-imported,
-    schedule-pre-bound workers with topology-affinity dispatch);
-    ``cache_dir`` points the two-level schedule cache at a directory.
+    into :func:`~repro.core.divergence.compare_traces`. Segments run on
+    the warm worker pool through :func:`~repro.harness.runner.run_cells`.
 
     Worker deaths are absorbed: crashed shards are retried up to
-    ``retries`` times (replacing only the executors actually lost to the
-    crash) and, failing that, replayed inline —
+    ``retries`` times (recycling only the pool slots actually lost to
+    the crash) and, failing that, replayed inline —
     every shard is a pure function of its cell, so the stitched result is
     byte-identical no matter how many attempts a shard needed. ``injector``
     (a :class:`~repro.faults.injector.FaultInjector` with a
     ``worker-crash`` fault armed) wraps the shard worker so chosen shards
     kill their worker process on first execution — the fault campaign's
     way of proving the recovery path end to end.
-
-    ``batched=True`` replays all segments inline in one
-    :class:`~repro.sim.batch.BatchKernel` instead of worker processes
-    (``jobs`` is ignored): same stitched bytes, one process. It cannot
-    host a ``worker-crash`` injector — crash recovery needs real workers.
     """
-    if batched and injector is not None:
-        raise ConfigError(
-            "batched sharded replay runs inline; worker-crash injection "
-            "needs worker processes (drop batched or the injector)")
     index = trace.index()
     n_packets = len(index)
     if segments is None:
@@ -301,15 +238,11 @@ def replay_sharded(spec: AppSpec, trace: TraceFile,
                         scheduler=scheduler)
         for start, stop, checkpoint in plan
     ]
-    if batched:
-        results = run_replay_shards_batched(cells)
-    else:
-        worker = run_replay_shard
-        if injector is not None:
-            worker = injector.crashing_worker(worker, cells)
-        results = run_cells(cells, worker, jobs=jobs, retries=retries,
-                            fallback_inline=True, warm_pool=warm_pool,
-                            cache_dir=cache_dir)
+    worker = run_replay_shard
+    if injector is not None:
+        worker = injector.crashing_worker(worker, cells)
+    results = run_cells(cells, worker, jobs=jobs, retries=retries,
+                        fallback_inline=True)
     stitched = TraceFile(
         table=trace.table,
         body=b"".join(r["validation_body"] for r in results),

@@ -1,29 +1,31 @@
-"""Process-persistent warm worker pool for parallel frontends.
+"""Process-persistent warm worker pool: the harness's only process pool.
 
-Every ``run_cells`` caller used to build a fresh ``ProcessPoolExecutor``
-and tear it down at the end of the call — so each campaign round, sweep,
-and sharded replay paid full interpreter start-up, ``repro`` import, and
-cold kernel compilation in every worker, every time. This module keeps
-one module-level pool alive for the whole process and hands it to any
-caller that asks for ``warm_pool=True``.
+Every parallel frontend — ``run_cells`` sweeps, checkpoint-sharded
+replay, campaign crash trials and the trace-service daemon's job queue —
+dispatches through one module-level pool that lives as long as the
+process, so worker start-up, ``repro`` import and kernel compilation are
+paid once per worker rather than once per call.
 
 Design:
 
 * The pool is ``size`` independent single-worker executors ("slots")
   rather than one N-worker executor. That buys two things a monolithic
-  pool cannot provide: **topology affinity** (a cell can be routed to a
-  specific slot, so cells with the same schedule key land on a worker
-  whose in-process schedule cache already holds their kernel) and
-  **surgical recycling** (a crashed worker poisons only its own slot;
-  the other N-1 warm workers keep their caches).
+  pool cannot provide: **routing** (a task can be sent to a specific
+  slot) and **surgical recycling** (a crashed worker poisons only its
+  own slot; the other N-1 warm workers keep their caches).
+* Submissions without an affinity key round-robin over the slots, so
+  the cells of one sweep or sharded replay run side by side. The
+  daemon's jobs carry a topology-affinity key instead:
+  ``crc32(repr(key))`` picks the slot, so equal keys share a worker —
+  and its in-process schedule cache — within a run *and* across runs
+  (no dependence on ``PYTHONHASHSEED``).
 * Each worker runs :func:`_warm_init` once at start: it pre-imports the
   heavy ``repro`` modules and pre-binds every compiled schedule from the
   on-disk cache (:mod:`repro.sim.schedule_store`) into RAM, so the first
   real cell dispatched to it binds in microseconds instead of
-  levelizing.
-* Dispatch is deterministic: ``crc32(repr(affinity_key))`` picks the
-  slot, so equal keys always share a worker within a run *and* across
-  runs (no dependence on ``PYTHONHASHSEED``).
+  levelizing. The cache directory is whatever
+  :func:`~repro.sim.schedule_store.configure` last set; :func:`get_pool`
+  restarts a pool whose workers started under another one.
 
 The pool registers its affinity counters with
 :func:`repro.sim.compile.register_cache_stats_provider`, so
@@ -35,14 +37,15 @@ harness.
 from __future__ import annotations
 
 import atexit
+import multiprocessing.util
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Set
 
-__all__ = [
-    "WarmPool", "get_pool", "shutdown_pool", "pool_stats", "cell_affinity",
-]
+from repro.sim import schedule_store
+
+__all__ = ["WarmPool", "get_pool", "shutdown_pool", "pool_stats"]
 
 _STATS = {
     "affinity_dispatches": 0,   # submits that carried an affinity key
@@ -52,21 +55,29 @@ _STATS = {
 }
 
 
-def _warm_init(cache_dir: Optional[str]) -> None:
+def _warm_init() -> None:
     """Worker initializer: pre-import repro and pre-bind disk schedules.
 
     Runs once per worker process. After it returns, the worker holds the
     full ``repro`` import graph and a RAM mirror of every valid on-disk
     schedule entry, so its first cell skips both import cost and cold
     levelization.
+
+    A forked worker also inherits its parent's ``_POOL``, whose executors
+    belong to the parent; a task that parallelises inside the worker
+    (a campaign job's sharded replays) must build its own pool instead.
+    That pool is drained before the worker's exit joins its children, so
+    it can never hold the worker — and the parent's shutdown — hostage.
     """
+    global _POOL
+    _POOL = None
+    # Priority above the multiprocessing queues' close finalizers (10):
+    # the nested executors still need their queues to stop their workers.
+    multiprocessing.util.Finalize(None, shutdown_pool, exitpriority=100)
     import repro                      # noqa: F401  (full package graph)
     import repro.harness.runner       # noqa: F401  (cell workers live here)
     import repro.apps.registry        # noqa: F401  (app factories)
-    from repro.sim import schedule_store
 
-    if cache_dir is not None:
-        schedule_store.configure(cache_dir)
     schedule_store.preload()
 
 
@@ -76,13 +87,14 @@ def _stable_slot(affinity: object, size: int) -> int:
 
 
 class WarmPool:
-    """N warm single-worker executors with affinity dispatch."""
+    """N warm single-worker executors: round-robin or affinity dispatch."""
 
-    def __init__(self, size: int, cache_dir: Optional[str] = None):
+    def __init__(self, size: int):
         if size < 1:
             raise ValueError("warm pool needs at least one slot")
         self.size = size
-        self.cache_dir = cache_dir
+        # The schedule-cache directory the workers inherit and preload.
+        self.cache_dir = schedule_store.cache_dir()
         self._slots: List[Optional[ProcessPoolExecutor]] = [None] * size
         # Affinity keys each slot's worker has already compiled/bound.
         self._seen: List[Set[object]] = [set() for _ in range(size)]
@@ -93,9 +105,7 @@ class WarmPool:
     def _executor(self, slot: int) -> ProcessPoolExecutor:
         ex = self._slots[slot]
         if ex is None:
-            ex = ProcessPoolExecutor(
-                max_workers=1, initializer=_warm_init,
-                initargs=(self.cache_dir,))
+            ex = ProcessPoolExecutor(max_workers=1, initializer=_warm_init)
             self._slots[slot] = ex
         return ex
 
@@ -113,7 +123,7 @@ class WarmPool:
         return slot
 
     def submit(self, fn, *args, affinity: object = None):
-        """Submit ``fn(*args)`` to the affinity-chosen slot.
+        """Submit ``fn(*args)`` to the slot :meth:`slot_for` picks.
 
         A slot whose worker died earlier raises ``BrokenProcessPool``
         straight from ``submit``; that slot is recycled and the call
@@ -182,15 +192,20 @@ class WarmPool:
 _POOL: Optional[WarmPool] = None
 
 
-def get_pool(jobs: int, cache_dir: Optional[str] = None) -> WarmPool:
-    """The process-wide warm pool, created on first use and grown on demand."""
+def get_pool(jobs: int) -> WarmPool:
+    """The process-wide warm pool, created on first use and grown on demand.
+
+    A pool whose workers started under another schedule-cache directory
+    than the current one is drained and replaced, so workers always see
+    the directory :func:`~repro.sim.schedule_store.configure` last set.
+    """
     global _POOL
+    if _POOL is not None and _POOL.cache_dir != schedule_store.cache_dir():
+        shutdown_pool()
     if _POOL is None:
-        _POOL = WarmPool(jobs, cache_dir=cache_dir)
+        _POOL = WarmPool(jobs)
     else:
         _POOL.grow(jobs)
-        if cache_dir is not None and _POOL.cache_dir is None:
-            _POOL.cache_dir = cache_dir   # applies to future slot spawns
     return _POOL
 
 
@@ -219,20 +234,6 @@ def pool_stats() -> Dict[str, object]:
     stats["warm_pool_size"] = _POOL.size if _POOL is not None else 0
     stats["warm_pool_live"] = _POOL.live_workers() if _POOL is not None else 0
     return stats
-
-
-def cell_affinity(cell: object) -> tuple:
-    """Topology-affinity key for a sweep/replay cell.
-
-    Everything that feeds ``schedule_key`` — app topology, config mode,
-    scale, DMA patching — without the per-cell seed, so cells that share
-    a compiled schedule hash to the same warm worker. Unknown cell types
-    degrade to their class name (still deterministic, never wrong).
-    """
-    fields = ("app", "config", "scale", "patched_dma", "scheduler",
-              "flight_recorder")
-    return (type(cell).__name__,) + tuple(
-        getattr(cell, f, None) for f in fields)
 
 
 # Publish affinity counters through the sim layer's stats hook.

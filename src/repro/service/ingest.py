@@ -89,13 +89,16 @@ class IngestManager:
 
         A re-begin for a live tenant closes the old journal first (the
         recorder restarted); the old stream's bytes stay on disk until
-        overwritten by the new journal of the same name.
+        overwritten by the new journal of the same name. A tenant whose
+        stream already ended simply starts a new one.
         """
         path = self.journal_path(tenant)
         with self._lock:
             old = self._tenants.pop(tenant, None)
         if old is not None:
-            self._close(old, append_end=not old.parser.end_seen)
+            with old.lock:
+                if not old.closed:
+                    self._close(old, append_end=not old.parser.end_seen)
         state = _Tenant(tenant, path, self.retain_bytes)
         state.fh.write(prefix)
         state.fh.flush()

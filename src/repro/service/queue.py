@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import threading
+import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -81,10 +82,9 @@ class _HeapEntry:
 class JobQueue:
     """Priority scheduling of harness jobs onto the warm pool."""
 
-    def __init__(self, jobs: int = 4, cache_dir: Optional[str] = None,
+    def __init__(self, jobs: int = 4,
                  results: Optional[ResultsStore] = None):
         self.jobs = max(1, jobs)
-        self.cache_dir = cache_dir
         self.results = results
         self._heap: List[_HeapEntry] = []
         self._jobs: Dict[str, Job] = {}
@@ -101,8 +101,7 @@ class JobQueue:
 
     # ------------------------------------------------------------------
     def submit(self, kind: str, params: Optional[Dict[str, Any]] = None,
-               priority: int = DEFAULT_PRIORITY,
-               t: float = 0.0) -> str:
+               priority: int = DEFAULT_PRIORITY) -> str:
         if kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {kind!r} "
                              f"(expected one of {', '.join(JOB_KINDS)})")
@@ -112,7 +111,7 @@ class JobQueue:
             self._seq += 1
             job = Job(id=f"job-{self._seq:06d}", kind=kind,
                       params=dict(params or {}), priority=int(priority),
-                      seq=self._seq, submitted_t=t)
+                      seq=self._seq, submitted_t=time.time())
             self._jobs[job.id] = job
             heapq.heappush(self._heap, _HeapEntry(job.priority, job.seq, job))
             self._cond.notify_all()
@@ -130,11 +129,12 @@ class JobQueue:
                         return
                 job = heapq.heappop(self._heap).job
                 job.state = "running"
+                job.started_t = time.time()
                 self._inflight += 1
             self._dispatch(job)
 
     def _dispatch(self, job: Job) -> None:
-        pool = worker_pool.get_pool(self.jobs, cache_dir=self.cache_dir)
+        pool = worker_pool.get_pool(self.jobs)
         try:
             future = pool.submit(execute_job, job.kind, job.params,
                                  affinity=job_affinity(job.kind, job.params))
@@ -158,6 +158,7 @@ class JobQueue:
         with self._cond:
             job.result = result
             job.error = error
+            job.finished_t = time.time()
             job.state = "done" if error is None else "failed"
             self._inflight -= 1
             if error is None:

@@ -39,6 +39,7 @@ from repro.harness import worker_pool
 from repro.service.ingest import IngestManager
 from repro.service.queue import JobQueue
 from repro.service.results import ResultsStore
+from repro.sim import schedule_store
 
 __all__ = ["TraceService", "RESULTS_FILENAME", "SERVICE_FILENAME"]
 
@@ -56,10 +57,11 @@ class TraceService:
                  retain_words: int = DEFAULT_FLIGHT_RETAIN_WORDS):
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
+        if cache_dir is not None:
+            schedule_store.configure(cache_dir)
         self.results = ResultsStore(self.data_dir / RESULTS_FILENAME)
         self.ingest = IngestManager(self.data_dir, retain_words=retain_words)
-        self.queue = JobQueue(jobs=jobs, cache_dir=cache_dir,
-                              results=self.results)
+        self.queue = JobQueue(jobs=jobs, results=self.results)
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.service = self

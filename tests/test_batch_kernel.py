@@ -6,26 +6,16 @@ host results, campaign verdicts — must be bit-identical to the scalar
 path. These tests pin that contract across applications, schedulers and
 every demotion path (structural mismatch at pack time, the busy-instance
 probation probe, mid-grant catch-up flushes), plus the batched frontends
-(``record_batch``, ``run_record_cells``, the campaign prerecord pass and
-batched sharded replay).
+(``record_batch`` and the campaign prerecord pass).
 """
 
 import pytest
 
 from repro.apps.registry import get_app
 from repro.core import VidiConfig
-from repro.core.divergence import compare_traces
 from repro.errors import ConfigError, SimulationError
-from repro.harness.batch_runner import (
-    BatchRunner,
-    record_batch,
-    run_record_cells_batched,
-)
-from repro.harness.runner import SweepCell, record_run, run_record_cell
-from repro.harness.sharded_replay import (
-    record_with_checkpoints,
-    replay_sharded,
-)
+from repro.harness.batch_runner import BatchRunner, record_batch
+from repro.harness.runner import record_run
 from repro.platform import F1Deployment
 from repro.sim.batch import BatchKernel
 
@@ -139,18 +129,6 @@ def test_record_batch_error_containment():
         record_batch(spec, config, [0, 1, 2], before_run=sabotage)
 
 
-def test_run_record_cells_matches_scalar_worker():
-    """Batched sweep cells return the scalar worker's dicts, in order."""
-    cells = [SweepCell(app="sha256", config="r2", seed=s,
-                       scheduler="compiled") for s in SEEDS]
-    # A shape-mismatched straggler exercises the grouping.
-    cells.append(SweepCell(app="bnn", config="r2", seed=0,
-                           scheduler="compiled"))
-    scalar = [run_record_cell(cell) for cell in cells]
-    batched = run_record_cells_batched(cells)
-    assert batched == scalar
-
-
 def test_batch_runner_validates_arguments():
     with pytest.raises(ConfigError):
         BatchRunner(batch_size=0)
@@ -169,33 +147,3 @@ def test_batched_campaign_matches_scalar_verdicts():
              for t in scalar.trials]
             == [(t.index, t.kind, t.seed, t.outcome, t.detail)
                 for t in batched.trials])
-
-
-def test_batched_sharded_replay_matches_inline():
-    """Batched segment replay stitches the exact scalar validation trace."""
-    spec = get_app("sha256")
-    metrics, checkpoints = record_with_checkpoints(spec, seed=3,
-                                                   scheduler="compiled")
-    trace = metrics.result["trace"]
-    reference = replay_sharded(spec, trace, checkpoints, segments=4,
-                               jobs=1, scheduler="compiled")
-    batched = replay_sharded(spec, trace, checkpoints, segments=4,
-                             batched=True, scheduler="compiled")
-    assert bytes(batched.validation.body) == bytes(reference.validation.body)
-    assert ([s["cycles"] for s in batched.shards]
-            == [s["cycles"] for s in reference.shards])
-    assert compare_traces(trace, batched.validation).clean
-
-
-def test_batched_sharded_replay_refuses_crash_injection():
-    """Worker-crash plans need worker processes; batched replay is inline."""
-    from repro.faults.injector import FaultInjector, FaultPlan
-
-    spec = get_app("sha256")
-    metrics, checkpoints = record_with_checkpoints(spec, seed=3,
-                                                   scheduler="compiled")
-    trace = metrics.result["trace"]
-    injector = FaultInjector(FaultPlan.parse("worker-crash:crashes=1"))
-    with pytest.raises(ConfigError):
-        replay_sharded(spec, trace, checkpoints, segments=2, batched=True,
-                       injector=injector)

@@ -25,6 +25,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import zlib
 from pathlib import Path
@@ -222,6 +223,23 @@ class TestIngestManager:
         assert Path(ingest.journal_path("u")).read_bytes() == \
             self._stream() + encode_end_frame()
 
+    def test_begin_after_end_starts_a_fresh_journal(self, tmp_path):
+        from repro.core import TraceFile
+
+        prefix, frames = _flight_frames()
+        stream = b"".join(frames)
+        ingest = IngestManager(tmp_path)
+        ingest.begin("t", prefix)
+        ingest.frames("t", frames[0])
+        ingest.end("t")
+        # The recorder starts a new stream under the same tenant name.
+        ingest.begin("t", prefix)
+        ingest.frames("t", stream)
+        info = ingest.end("t")
+        journal = Path(info["journal"]).read_bytes()
+        assert journal == prefix + stream + encode_end_frame()
+        assert TraceFile.load(info["journal"]).packet_count > 0
+
 
 # ----------------------------------------------------------------------
 # Warm pool drain + job queue scheduling
@@ -329,6 +347,30 @@ class TestJobQueue:
             queue.stop(drain=True, timeout=60.0)
             worker_pool.shutdown_pool()
 
+    def test_finished_job_carries_its_timestamps(self, tmp_path,
+                                                 small_trace):
+        from repro.service.client import ServiceClient
+        from repro.service.server import TraceService
+
+        worker_pool.shutdown_pool()
+        service = TraceService(tmp_path / "svc", jobs=1).run_in_thread()
+        try:
+            client = ServiceClient(data_dir=service.data_dir)
+            job_id = client.submit("salvage",
+                                   {"trace_path": str(small_trace)})
+            detail = client.wait(job_id, timeout=300.0)
+            deadline = time.monotonic() + 10.0
+            while (not client.results(kind="job")
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            (record,) = client.results(kind="job")
+            for job in (detail, record["payload"]):
+                assert job["id"] == job_id
+                assert 0 < job["submitted_t"] <= job["started_t"] \
+                    <= job["finished_t"]
+        finally:
+            service.shutdown()
+
     def test_rejects_unknown_kind_and_submit_after_stop(self, tmp_path):
         queue = JobQueue(jobs=1)
         with pytest.raises(ValueError, match="unknown job kind"):
@@ -381,7 +423,7 @@ def test_daemon_jobs_match_cli_bit_for_bit(tmp_path):
         # Campaign: daemon trial verdicts == in-process run_campaign.
         params = {"n_faults": 3, "seed": 2, "crash_app": "sha256"}
         report = run_campaign(app="sha256", n_faults=3, seed=2,
-                              crash_app="sha256", warm_pool=False)
+                              crash_app="sha256")
         expected = [[t.index, t.kind, t.seed, t.outcome, t.detail]
                     for t in report.trials]
         detail = client.wait(client.submit("campaign", params))
@@ -399,6 +441,66 @@ def test_daemon_jobs_match_cli_bit_for_bit(tmp_path):
     finally:
         service.shutdown()
         worker_pool.shutdown_pool()
+
+
+def _children(pid):
+    """PIDs whose parent is ``pid`` (a /proc scan)."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == pid:
+            kids.append(int(entry))
+    return kids
+
+
+def test_daemon_campaign_shards_crash_trials_in_its_worker(tmp_path):
+    """Crash trials on a checkpointed app shard inside a daemon worker.
+
+    The worker builds a pool of its own for the sharded replays; the
+    verdicts must equal an in-process campaign's, the job must leave the
+    worker without children, and the daemon must still shut down.
+    """
+    from repro.faults import run_campaign
+    from repro.service.client import ServiceClient
+    from repro.service.server import TraceService
+
+    params = {"n_faults": 3, "seed": 2, "crash_app": "dram_dma"}
+    report = run_campaign(app="sha256", **params)
+    expected = [[t.index, t.kind, t.seed, t.outcome, t.detail]
+                for t in report.trials]
+    assert {t.kind for t in report.trials} == {"worker-crash"}
+    assert all(t.detail.startswith("recovered") for t in report.trials)
+
+    worker_pool.shutdown_pool()
+    service = TraceService(tmp_path / "svc", jobs=1).run_in_thread()
+    stopper = threading.Thread(target=service.shutdown, daemon=True)
+    workers = []
+    try:
+        client = ServiceClient(data_dir=service.data_dir)
+        detail = client.wait(client.submit("campaign", params),
+                             timeout=45.0)
+        assert detail["result"]["trials"] == expected
+        workers = worker_pool.get_pool(1).worker_pids()
+        assert workers, "the campaign job ran on no pool worker"
+        assert [_children(pid) for pid in workers] == [[]] * len(workers)
+        stopper.start()
+        stopper.join(timeout=30.0)
+        assert not stopper.is_alive(), "daemon shutdown hung"
+        assert _pids_alive(workers) == []
+    finally:
+        if stopper.ident is None or stopper.is_alive():
+            # Never leave a hung process tree behind for the next test.
+            workers = workers or worker_pool.get_pool(1).worker_pids()
+            for pid in workers + [c for w in workers for c in _children(w)]:
+                os.kill(pid, signal.SIGKILL)
+            if stopper.ident is None:
+                service.shutdown(drain=False)
 
 
 # ----------------------------------------------------------------------
