@@ -21,15 +21,15 @@ check: test bench-kernel bench-compiled bench-batch bench-replay \
 
 faults:          ## seeded 200-fault injection campaign (containment gate)
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
-	  $(PYTHON) -m repro.harness campaign --faults 200 --seed 0
+	  $(PYTHON) -m repro.tools campaign --faults 200 --seed 0
 
 faults-batched:  ## batched campaign smoke: record legs 16 per batch kernel
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
-	  $(PYTHON) -m repro.harness campaign --faults 60 --seed 0 --batch-size 16
+	  $(PYTHON) -m repro.tools campaign --faults 60 --seed 0 --batch-size 16
 
 faults-warm:     ## compiled-kernel campaign smoke over the persistent cache
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
-	  $(PYTHON) -m repro.harness campaign --faults 60 --seed 0 \
+	  $(PYTHON) -m repro.tools campaign --faults 60 --seed 0 \
 	  --scheduler compiled --cache-dir .repro-cache/schedules
 
 test:            ## tier-1: the full unit/integration suite
@@ -66,6 +66,6 @@ serve-smoke:     ## end-to-end daemon smoke: subprocess, jobs, ingest, drain
 bench:           ## every benchmark (regenerates benchmarks/results/)
 	$(PYTEST) benchmarks -q -s
 
-artifacts:       ## regenerate the paper artefacts via the harness CLI
+artifacts:       ## regenerate the paper artefacts via the vidi CLI
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
-	  $(PYTHON) -m repro.harness all
+	  $(PYTHON) -m repro.tools artifact all

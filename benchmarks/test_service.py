@@ -65,7 +65,7 @@ def _cli_env():
 
 
 def _run_cli(args, env):
-    proc = subprocess.run([sys.executable, "-m", "repro.harness"] + args,
+    proc = subprocess.run([sys.executable, "-m", "repro.tools"] + args,
                           env=env, capture_output=True)
     assert proc.returncode == 0, (
         f"CLI baseline failed: {args}\n{proc.stderr.decode()}")

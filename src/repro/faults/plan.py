@@ -3,7 +3,7 @@
 A :class:`FaultPlan` is a seed plus an ordered list of :class:`FaultSpec`
 entries, each naming one fault *kind* from :data:`FAULT_KINDS` and its
 parameters. Plans are data, not code: they serialize to/from the compact
-``kind:key=value,key=value;kind:...`` text the harness CLI's ``--inject``
+``kind:key=value,key=value;kind:...`` text the ``vidi`` CLI's ``--inject``
 flag takes, validate eagerly (unknown kinds or parameters raise
 :class:`~repro.errors.FaultPlanError` before any simulation starts), and —
 together with the plan seed — fully determine every random choice the

@@ -1,193 +1,274 @@
-"""Picklable job adapters for the trace-service daemon.
+"""The one executor behind every record/replay/campaign command.
 
-The daemon's job queue dispatches work onto the process-persistent warm
-pool (:mod:`repro.harness.worker_pool`), which means every job must be a
-top-level function taking and returning plain picklable values. This
-module is that boundary: one entry point, :func:`execute_job`, that maps
-a ``(kind, params)`` pair onto the same harness code paths the CLI runs —
-*the same* paths, not re-implementations, so a job submitted through the
-daemon is bit-identical to its CLI equivalent (the differential tests
-pin this with content digests).
+:func:`execute_job` runs one ``(kind, params)`` job: ``vidi <kind>`` in
+the CLI's own process, ``vidi submit <kind>`` and the trace-service
+daemon on a warm-pool worker — one implementation, so a job is
+bit-identical whichever way it ran (the differential tests pin this with
+content digests). Params and results are plain JSON-safe values.
+:data:`JOB_PARAMS` declares each kind's param names and types once; the
+CLI uses them as argparse ``dest``s and :func:`check_job` validates every
+job against them, at daemon submit time and again before it runs.
 
-Job kinds:
-
-``record``
-    Record one app run (optionally through the flight recorder) and
-    return the serialized trace's SHA-256 plus record metrics; with
-    ``save_to`` the blob is also written to disk, byte-identical to
-    ``python -m repro.harness record``'s output file.
-``replay``
-    Replay a saved trace (``trace_path``) or inline blob (``trace_hex``)
-    and return the divergence verdict plus the validation body digest.
-``divergence``
-    Record then replay in one job; returns both digests and the verdict.
-``salvage``
-    Salvage-load a damaged container and report what survived.
-``campaign``
-    A seeded fault campaign; returns every trial verdict (index, kind,
-    seed, outcome, detail) plus a digest over the trial tuples.
-
-All results are JSON-safe dicts — the daemon persists them verbatim into
-the results store.
+``record`` returns the trace blob's SHA-256 and record metrics (with
+``save_to`` it also writes the blob; ``inject`` arms a fault plan,
+``checkpoints`` harvests quiescent checkpoints for sharded replay);
+``replay`` replays ``trace_path``, sharded across ``jobs`` workers when
+asked, and returns the verdict and the validation digest;
+``divergence`` records then replays; ``salvage`` reports what survives
+of a damaged container; ``campaign`` returns every fault trial's
+verdict, a digest over them and the rendered report.
 """
 
 from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-__all__ = ["execute_job", "job_affinity", "JOB_KINDS"]
+from repro.errors import ConfigError
 
-JOB_KINDS = ("record", "replay", "divergence", "salvage", "campaign")
+__all__ = ["execute_job", "check_job", "job_affinity", "JobParamError",
+           "JOB_KINDS", "JOB_PARAMS"]
+
+_RECORDING = {
+    "app": str, "seed": int, "scale": float, "scheduler": str,
+    "flight_recorder": bool, "flight_retain_words": int,
+    "flight_dedup_slots": int, "flight_compress_level": int,
+    "flight_anchor_stride": int,
+}
+_INJECT = {"inject": str, "inject_seed": int}
+
+JOB_PARAMS: Dict[str, Dict[str, type]] = {
+    "record": {**_RECORDING, **_INJECT, "save_to": str, "compress": bool,
+               "profile": bool, "checkpoints": str},
+    "replay": {"app": str, "trace_path": str, "scheduler": str,
+               "salvage": bool, "no_time_warp": bool, "jobs": int,
+               "checkpoints": str, **_INJECT},
+    "divergence": _RECORDING,
+    "salvage": {"trace_path": str, "save_to": str},
+    "campaign": {"app": str, "n_faults": int, "seed": int, "crash_app": str,
+                 "scheduler": str, "batch_size": int,
+                 "flight_recorder": bool},
+}
+JOB_KINDS = tuple(JOB_PARAMS)
+
+_REQUIRED = {"record": ("app",), "replay": ("app", "trace_path"),
+             "divergence": ("app",), "salvage": ("trace_path",)}
+_RECORD_CONFLICTS = (
+    ("flight_recorder", "checkpoints", "the flight recorder embeds "
+     "checkpoints in its ANCHOR frames; checkpoints cannot combine with it"),
+    ("flight_recorder", "compress", "compress applies to v1/v2 containers; "
+     "flight recordings are already block-compressed (v3)"),
+    ("inject", "checkpoints", "inject and checkpoints cannot combine (both "
+     "hook the recording deployment)"),
+    ("profile", "checkpoints", "profile and checkpoints cannot combine "
+     "(checkpoint harvesting records without the kernel profiler)"),
+)
+
+
+class JobParamError(ConfigError, ValueError):
+    """An unknown job kind or invalid params (the daemon answers 400)."""
+
+
+def check_job(kind: str, params: Dict[str, Any]) -> None:
+    """Raise :class:`JobParamError` unless ``params`` fit job ``kind``."""
+    if kind not in JOB_PARAMS:
+        raise JobParamError(f"unknown job kind {kind!r} "
+                            f"(expected one of {', '.join(JOB_KINDS)})")
+    types = JOB_PARAMS[kind]
+    for name, value in params.items():
+        if name not in types:
+            raise JobParamError(f"unknown {kind} job param {name!r} "
+                                f"(expected any of {', '.join(types)})")
+        want = types[name]
+        if not (isinstance(value, (int, float) if want is float else want)
+                and (want is bool or not isinstance(value, bool))):
+            raise JobParamError(f"{kind} job param {name!r} must be "
+                                f"{want.__name__}, got {value!r}")
+    for name in _REQUIRED.get(kind, ()):
+        if name not in params:
+            raise JobParamError(f"{kind} job needs {name!r}")
+    for a, b, message in _RECORD_CONFLICTS if kind == "record" else ():
+        if params.get(a) and params.get(b):
+            raise JobParamError(message)
+    sharded = kind == "replay" and params.get("jobs", 0) > 1
+    if sharded and not params.get("checkpoints"):
+        raise JobParamError("sharded replay (jobs > 1) needs the checkpoints "
+                            "written by `record --checkpoints`")
+    if kind == "replay" and not sharded and params.get("inject"):
+        raise JobParamError("inject on replay arms worker-crash faults, "
+                            "which need sharded mode (jobs > 1)")
 
 
 def _sha(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _record_config(params: Dict[str, Any]):
-    """The exact config the CLI record path builds for these params."""
-    from repro.core import VidiConfig
-    from repro.harness.runner import bench_config
+def _injector(params: Dict[str, Any]):
+    if not params.get("inject"):
+        return None
+    from repro.faults import FaultInjector
 
-    overrides: Dict[str, Any] = {}
-    if params.get("flight_recorder"):
-        overrides["flight_recorder"] = True
-        for key in ("flight_retain_words", "flight_dedup_slots",
-                    "flight_compress_level", "flight_anchor_stride"):
-            if params.get(key) is not None:
-                overrides[key] = params[key]
-    return bench_config(VidiConfig.r2, **overrides)
+    return FaultInjector.from_text(params["inject"],
+                                   seed=params.get("inject_seed", 0))
 
 
-def _job_record(params: Dict[str, Any]) -> Dict[str, Any]:
+def _record(params: Dict[str, Any], out: Dict[str, Any], run=None,
+            **kwargs):
+    """``(spec, run(spec, config, ...))`` for the recording ``params``
+    select, ``run`` defaulting to :func:`~repro.harness.runner.record_run`;
+    notes the app and seed in ``out``.
+    """
     from repro.apps.registry import get_app
-    from repro.harness.runner import record_run
+    from repro.core import VidiConfig
+    from repro.harness.runner import bench_config, record_run
 
     spec = get_app(params["app"])
-    metrics = record_run(spec, _record_config(params),
-                         seed=int(params.get("seed", 0)),
-                         scale=params.get("scale"),
-                         scheduler=params.get("scheduler"))
-    trace = metrics.result["trace"]
+    flight = {}
     if params.get("flight_recorder"):
-        blob = metrics.result["flight_blob"]
-    else:
-        blob = trace.to_bytes(compress=bool(params.get("compress", False)))
-    out: Dict[str, Any] = {
-        "kind": "record",
-        "app": spec.key,
-        "seed": int(params.get("seed", 0)),
-        "cycles": metrics.cycles,
-        "transactions": metrics.monitored_transactions,
-        "trace_bytes": len(blob),
-        "trace_sha256": _sha(blob),
-    }
-    if params.get("flight_recorder"):
-        out["flight"] = metrics.result["flight"]
-    if params.get("save_to"):
-        Path(params["save_to"]).write_bytes(blob)
-        out["saved_to"] = str(params["save_to"])
+        flight = {k: v for k, v in params.items() if k.startswith("flight_")}
+    out.update(app=spec.key, label=spec.label, seed=params.get("seed", 0))
+    return spec, (run or record_run)(
+        spec, bench_config(VidiConfig.r2, **flight), seed=out["seed"],
+        scale=params.get("scale"), scheduler=params.get("scheduler"),
+        **kwargs)
+
+
+def _verdict(trace, validation, out: Dict[str, Any]) -> Dict[str, Any]:
+    """Compare ``validation`` to ``trace``; ``out`` gets digest + verdict."""
+    from repro.core import compare_traces
+
+    report = compare_traces(trace, validation)
+    out.update(validation_sha256=_sha(bytes(validation.body)),
+               clean=report.clean, divergences=len(report.divergences),
+               output_transactions=report.output_transactions,
+               channels_compared=report.channels_compared,
+               summary=report.summary())
     return out
 
 
-def _load_trace(params: Dict[str, Any], salvage: bool = False):
-    from repro.core import TraceFile
-
-    if params.get("trace_hex") is not None:
-        return TraceFile.from_bytes(bytes.fromhex(params["trace_hex"]),
-                                    salvage=salvage)
-    return TraceFile.load(params["trace_path"], salvage=salvage)
-
-
-def _verdict(report) -> Dict[str, Any]:
-    return {
-        "clean": report.clean,
-        "divergences": len(report.divergences),
-        "output_transactions": report.output_transactions,
-        "channels_compared": report.channels_compared,
-        "summary": report.summary(),
-    }
-
-
-def _job_replay(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.apps.registry import get_app
-    from repro.core import compare_traces
+def _replay(spec, trace, params: Dict[str, Any],
+            out: Dict[str, Any]) -> Dict[str, Any]:
     from repro.harness.runner import replay_run
 
-    spec = get_app(params["app"])
-    trace = _load_trace(params, salvage=bool(params.get("salvage", False)))
-    time_warp = False if params.get("no_time_warp") else None
-    metrics = replay_run(spec, trace, time_warp=time_warp,
-                         scheduler=params.get("scheduler"))
-    validation = metrics.result["validation"]
-    report = compare_traces(trace, validation)
-    out: Dict[str, Any] = {
-        "kind": "replay",
-        "app": spec.key,
-        "cycles": metrics.cycles,
-        "validation_sha256": _sha(bytes(validation.body)),
-        "salvaged": trace.salvaged,
-    }
-    out.update(_verdict(report))
-    return out
+    metrics = replay_run(spec, trace, scheduler=params.get("scheduler"),
+                         time_warp=False if params.get("no_time_warp")
+                         else None)
+    sim = metrics.result["deployment"].sim
+    out.update(cycles=metrics.cycles, warped_cycles=sim.warped_cycles,
+               warp_jumps=sim.warp_jumps)
+    return _verdict(trace, metrics.result["validation"], out)
 
 
-def _job_divergence(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.apps.registry import get_app
-    from repro.core import compare_traces
-    from repro.harness.runner import record_run, replay_run
+def _load(params: Dict[str, Any], salvage: bool, out: Dict[str, Any]):
+    """Load ``trace_path``, noting in ``out`` whether it was salvaged."""
+    from repro.core import TraceFile
 
-    spec = get_app(params["app"])
-    metrics = record_run(spec, _record_config(params),
-                         seed=int(params.get("seed", 0)),
-                         scale=params.get("scale"),
-                         scheduler=params.get("scheduler"))
-    trace = metrics.result["trace"]
-    replay = replay_run(spec, trace, scheduler=params.get("scheduler"))
-    validation = replay.result["validation"]
-    report = compare_traces(trace, validation)
-    out: Dict[str, Any] = {
-        "kind": "divergence",
-        "app": spec.key,
-        "seed": int(params.get("seed", 0)),
-        "record_cycles": metrics.cycles,
-        "replay_cycles": replay.cycles,
-        "trace_sha256": _sha(bytes(trace.body)),
-        "validation_sha256": _sha(bytes(validation.body)),
-    }
-    out.update(_verdict(report))
-    return out
-
-
-def _job_salvage(params: Dict[str, Any]) -> Dict[str, Any]:
-    trace = _load_trace(params, salvage=True)
-    out: Dict[str, Any] = {
-        "kind": "salvage",
-        "salvaged": trace.salvaged,
-        "packets": trace.packet_count,
-        "body_sha256": _sha(bytes(trace.body)),
-    }
+    trace = TraceFile.load(params["trace_path"], salvage=salvage)
+    out["salvaged"] = trace.salvaged
     if trace.salvaged:
-        out["salvage_info"] = trace.metadata.get("salvaged")
+        out["salvage_info"] = trace.metadata["salvaged"]
+    return trace
+
+
+def _job_record(params: Dict[str, Any], progress) -> Dict[str, Any]:
+    out: Dict[str, Any] = {"kind": "record"}
+    injector = _injector(params)
+    if params.get("checkpoints"):
+        from repro.harness.sharded_replay import (record_with_checkpoints,
+                                                  save_checkpoints)
+
+        _, (metrics, checkpoints) = _record(params, out,
+                                            run=record_with_checkpoints)
+        save_checkpoints(params["checkpoints"], checkpoints)
+        out["checkpoints"] = len(checkpoints)
+    else:
+        _, metrics = _record(
+            params, out, profile=params.get("profile", False),
+            before_run=injector.arm_recording if injector else None)
+    trace = metrics.result["trace"]
+    if params.get("flight_recorder"):
+        # The retained ring as a real v3 container: every surviving
+        # re-anchor checkpoint stays a salvage resync point.
+        blob = metrics.result["flight_blob"]
+        out["flight"] = metrics.result["flight"]
+    else:
+        blob = trace.to_bytes(compress=params.get("compress", False))
+    if injector is not None:
+        blob = injector.mangle_blob(blob)
+        out["faults"] = list(injector.log)
+    out.update(cycles=metrics.cycles,
+               transactions=metrics.monitored_transactions,
+               body_bytes=trace.size_bytes, trace_bytes=len(blob),
+               trace_sha256=_sha(blob))
+    if params.get("profile"):
+        out.update(kernel_profile=metrics.result["kernel_profile"],
+                   kernel_stats=metrics.result["kernel_stats"])
+    if params.get("save_to"):
+        Path(params["save_to"]).write_bytes(blob)
+        out["saved_to"] = params["save_to"]
     return out
 
 
-def _job_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
+def _job_replay(params: Dict[str, Any], progress) -> Dict[str, Any]:
+    from repro.apps.registry import get_app
+
+    spec = get_app(params["app"])
+    out: Dict[str, Any] = {"kind": "replay", "app": spec.key,
+                           "label": spec.label}
+    trace = _load(params, params.get("salvage", False), out)
+    if params.get("jobs", 0) <= 1:
+        return _replay(spec, trace, params, out)
+    from repro.harness.sharded_replay import load_checkpoints, replay_sharded
+    from repro.harness.worker_pool import shutdown_pool
+
+    injector = _injector(params)
+    try:
+        result = replay_sharded(
+            spec, trace, load_checkpoints(params["checkpoints"]),
+            jobs=params["jobs"], injector=injector,
+            time_warp=False if params.get("no_time_warp") else None,
+            scheduler=params.get("scheduler"))
+    finally:
+        # In a daemon worker the shards ran on a pool of its own; stop
+        # it rather than keep idle grandchildren alive between jobs.
+        shutdown_pool()
+    if injector is not None:
+        out["faults"] = list(injector.log)
+    out.update(cycles=result.total_cycles, segments=result.segments,
+               critical_path_cycles=result.critical_path_cycles)
+    return _verdict(trace, result.validation, out)
+
+
+def _job_divergence(params: Dict[str, Any], progress) -> Dict[str, Any]:
+    out: Dict[str, Any] = {"kind": "divergence"}
+    spec, metrics = _record(params, out)
+    trace = metrics.result["trace"]
+    out.update(record_cycles=metrics.cycles,
+               trace_sha256=_sha(bytes(trace.body)))
+    _replay(spec, trace, params, out)
+    out["replay_cycles"] = out.pop("cycles")
+    return out
+
+
+def _job_salvage(params: Dict[str, Any], progress) -> Dict[str, Any]:
+    out: Dict[str, Any] = {"kind": "salvage"}
+    trace = _load(params, True, out)
+    out.update(packets=trace.packet_count,
+               body_sha256=_sha(bytes(trace.body)))
+    if params.get("save_to"):
+        trace.save(params["save_to"])
+        out["saved_to"] = params["save_to"]
+    return out
+
+
+def _job_campaign(params: Dict[str, Any], progress) -> Dict[str, Any]:
     from repro.faults import run_campaign
     from repro.harness.worker_pool import shutdown_pool
 
     try:
-        report = run_campaign(
-            app=params.get("app", "sha256"),
-            n_faults=int(params.get("n_faults", 200)),
-            seed=int(params.get("seed", 0)),
-            crash_app=params.get("crash_app", "dram_dma"),
-            scheduler=params.get("scheduler"),
-            batch_size=params.get("batch_size"),
-            flight_recorder=params.get("flight_recorder"),
-        )
+        # The campaign params are run_campaign's keyword arguments.
+        report = run_campaign(progress=progress, **params)
     finally:
         # Inside a daemon worker the crash trials' sharded replays build
         # a pool of their own; stop it now rather than keep its idle
@@ -198,16 +279,11 @@ def _job_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
     digest = hashlib.sha256()
     for row in trials:
         digest.update(repr(row).encode())
-    return {
-        "kind": "campaign",
-        "app": report.app,
-        "seed": report.seed,
-        "faults": len(report.trials),
-        "kinds_exercised": report.kinds_exercised,
-        "silent_accepts": len(report.silent_accepts),
-        "trials": trials,
-        "trials_sha256": digest.hexdigest(),
-    }
+    return {"kind": "campaign", "app": report.app, "seed": report.seed,
+            "faults": len(report.trials),
+            "kinds_exercised": report.kinds_exercised,
+            "silent_accepts": len(report.silent_accepts), "trials": trials,
+            "trials_sha256": digest.hexdigest(), "report": report.render()}
 
 
 _HANDLERS = {
@@ -219,17 +295,19 @@ _HANDLERS = {
 }
 
 
-def execute_job(kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one job in the calling process; see the module docstring.
+def execute_job(kind: str, params: Dict[str, Any],
+                progress: Optional[Callable[[str], None]] = None,
+                ) -> Dict[str, Any]:
+    """Validate and run one job in the calling process.
 
     Top-level and picklable by construction: the warm pool ships
     ``(execute_job, kind, params)`` to a worker whose ``_warm_init`` has
     already pre-imported the harness and pre-bound the disk schedules.
+    ``progress`` receives a campaign's progress lines.
     """
-    if kind not in _HANDLERS:
-        raise ValueError(f"unknown job kind {kind!r} "
-                         f"(expected one of {', '.join(JOB_KINDS)})")
-    return _HANDLERS[kind](dict(params or {}))
+    params = dict(params or {})
+    check_job(kind, params)
+    return _HANDLERS[kind](params, progress)
 
 
 def job_affinity(kind: str, params: Dict[str, Any]) -> Optional[Tuple]:

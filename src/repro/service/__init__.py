@@ -1,11 +1,12 @@
 """Fleet-scale trace service: ingest daemon, job queue, results store.
 
-Turns the one-shot harness CLI into shared long-running infrastructure
-(ROADMAP item 2): a daemon that ingests concurrent flight-recorder
-streams from many tenants, schedules replay/salvage/divergence/campaign
-jobs over the process-persistent warm worker pool, and persists every
-verdict into an append-only CRC-framed results store. The thin HTTP
-API is consumed by ``vidi serve`` / ``vidi submit`` / ``vidi status`` /
+Runs the ``vidi`` CLI's jobs as shared long-running infrastructure: a
+daemon that ingests concurrent flight-recorder streams from many
+tenants, schedules record/replay/divergence/salvage/campaign jobs
+(:mod:`repro.harness.jobs`, the executor ``vidi <kind>`` runs inline)
+over the process-persistent warm worker pool, and persists every verdict
+into an append-only CRC-framed results store. The thin HTTP API is
+consumed by ``vidi serve`` / ``vidi submit <kind>`` / ``vidi status`` /
 ``vidi results`` (:mod:`repro.tools.cli`).
 """
 

@@ -91,12 +91,16 @@ class ServiceClient:
         return self._request(
             "GET", "/status" if job_id is None else f"/status/{job_id}")
 
-    def wait(self, job_id: str, timeout: float = 600.0,
-             poll_s: float = 0.05) -> Dict[str, Any]:
-        """Poll until one job finishes; raises on job failure/timeout."""
+    def wait(self, job_id: str, timeout: float = 600.0) -> Dict[str, Any]:
+        """Block until one job finishes; raises on job failure/timeout.
+
+        Each request waits server-side (``/status/<id>?wait=S``), so a
+        short job costs one request and returns as soon as it is done.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            detail = self.status(job_id)
+            left = min(deadline - time.monotonic(), self.timeout / 2)
+            detail = self._request("GET", f"/status/{job_id}?wait={left:.3f}")
             if detail["state"] == "done":
                 return detail
             if detail["state"] == "failed":
@@ -104,8 +108,6 @@ class ServiceClient:
                     f"job {job_id} failed: {detail.get('error')}")
             if time.monotonic() >= deadline:
                 raise ServiceError(f"timed out waiting for job {job_id}")
-            time.sleep(poll_s)
-            poll_s = min(poll_s * 1.5, 1.0)
 
     def results(self, kind: Optional[str] = None, name: Optional[str] = None,
                 limit: Optional[int] = None) -> list:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.harness import worker_pool
-from repro.harness.jobs import JOB_KINDS, execute_job, job_affinity
+from repro.harness.jobs import check_job, execute_job, job_affinity
 from repro.service.results import ResultsStore
 
 __all__ = ["Job", "JobQueue"]
@@ -102,15 +102,17 @@ class JobQueue:
     # ------------------------------------------------------------------
     def submit(self, kind: str, params: Optional[Dict[str, Any]] = None,
                priority: int = DEFAULT_PRIORITY) -> str:
-        if kind not in JOB_KINDS:
-            raise ValueError(f"unknown job kind {kind!r} "
-                             f"(expected one of {', '.join(JOB_KINDS)})")
+        """Queue one job. An invalid kind or params raise ValueError
+        (:func:`~repro.harness.jobs.check_job`) and queue nothing.
+        """
+        params = dict(params or {})
         with self._cond:
             if self._stopping:
                 raise RuntimeError("job queue is stopping")
+            check_job(kind, params)
             self._seq += 1
             job = Job(id=f"job-{self._seq:06d}", kind=kind,
-                      params=dict(params or {}), priority=int(priority),
+                      params=params, priority=int(priority),
                       seq=self._seq, submitted_t=time.time())
             self._jobs[job.id] = job
             heapq.heappush(self._heap, _HeapEntry(job.priority, job.seq, job))

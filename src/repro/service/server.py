@@ -8,7 +8,9 @@ to loopback, not an internet service:
 ``GET  /health``            liveness + pid + pool stats
 ``POST /submit``            ``{"kind", "params", "priority"}`` → job id
 ``GET  /status``            queue + ingest + pool summary
-``GET  /status/<job-id>``   one job's full detail (params, result)
+``GET  /status/<job-id>``   one job's full detail (params, result);
+                            ``?wait=S`` first blocks until the job
+                            finishes or S seconds (at most 60) pass
 ``GET  /results``           results-store records (``?kind=&name=&limit=``)
 ``POST /ingest/<t>/begin``  open tenant stream (body: container prefix)
 ``POST /ingest/<t>/frames`` append frame bytes (body: raw chunk)
@@ -46,6 +48,7 @@ __all__ = ["TraceService", "RESULTS_FILENAME", "SERVICE_FILENAME"]
 RESULTS_FILENAME = "results.vrs"
 SERVICE_FILENAME = "service.json"
 _MAX_BODY = 256 << 20
+_MAX_WAIT_S = 60.0
 
 
 class TraceService:
@@ -59,6 +62,7 @@ class TraceService:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         if cache_dir is not None:
             schedule_store.configure(cache_dir)
+        import repro.harness.runner  # noqa: F401  (pool workers inherit it)
         self.results = ResultsStore(self.data_dir / RESULTS_FILENAME)
         self.ingest = IngestManager(self.data_dir, retain_words=retain_words)
         self.queue = JobQueue(jobs=jobs, results=self.results)
@@ -172,6 +176,11 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:               # noqa: N802 (http.server API)
         parsed = urlparse(self.path)
         parts = [p for p in parsed.path.split("/") if p]
+        query = parse_qs(parsed.query)
+
+        def one(key):
+            return query[key][0] if key in query else None
+
         try:
             if parts == ["health"]:
                 stats = worker_pool.pool_stats()
@@ -180,13 +189,12 @@ class _Handler(BaseHTTPRequestHandler):
             elif parts == ["status"]:
                 self._json(200, self.service.status())
             elif len(parts) == 2 and parts[0] == "status":
-                self._json(200, self.service.queue.get(parts[1]).detail())
+                wait = min(float(one("wait") or 0), _MAX_WAIT_S)
+                queue = self.service.queue
+                job = (queue.wait(parts[1], timeout=wait) if wait > 0
+                       else queue.get(parts[1]))
+                self._json(200, job.detail())
             elif parts == ["results"]:
-                query = parse_qs(parsed.query)
-
-                def one(key):
-                    return query[key][0] if key in query else None
-
                 limit = one("limit")
                 records = self.service.results.records(
                     kind=one("kind"), name=one("name"),
@@ -196,6 +204,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(404, f"no such endpoint: GET {parsed.path}")
         except KeyError as exc:
             self._error(404, str(exc))
+        except ValueError as exc:
+            self._error(400, str(exc))
         except Exception as exc:
             self._error(500, f"{type(exc).__name__}: {exc}")
 

@@ -1,4 +1,4 @@
-"""Offline trace tools (the paper's §4.2 C++ tool suite, as a Python CLI)."""
+"""The ``vidi`` CLI: run commands, artefacts, the §4.2 offline trace tools."""
 
 from repro.tools.cli import main
 from repro.tools.fuzz import FuzzOutcome, fuzz_replay, render_fuzz

@@ -1,4 +1,4 @@
-"""``python -m repro.tools`` — offline Vidi trace tooling."""
+"""``python -m repro.tools`` — the ``vidi`` command line."""
 
 import sys
 

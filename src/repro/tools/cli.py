@@ -1,38 +1,35 @@
-"""Offline trace tools: the command-line analogue of Vidi's C++ tooling.
+"""The ``vidi`` command line (also ``python -m repro.tools``).
 
-The paper ships offline trace-analysis tools (a validation tool that
-detects divergences by comparing two traces, and a mutation tool that
-reorders transaction events, §4.2). This module provides them — plus
-inspection commands — behind one CLI::
+One CLI for the record/replay runtime, the paper's artefacts, the
+offline trace tools (the paper's §4.2 C++ suite: divergence validation,
+trace mutation, plus inspection) and the trace-service daemon. Each run
+command builds one job and runs it here through
+:func:`repro.harness.jobs.execute_job`; ``vidi submit <kind>`` takes the
+same arguments and runs the job on a daemon::
 
-    python -m repro.tools info     run.trace
-    python -m repro.tools stats    run.trace
-    python -m repro.tools dump     run.trace --channel pcim.w --limit 20
-    python -m repro.tools diff     reference.trace validation.trace
-    python -m repro.tools mutate   run.trace -o mutated.trace \
-        --move-end-before pcim.w:0 pcim.aw:0
-    python -m repro.tools profile  run.trace
-    python -m repro.tools audit    run.trace --allow pcim:write:0x10000:0x1000
-    python -m repro.tools coverage run1.trace run2.trace ...
+    vidi record dram_dma -o d.trace --seed 7 --checkpoints d.ckpt
+    vidi replay dram_dma d.trace --jobs 4 --checkpoints d.ckpt
+    vidi record sha256 -o f.trace --flight-recorder --retain-words 4096
+    vidi record sha256 -o bad.trace --inject 'store-bitflip:flips=2'
+    vidi replay sha256 bad.trace --salvage
+    vidi divergence bnn --seed 3            # record, replay, compare
+    vidi campaign --faults 200 --cache-dir /tmp/repro-schedules
+    vidi artifact all -o results.txt        # the paper's tables/figures
+    vidi diff     reference.trace validation.trace
+    vidi serve    --data-dir /var/vidi --jobs 8
+    vidi submit   record --data-dir /var/vidi sha256 --seed 7 --wait
 
-The trace-service daemon (:mod:`repro.service`) lives behind the same
-CLI — installed as the ``vidi`` console script::
-
-    vidi serve   --data-dir /var/vidi --jobs 8
-    vidi submit  --data-dir /var/vidi record --app sha256 --seed 7
-    vidi submit  --data-dir /var/vidi campaign --faults 200 --wait
-    vidi status  --data-dir /var/vidi
-    vidi results --data-dir /var/vidi --kind job --limit 10
-
-Commands print to stdout and exit non-zero on divergences (``diff``),
-policy violations (``audit``), invalid mutations or failed jobs, so
-they compose in scripts and CI.
+Commands print to stdout and exit non-zero on divergences (``diff``,
+``replay``, ``divergence``), silent wrong-accepts (``campaign``), policy
+violations (``audit``), invalid mutations, bad arguments or failed jobs,
+so they compose in scripts and CI.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import fmt_bytes
@@ -41,6 +38,7 @@ from repro.core.divergence import compare_traces
 from repro.core.mutation import EventRef, TraceMutator
 from repro.core.trace_file import TraceFile
 from repro.errors import ReproError
+from repro.harness import jobs as harness_jobs
 
 
 def _parse_event(text: str, kind: str) -> EventRef:
@@ -255,23 +253,6 @@ def cmd_fuzz(args) -> int:
     return 0 if not any(o.verdict == "deadlock" for o in outcomes) else 1
 
 
-def cmd_salvage(args) -> int:
-    """Recover the valid packet prefix of a damaged or partial v2 trace."""
-    trace = TraceFile.load(args.trace, salvage=True)
-    if trace.salvaged:
-        info = trace.metadata["salvaged"]
-        print(f"salvaged   : {info['packets']} packet(s), "
-              f"{fmt_bytes(info['bytes'])} "
-              f"(dropped {fmt_bytes(info['dropped_bytes'])})")
-        print(f"reason     : {info['reason']}")
-    else:
-        print("trace is intact; no salvage needed")
-    if args.output:
-        trace.save(args.output)
-        print(f"written to : {args.output}")
-    return 0
-
-
 def cmd_coverage(args) -> int:
     from repro.analysis.coverage import OrderingCoverage, render_coverage
 
@@ -281,6 +262,352 @@ def cmd_coverage(args) -> int:
         print(f"{path}: +{added} ordering observation(s)")
     print(render_coverage(coverage))
     return 0
+
+
+# ----------------------------------------------------------------------
+# run commands: one job each, run here or submitted to the daemon
+# ----------------------------------------------------------------------
+
+
+def _job_params(kind: str, args) -> dict:
+    """The job params an argv set: every given ``JOB_PARAMS[kind]`` dest."""
+    names = harness_jobs.JOB_PARAMS[kind]
+    return {n: getattr(args, n) for n in names
+            if getattr(args, n, None) is not None}
+
+
+def _exit_code(result: dict) -> int:
+    """1 on a divergence or a silent wrong-accept, else 0."""
+    return 1 if (result.get("clean") is False
+                 or result.get("silent_accepts")) else 0
+
+
+def cmd_run(args) -> int:
+    """Run one record/replay/divergence/salvage/campaign job here."""
+    kind = args.command
+    params = _job_params(kind, args)
+    if kind == "record" and "save_to" not in params:
+        raise ReproError("record needs -o/--output")
+    result = harness_jobs.execute_job(kind, params,
+                                      progress=lambda m: print(f"  {m}"))
+    _SHOW[kind](result, params)
+    return _exit_code(result)
+
+
+def _show_record(result: dict, params: dict) -> None:
+    if "checkpoints" in result:
+        print(f"harvested {result['checkpoints']} quiescent checkpoint(s) "
+              f"-> {params['checkpoints']}")
+    for entry in result.get("faults", ()):
+        print(f"fault: {entry}")
+    print(f"recorded {result['label']}: {result['cycles']} cycles, "
+          f"{result['transactions']} transactions, "
+          f"{result['body_bytes']} trace bytes -> {params['save_to']}")
+    flight = result.get("flight")
+    if flight:
+        print(f"flight recorder: {flight['retained_words']} of "
+              f"{flight['retain_words']} word(s) retained, "
+              f"{flight['anchors']} anchor(s), "
+              f"{flight['evicted_epochs']} epoch(s) evicted, "
+              f"dedup {flight['dedup_ratio']:.2f}x, "
+              f"compressed {flight['compression_ratio']:.2f}x")
+    if "kernel_profile" in result:
+        print(f"\n{_render_kernel_profile(result['kernel_profile'])}\n\n"
+              f"{_render_kernel_stats(result['kernel_stats'])}")
+
+
+def _show_replay(result: dict, params: dict) -> None:
+    info = result.get("salvage_info")
+    if info:
+        print(f"salvaged {info['packets']} packet(s) "
+              f"({info['dropped_bytes']} byte(s) dropped): {info['reason']}")
+    for entry in result.get("faults", ()):
+        print(f"fault: {entry}")
+    if "segments" in result:
+        print(f"replayed {result['label']}: {result['segments']} segment(s), "
+              f"critical path {result['critical_path_cycles']} of "
+              f"{result['cycles']} total cycles")
+    else:
+        print(f"replayed {result['label']}: {result['cycles']} cycles "
+              f"({result['warped_cycles']} warped in "
+              f"{result['warp_jumps']} jump(s))")
+    print(result["summary"])
+
+
+def _show_divergence(result: dict, params: dict) -> None:
+    print(f"divergence {result['label']}: recorded "
+          f"{result['record_cycles']} cycles, replayed "
+          f"{result['replay_cycles']} cycles")
+    print(result["summary"])
+
+
+def _show_salvage(result: dict, params: dict) -> None:
+    info = result.get("salvage_info")
+    if info:
+        print(f"salvaged   : {info['packets']} packet(s), "
+              f"{fmt_bytes(info['bytes'])} "
+              f"(dropped {fmt_bytes(info['dropped_bytes'])})")
+        print(f"reason     : {info['reason']}")
+    else:
+        print("trace is intact; no salvage needed")
+    if "saved_to" in result:
+        print(f"written to : {result['saved_to']}")
+
+
+_SHOW = {"record": _show_record, "replay": _show_replay,
+         "divergence": _show_divergence, "salvage": _show_salvage,
+         "campaign": lambda result, params: print(result["report"])}
+
+
+def _render_kernel_profile(rows: List[dict], top: int = 20) -> str:
+    """Per-module comb/seq time shares as a harness-style table."""
+    body = [[
+        r["module"],
+        f"{r['comb_s'] * 1e3:.2f}", r["comb_calls"],
+        f"{r['seq_s'] * 1e3:.2f}", r["seq_calls"],
+        f"{r['share_pct']:.1f}",
+    ] for r in rows[:top]]
+    return render_table(
+        f"Kernel profile: hottest {min(top, len(rows))} modules "
+        "(comb/seq wall-clock)",
+        ["Module", "comb ms", "evals", "seq ms", "calls", "share %"],
+        body)
+
+
+def _render_kernel_stats(stats: dict) -> str:
+    """Scheduler-level counters; compiled-kernel lines only when relevant."""
+    lines = [
+        f"scheduler: {stats['scheduler']}",
+        f"comb evals: {stats['comb_evals']}, "
+        f"quiescent cycles: {stats['quiescent_cycles']}",
+    ]
+    if stats["scheduler"] == "compiled":
+        lines.append(
+            f"compile time: {stats['compile_s'] * 1e3:.2f} ms, "
+            f"{stats['rank_count']} rank(s), "
+            f"{stats['demoted_sccs']} SCC(s) demoted to iterative settling")
+        evals = ", ".join(f"r{i}={n}" for i, n in
+                          enumerate(stats["rank_evals"]))
+        lines.append(f"per-rank comb evals: {evals or '(none)'}")
+        cache = stats.get("schedule_cache")
+        if cache is not None:
+            hit = "hit" if stats.get("schedule_cache_hit") else "miss"
+            lines.append(
+                f"schedule cache: {hit} for this run "
+                f"({cache['hits']} hit(s), {cache['misses']} miss(es), "
+                f"{cache['entries']} cached schedule(s) in-process)")
+            lines.extend(_render_cache_tiers(cache))
+    return "\n".join(lines)
+
+
+def _render_cache_tiers(cache: dict) -> List[str]:
+    """Disk-tier and warm-pool lines of a schedule_cache_stats() dict."""
+    lines = []
+    if cache.get("disk_dir"):
+        lines.append(
+            f"disk tier: {cache['disk_hits']} hit(s), "
+            f"{cache['disk_misses']} miss(es), "
+            f"{cache['disk_invalidations']} invalidation(s), "
+            f"{cache['disk_writes']} write(s); {cache['disk_entries']} "
+            f"entr{'y' if cache['disk_entries'] == 1 else 'ies'} "
+            f"({cache['disk_bytes']} bytes) in {cache['disk_dir']}")
+    if cache.get("affinity_dispatches"):
+        lines.append(
+            f"warm pool: {cache['warm_pool_live']}/{cache['warm_pool_size']} "
+            f"worker(s) live, affinity hit rate "
+            f"{cache['affinity_hit_rate']:.0%} over "
+            f"{cache['affinity_dispatches']} dispatch(es), "
+            f"{cache['workers_recycled']} recycled")
+    return lines
+
+
+def _add_positional(parser: argparse.ArgumentParser, dest: str,
+                    text: str) -> None:
+    # `vidi replay sha256 t.trace` and `vidi replay --app sha256
+    # --trace-path t.trace` set the same params.
+    parser.add_argument(dest, metavar=dest.split("_")[0], nargs="?",
+                        help=text)
+    parser.add_argument("--" + dest.replace("_", "-"), help=argparse.SUPPRESS)
+
+
+def _add_scheduler(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scheduler", choices=("event", "fixpoint", "compiled"),
+        help="simulation kernel (beats REPRO_SIM_SCHEDULER, which beats "
+        "the simulator default)")
+
+
+def _add_inject(parser: argparse.ArgumentParser, text: str) -> None:
+    parser.add_argument("--inject", metavar="PLAN", help=text)
+    parser.add_argument("--inject-seed", type=int, metavar="N",
+                        help="seed for the fault plan's random choices")
+
+
+def _recording_args(parser: argparse.ArgumentParser) -> None:
+    """divergence's arguments: what selects one recording."""
+    _add_positional(parser, "app", "registry key of the application")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--scale", type=float)
+    _add_scheduler(parser)
+    parser.add_argument("--flight-recorder", action="store_true",
+                        help="record through the always-on flight recorder "
+                        "(dedup + compressed ring retention); the output "
+                        "is a v3 container of the retained window")
+    for flag, text in (
+            ("--retain-words", "ring retention budget in 64-byte words"),
+            ("--dedup-slots", "content-dedup dictionary capacity"),
+            ("--compress-level", "zlib level for the ring's RUN frames"),
+            ("--anchor-stride", "cycles between re-anchor attempts")):
+        parser.add_argument(flag, type=int, metavar="N", help=text,
+                            dest="flight_" + flag[2:].replace("-", "_"))
+
+
+def _record_args(parser: argparse.ArgumentParser) -> None:
+    _recording_args(parser)
+    parser.add_argument("-o", "--output", "--save-to", dest="save_to",
+                        metavar="PATH", help="write the trace file here")
+    parser.add_argument("--compress", action="store_true")
+    parser.add_argument("--profile", action="store_true",
+                        help="report per-module comb/seq kernel time shares")
+    parser.add_argument("--checkpoints", metavar="PATH",
+                        help="also harvest quiescent checkpoints to this "
+                        "sidecar file (enables sharded replay)")
+    _add_inject(parser, "arm a fault plan while recording, e.g. "
+                "'store-bitflip:flips=2;channel-stall:cycles=200'")
+
+
+def _replay_args(parser: argparse.ArgumentParser) -> None:
+    _add_positional(parser, "app", "registry key of the application")
+    _add_positional(parser, "trace_path", "trace file")
+    parser.add_argument("--jobs", type=int, metavar="N",
+                        help="checkpoint-sharded parallel replay across N "
+                        "worker processes (needs --checkpoints)")
+    parser.add_argument("--checkpoints", metavar="PATH",
+                        help="sidecar written by `record --checkpoints`")
+    parser.add_argument("--no-time-warp", action="store_true",
+                        help="disable quiescent-gap skipping")
+    parser.add_argument("--salvage", action="store_true",
+                        help="recover a damaged/partial trace first")
+    _add_inject(parser, "arm a fault plan during replay, e.g. "
+                "'worker-crash:crashes=1' (sharded mode)")
+    _add_scheduler(parser)
+
+
+def _salvage_args(parser: argparse.ArgumentParser) -> None:
+    _add_positional(parser, "trace_path", "trace file")
+    parser.add_argument("-o", "--output", "--save-to", dest="save_to",
+                        metavar="PATH", help="write the recovered trace here")
+
+
+def _campaign_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--app", help="app hosting the per-trial "
+                        "record/replay faults (default sha256)")
+    parser.add_argument("--crash-app", help="checkpoint-yielding app for "
+                        "worker-crash trials (default dram_dma)")
+    parser.add_argument("--faults", type=int, dest="n_faults",
+                        help="fault count (default 200)")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--batch-size", type=int, metavar="N",
+                        help="run the faulted record legs N at a time on "
+                        "one batch kernel (bit-identical verdicts)")
+    parser.add_argument("--flight-recorder", action="store_true",
+                        help="record legs through the flight recorder "
+                        "(the default)")
+    parser.add_argument("--no-flight-recorder", action="store_false",
+                        dest="flight_recorder",
+                        help="flat record legs, v2 container attacks")
+    _add_scheduler(parser)
+
+
+# Each run command's argument builder, shared by `vidi <kind>` and
+# `vidi submit <kind>` (both parsers default every argument to absent);
+# every dest is a JOB_PARAMS[kind] name.
+_RUN_COMMANDS = {
+    "record": (_record_args, "record one application run"),
+    "replay": (_replay_args, "replay and validate a trace"),
+    "divergence": (_recording_args, "record, replay and compare one run"),
+    "salvage": (_salvage_args, "recover what survives of a damaged trace"),
+    "campaign": (_campaign_args, "seeded fault-injection campaign "
+                 "(exit 1 on any silent wrong-accept)"),
+}
+
+
+# ----------------------------------------------------------------------
+# paper artefacts and the schedule cache
+# ----------------------------------------------------------------------
+
+FAST = ("table2", "fig7", "panopticon")
+ALL = ("table1", "table2", "fig7", "divergence", "timewarp", "panopticon",
+       "case-debugging", "case-testing")
+
+
+def _artifact(name: str, runs: int, jobs: Optional[int] = None) -> str:
+    from repro.harness import experiments as exp
+
+    if name == "table1":
+        return exp.render_table1(exp.run_table1(runs=runs, jobs=jobs))
+    if name == "table2":
+        return exp.render_table2(exp.run_table2())
+    if name == "fig7":
+        return exp.render_fig7(exp.run_fig7())
+    if name == "divergence":
+        return exp.render_divergence(exp.run_divergence(runs=runs, jobs=jobs))
+    if name == "panopticon":
+        return exp.render_panopticon(*exp.run_panopticon())
+    if name == "timewarp":
+        return exp.render_time_warp(exp.run_time_warp(jobs=jobs))
+    if name == "case-debugging":
+        return exp.render_case_debugging(exp.run_case_debugging())
+    if name == "case-testing":
+        return exp.render_case_testing(exp.run_case_testing())
+    raise ValueError(name)
+
+
+def cmd_artifact(args) -> int:
+    """Regenerate paper artefacts; print them, optionally save them."""
+    names = {"all": ALL, "fast": FAST}.get(args.artifact, (args.artifact,))
+    pieces = []
+    for name in names:
+        text = _artifact(name, args.runs, jobs=args.jobs)
+        print(text)
+        print()
+        pieces.append(text)
+    if args.output:
+        Path(args.output).write_text("\n\n".join(pieces) + "\n")
+    return 0
+
+
+def cmd_cache(args) -> int:
+    """Inspect or clear the on-disk compiled-schedule cache."""
+    from repro.sim import schedule_store
+    from repro.sim.compile import schedule_cache_stats
+
+    if schedule_store.cache_dir() is None:
+        print("no schedule cache directory configured (use --cache-dir "
+              "or set REPRO_SCHEDULE_CACHE)", file=sys.stderr)
+        return 2
+    if args.action == "clear":
+        removed = schedule_store.clear()
+        print(f"removed {removed} cached schedule(s) from "
+              f"{schedule_store.cache_dir()}")
+        return 0
+    stats = schedule_cache_stats()
+    print(f"schedule cache: {stats['hits']} hit(s), "
+          f"{stats['misses']} miss(es), {stats['uncacheable']} "
+          f"uncacheable, {stats['entries']} in-process entr"
+          f"{'y' if stats['entries'] == 1 else 'ies'}")
+    for line in _render_cache_tiers(stats):
+        print(line)
+    return 0
+
+
+def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="two-level compiled-schedule cache directory (also set by "
+             "the REPRO_SCHEDULE_CACHE environment variable): cold "
+             "compiles persist kernels there, later runs and warm "
+             "workers re-bind them without re-levelizing")
 
 
 # ----------------------------------------------------------------------
@@ -302,18 +629,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _job_params(args) -> dict:
-    """Collect the submit subcommand's params into a job-params dict."""
-    params = {}
-    for name in ("app", "seed", "scale", "scheduler", "trace_path",
-                 "save_to", "n_faults", "crash_app", "batch_size",
-                 "flight_recorder", "salvage"):
-        value = getattr(args, name, None)
-        if value is not None and value is not False:
-            params[name] = value
-    return params
-
-
 def cmd_submit(args) -> int:
     """Submit one job to a running daemon; optionally wait for it."""
     import json as _json
@@ -321,17 +636,14 @@ def cmd_submit(args) -> int:
     from repro.service.client import ServiceClient
 
     client = ServiceClient(data_dir=args.data_dir, endpoint=args.endpoint)
-    job_id = client.submit(args.job_kind, _job_params(args),
+    job_id = client.submit(args.job_kind, _job_params(args.job_kind, args),
                            priority=args.priority)
     print(f"submitted {args.job_kind} as {job_id}")
     if not args.wait:
         return 0
     detail = client.wait(job_id, timeout=args.timeout)
     print(_json.dumps(detail["result"], indent=2, sort_keys=True))
-    result = detail["result"] or {}
-    if result.get("clean") is False or result.get("silent_accepts"):
-        return 1
-    return 0
+    return _exit_code(detail["result"] or {})
 
 
 def cmd_status(args) -> int:
@@ -370,20 +682,34 @@ def cmd_results(args) -> int:
 
 
 def _service_live(data_dir: str) -> bool:
-    from pathlib import Path
-
     from repro.service.server import SERVICE_FILENAME
 
     return (Path(data_dir) / SERVICE_FILENAME).exists()
 
 
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data-dir", default=".vidi-service", metavar="DIR",
+    # Under `vidi submit <kind>` (argument_default SUPPRESS) these repeat
+    # `vidi submit`'s own options without defaults, so a value given
+    # before the kind survives the kind's parser.
+    absent = parser.argument_default
+    parser.add_argument("--data-dir", default=absent or ".vidi-service",
+                        metavar="DIR",
                         help="the daemon's data directory (journals, "
                         "results store, service.json endpoint file)")
-    parser.add_argument("--endpoint", default=None, metavar="URL",
+    parser.add_argument("--endpoint", default=absent, metavar="URL",
                         help="explicit http://host:port (overrides the "
                         "data dir's service.json)")
+
+
+def _add_submit_args(parser: argparse.ArgumentParser) -> None:
+    _add_service_args(parser)
+    absent = parser.argument_default
+    parser.add_argument("--priority", type=int, default=absent or 10,
+                        help="lower runs first; FIFO within a level")
+    parser.add_argument("--wait", action="store_true",
+                        help="block until the job finishes and print its "
+                        "result (exit 1 on divergence/silent-accepts)")
+    parser.add_argument("--timeout", type=float, default=absent or 600.0)
 
 
 # ----------------------------------------------------------------------
@@ -393,9 +719,35 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.tools",
-        description="Offline tools for Vidi traces (inspect, validate, mutate)")
+        prog="vidi", description="Record, replay and analyse Vidi traces; "
+        "regenerate the paper's artefacts; run the trace service")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    for kind, (add_args, text) in _RUN_COMMANDS.items():
+        p_run = sub.add_parser(kind, help=text,
+                               argument_default=argparse.SUPPRESS)
+        add_args(p_run)
+        _add_cache_arg(p_run)
+        p_run.set_defaults(func=cmd_run)
+
+    p_art = sub.add_parser("artifact", help="regenerate a paper artefact")
+    p_art.add_argument("artifact", choices=ALL + ("all", "fast"))
+    p_art.add_argument("--runs", type=int, default=3,
+                       help="samples per configuration (paper: 10)")
+    p_art.add_argument("--jobs", type=int, default=None, metavar="N",
+                       help="shard sweep cells across N worker processes "
+                            "(table1/divergence; deterministic)")
+    p_art.add_argument("-o", "--output",
+                       help="also write the artefact(s) to this file")
+    _add_cache_arg(p_art)
+    p_art.set_defaults(func=cmd_artifact)
+
+    p_cache = sub.add_parser(
+        "cache", help="inspect or clear the on-disk compiled-schedule "
+        "cache shared by --cache-dir runs")
+    p_cache.add_argument("action", choices=("stats", "clear"))
+    _add_cache_arg(p_cache)
+    p_cache.set_defaults(func=cmd_cache)
 
     p_info = sub.add_parser("info", help="header and channel table")
     p_info.add_argument("trace")
@@ -475,14 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "incl. the CRC-refixed backref mutant)")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
-    p_sal = sub.add_parser(
-        "salvage", help="recover the valid packet prefix of a damaged or "
-        "crash-truncated v2 trace")
-    p_sal.add_argument("trace")
-    p_sal.add_argument("-o", "--output",
-                       help="write the recovered trace here")
-    p_sal.set_defaults(func=cmd_salvage)
-
     p_serve = sub.add_parser(
         "serve", help="run the trace-service daemon (async ingest, job "
         "queue over the warm pool, persistent results store)")
@@ -506,34 +850,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub = sub.add_parser(
         "submit", help="submit a record/replay/divergence/salvage/"
         "campaign job to a running daemon")
-    _add_service_args(p_sub)
-    p_sub.add_argument("job_kind", choices=(
-        "record", "replay", "divergence", "salvage", "campaign"))
-    p_sub.add_argument("--app", default=None)
-    p_sub.add_argument("--seed", type=int, default=None)
-    p_sub.add_argument("--scale", type=float, default=None)
-    p_sub.add_argument("--scheduler",
-                       choices=("event", "fixpoint", "compiled"),
-                       default=None)
-    p_sub.add_argument("--trace-path", default=None, metavar="PATH",
-                       help="trace file for replay/salvage jobs (must be "
-                       "readable by the daemon)")
-    p_sub.add_argument("--save-to", default=None, metavar="PATH",
-                       help="record jobs: also write the trace blob here")
-    p_sub.add_argument("--faults", type=int, default=None, dest="n_faults",
-                       help="campaign jobs: fault count")
-    p_sub.add_argument("--crash-app", default=None)
-    p_sub.add_argument("--batch-size", type=int, default=None)
-    p_sub.add_argument("--flight-recorder", action="store_true",
-                       default=None)
-    p_sub.add_argument("--salvage", action="store_true", default=None,
-                       help="replay jobs: salvage the trace before replay")
-    p_sub.add_argument("--priority", type=int, default=10,
-                       help="lower runs first; FIFO within a level")
-    p_sub.add_argument("--wait", action="store_true",
-                       help="block until the job finishes and print its "
-                       "result (exit 1 on divergence/silent-accepts)")
-    p_sub.add_argument("--timeout", type=float, default=600.0)
+    _add_submit_args(p_sub)
+    submit_kinds = p_sub.add_subparsers(dest="job_kind", required=True)
+    for kind, (add_args, text) in _RUN_COMMANDS.items():
+        p_kind = submit_kinds.add_parser(
+            kind, help=text, argument_default=argparse.SUPPRESS)
+        add_args(p_kind)
+        _add_submit_args(p_kind)
     p_sub.set_defaults(func=cmd_submit)
 
     p_stat = sub.add_parser(
@@ -559,13 +882,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "cache_dir", None):
+        from repro.sim import schedule_store
+
+        schedule_store.configure(args.cache_dir)
     try:
         return args.func(args)
-    except ReproError as exc:
+    except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:   # e.g. piping into `head`
+        return 0

@@ -133,10 +133,10 @@ class TestParallelSweeps:
 
 class TestHarnessCli:
     def test_fast_artifacts(self, capsys, tmp_path):
-        from repro.harness.__main__ import main
+        from repro.tools import main
 
         out_file = tmp_path / "fast.txt"
-        assert main(["fast", "-o", str(out_file)]) == 0
+        assert main(["artifact", "fast", "-o", str(out_file)]) == 0
         printed = capsys.readouterr().out
         assert "Table 2" in printed
         assert "Fig. 7" in printed
@@ -145,13 +145,13 @@ class TestHarnessCli:
         assert "Table 2" in out_file.read_text()
 
     def test_single_artifact(self, capsys):
-        from repro.harness.__main__ import main
+        from repro.tools import main
 
-        assert main(["table2"]) == 0
+        assert main(["artifact", "table2"]) == 0
         assert "BRAM" in capsys.readouterr().out
 
     def test_unknown_artifact_rejected(self, capsys):
-        from repro.harness.__main__ import main
+        from repro.tools import main
 
         with pytest.raises(SystemExit):
-            main(["table9"])
+            main(["artifact", "table9"])

@@ -408,7 +408,7 @@ def test_daemon_jobs_match_cli_bit_for_bit(tmp_path):
         # Record: daemon job blob == the CLI's output file, byte for byte.
         cli_out = tmp_path / "cli.trace"
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.harness", "record", "sha256",
+            [sys.executable, "-m", "repro.tools", "record", "sha256",
              "-o", str(cli_out), "--seed", "7"],
             env=_cli_env(), capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
