@@ -26,11 +26,12 @@ Two feed representations exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.events import ChannelTable
 from repro.core.packets import (DEDUP_MIN_BYTES, DEDUP_SLOT_BYTES, CyclePacket,
-                                DedupDict, deserialize_packets, iter_bits)
+                                DedupDict, PacketLayout, deserialize_packets,
+                                iter_layouts, layout_at)
 from repro.core.vector_clock import VectorClock
 from repro.errors import TraceFormatError
 
@@ -58,52 +59,39 @@ def expand_dedup_stream(stream: "bytes | memoryview", table: ChannelTable,
     """
     view = memoryview(stream)
     size = len(view)
-    n = table.n
     nbytes = table.bitvec_bytes
-    content_bytes = [table[i].content_bytes for i in range(n)]
-    is_input = [table.is_input(i) for i in range(n)]
+    hbytes = 2 * nbytes
+    layouts: Dict[int, PacketLayout] = {}
     offset = 0
     count = 0
     while offset < size:
         mark = len(out)
         try:
-            if offset + 2 * nbytes > size:
+            if offset + hbytes > size:
                 raise TraceFormatError(
                     "dedup stream truncated inside a cycle-packet header")
-            starts = int.from_bytes(view[offset:offset + nbytes], "little")
-            ends = int.from_bytes(
-                view[offset + nbytes:offset + 2 * nbytes], "little")
-            if starts == 0 and ends == 0:
+            layout = layout_at(view, offset, table, with_validation, layouts)
+            if not (layout.starts or layout.ends):
                 raise TraceFormatError(
                     f"empty cycle packet at dedup-stream offset {offset}")
-            entries: List[Tuple[int, int]] = []
-            for i in iter_bits(starts, n):
-                if not is_input[i]:
-                    raise TraceFormatError(
-                        f"start bit set for output channel {table[i].name}")
-                entries.append((i, content_bytes[i]))
-            if with_validation:
-                for i in iter_bits(ends, n):
-                    if not is_input[i]:
-                        entries.append((i, content_bytes[i]))
-            cursor = offset + 2 * nbytes
+            if layout.start_error is not None:
+                raise TraceFormatError(layout.start_error)
+            if with_validation and layout.end_error is not None:
+                raise TraceFormatError(layout.end_error)
+            cursor = offset + hbytes
             mask = 0
-            if any(width >= DEDUP_MIN_BYTES for _, width in entries):
+            if layout.eligible:
                 if cursor + nbytes > size:
                     raise TraceFormatError(
                         "dedup stream truncated inside a dedup mask")
                 mask = int.from_bytes(view[cursor:cursor + nbytes], "little")
                 cursor += nbytes
-                eligible = 0
-                for i, width in entries:
-                    if width >= DEDUP_MIN_BYTES:
-                        eligible |= 1 << i
-                if mask & ~eligible:
+                if mask & ~layout.eligible:
                     raise TraceFormatError(
                         "dedup mask bit set for an ineligible channel")
-            out += starts.to_bytes(nbytes, "little")
-            out += ends.to_bytes(nbytes, "little")
-            for i, width in entries:
+            out += view[offset:offset + hbytes]
+            for i, start, stop in layout.payloads:
+                width = stop - start
                 if (mask >> i) & 1:
                     if cursor + DEDUP_SLOT_BYTES > size:
                         raise TraceFormatError(
@@ -217,37 +205,33 @@ class TraceDecoder:
         """
         table = self.table
         n = table.n
-        is_input = [table.is_input(i) for i in range(n)]
         counts = [0] * n
-        feeds = [CompactFeed(i, "in" if is_input[i] else "out", [])
+        feeds = [CompactFeed(i, "in" if table.is_input(i) else "out", [])
                  for i in range(n)]
+        actions = [feed.actions for feed in feeds]
         view = memoryview(blob)
-        offset = 0
-        size = len(view)
-        while offset < size:
-            packet, offset = CyclePacket.deserialize(
-                view, offset, table, self.with_validation)
+        for offset, layout in iter_layouts(view, table, self.with_validation):
+            if layout.end_error is not None:
+                # Legal without validation, where Ends is never walked for
+                # payloads — but every end bit must name a channel here.
+                raise TraceFormatError(layout.end_error)
             snapshot: Optional[VectorClock] = None
-            starts = packet.starts
-            ends = packet.ends
-            if starts:
-                for i in iter_bits(starts, n):
-                    if snapshot is None:
-                        snapshot = VectorClock(counts)
-                    feeds[i].actions.append(ReplayAction(
-                        int.from_bytes(packet.contents[i], "little"),
-                        snapshot))
-            if ends:
+            for i, start, stop in layout.contents:
+                if snapshot is None:
+                    snapshot = VectorClock(counts)
+                actions[i].append(ReplayAction(
+                    int.from_bytes(view[offset + start:offset + stop],
+                                   "little"),
+                    snapshot))
+            if layout.ended:
                 # Emit every output-end action against the pre-packet
                 # snapshot first; only then apply the packet's increments
                 # (same-packet ends are concurrent, so none of them may
                 # appear in another's prerequisite clock).
-                ended = iter_bits(ends, n)
-                for i in ended:
-                    if not is_input[i]:
-                        if snapshot is None:
-                            snapshot = VectorClock(counts)
-                        feeds[i].actions.append(ReplayAction(None, snapshot))
-                for i in ended:
+                for i in layout.ended_outputs:
+                    if snapshot is None:
+                        snapshot = VectorClock(counts)
+                    actions[i].append(ReplayAction(None, snapshot))
+                for i in layout.ended:
                     counts[i] += 1
         return feeds

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.events import ChannelTable
+from repro.core.packets import iter_layouts
 from repro.core.trace_file import TraceFile
 from repro.errors import ConfigError
 
@@ -86,20 +87,28 @@ def _output_end_records(trace: TraceFile,
     strictly earlier cycle packets (input ends are excluded because the
     validation trace does not record them).
     """
-    outputs = list(table.output_indices)
+    outputs = table.output_indices
     position = {ch: i for i, ch in enumerate(outputs)}
     counts = [0] * len(outputs)
     records: Dict[int, List[Tuple[bytes, Tuple[int, ...]]]] = {
         ch: [] for ch in outputs}
-    # Streaming decode: one packet at a time off the (indexed) body, no
-    # full packet-list materialization for long traces.
-    for packet in trace.iter_packets():
+    # One header walk over the body: only packets that end an output take
+    # a clock snapshot, and only their validation payloads are copied.
+    view = memoryview(trace.body)
+    for offset, layout in iter_layouts(view, trace.table,
+                                       trace.with_validation):
+        ended = layout.ended_outputs
+        if not ended:
+            continue
         snapshot = tuple(counts)
-        ended_outputs = [ch for ch in outputs if (packet.ends >> ch) & 1]
-        for ch in ended_outputs:
-            content = packet.validation.get(ch, b"")
-            records[ch].append((content, snapshot))
-        for ch in ended_outputs:
+        if layout.validation:
+            for ch, start, stop in layout.validation:
+                records[ch].append(
+                    (bytes(view[offset + start:offset + stop]), snapshot))
+        else:
+            for ch in ended:
+                records[ch].append((b"", snapshot))
+        for ch in ended:
             counts[position[ch]] += 1
     return records
 
@@ -143,6 +152,8 @@ def compare_traces(reference: TraceFile, validation: TraceFile,
                             f"after {k} completions on this channel")))
             # Inversion: the replay produced fewer prior ends on some channel
             # than the recording ordered before this event.
+            if ref_vc == val_vc:
+                continue
             for j, (ref_n, val_n) in enumerate(zip(ref_vc, val_vc)):
                 if val_n < ref_n:
                     other = table[table.output_indices[j]].name

@@ -257,34 +257,31 @@ def _backref_offsets(stream: bytes, table: ChannelTable,
     ``docs/TRACE_FORMAT.md``) — backref *positions* are fully determined
     by the bytes themselves, no dictionary state needed.
     """
-    from repro.core.packets import DEDUP_MIN_BYTES, DEDUP_SLOT_BYTES, iter_bits
+    from repro.core.packets import DEDUP_SLOT_BYTES, layout_at
 
-    n = table.n
     nbytes = table.bitvec_bytes
-    content_bytes = [table[i].content_bytes for i in range(n)]
-    is_input = [table.is_input(i) for i in range(n)]
+    hbytes = 2 * nbytes
     size = len(stream)
+    layouts: dict = {}
     offsets: List[int] = []
     offset = 0
-    while offset + 2 * nbytes <= size:
-        starts = int.from_bytes(stream[offset:offset + nbytes], "little")
-        ends = int.from_bytes(
-            stream[offset + nbytes:offset + 2 * nbytes], "little")
-        entries = [(i, content_bytes[i]) for i in iter_bits(starts, n)]
-        if with_validation:
-            entries += [(i, content_bytes[i]) for i in iter_bits(ends, n)
-                        if not is_input[i]]
-        cursor = offset + 2 * nbytes
+    while offset + hbytes <= size:
+        layout = layout_at(stream, offset, table, with_validation, layouts)
+        if layout.started is None:
+            raise TraceFormatError(layout.start_error)
+        if with_validation and layout.end_error is not None:
+            raise TraceFormatError(layout.end_error)
+        cursor = offset + hbytes
         mask = 0
-        if any(width >= DEDUP_MIN_BYTES for _, width in entries):
+        if layout.eligible:
             mask = int.from_bytes(stream[cursor:cursor + nbytes], "little")
             cursor += nbytes
-        for i, width in entries:
+        for i, start, stop in layout.payloads:
             if (mask >> i) & 1:
                 offsets.append(cursor)
                 cursor += DEDUP_SLOT_BYTES
             else:
-                cursor += width
+                cursor += stop - start
         offset = cursor
     return offsets
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.contents_tree import pack_contents, unpack_contents
 from repro.core.events import ChannelTable
@@ -142,6 +142,123 @@ def iter_bits(mask: int, n: int) -> List[int]:
     return out
 
 
+Payload = Tuple[int, int, int]
+"""One payload entry of a packet: ``(channel, start, stop)`` byte offsets
+relative to the packet's first byte."""
+
+
+@dataclass(frozen=True)
+class PacketLayout:
+    """Everything about a cycle packet that its ``(Starts, Ends)`` header
+    fixes, given the channel table and ``with_validation`` (see
+    :func:`packet_layout`).
+
+    A header can be illegal in two independent ways, kept apart because
+    decoders check them at different points: ``start_error`` (Starts has a
+    bit at or above the channel count — then ``started`` is ``None`` — or a
+    start bit on an output channel) and ``end_error`` (Ends has a bit at or
+    above the channel count; ``ended`` then lists the bits below it). For a
+    header with an output start, ``contents`` and ``size`` still count that
+    channel's payload: the lenient walks
+    (:class:`~repro.core.trace_file.TraceIndex`, the backref scan) step
+    over it rather than reject it.
+    """
+
+    starts: int
+    ends: int
+    started: Optional[Tuple[int, ...]]   # channels with a start bit
+    ended: Tuple[int, ...]               # channels with an end bit
+    ended_outputs: Tuple[int, ...]       # output channels among ``ended``
+    contents: Tuple[Payload, ...]        # Contents entries, wire order
+    validation: Tuple[Payload, ...]      # Validation entries, wire order
+    payloads: Tuple[Payload, ...]        # contents + validation
+    contents_end: int                    # offset where Validation begins
+    size: int                            # header + payload bytes
+    eligible: int                        # dedup-eligible channel mask
+    start_error: Optional[str]
+    end_error: Optional[str]
+    legal: bool                          # CyclePacket.deserialize accepts it
+
+
+def packet_layout(table: ChannelTable, header: int,
+                  with_validation: bool) -> PacketLayout:
+    """The layout shared by every cycle packet whose header is ``header``.
+
+    ``header`` is the packet's leading ``2 * table.bitvec_bytes`` bytes as
+    one little-endian int (Starts in the low half, Ends in the high half).
+    The layout is a pure function of its arguments, so body walks memoise
+    it per header: a recording has thousands of packets but only a few
+    dozen distinct headers. This is the one place packet bitvectors are
+    decoded bit by bit.
+    """
+    n = table.n
+    width = 8 * table.bitvec_bytes
+    starts = header & ((1 << width) - 1)
+    ends = header >> width
+    start_error: Optional[str] = None
+    end_error: Optional[str] = None
+    started: Optional[Tuple[int, ...]]
+    try:
+        started = tuple(iter_bits(starts, n))
+    except TraceFormatError as exc:
+        started, start_error = None, str(exc)
+    else:
+        for index in started:
+            if not table.is_input(index):
+                start_error = (
+                    f"start bit set for output channel {table[index].name}")
+                break
+    try:
+        ended = tuple(iter_bits(ends, n))
+    except TraceFormatError as exc:
+        end_error = str(exc)
+        ended = tuple(iter_bits(ends & ((1 << n) - 1), n))
+    ended_outputs = tuple(i for i in ended if not table.is_input(i))
+    cursor = 2 * table.bitvec_bytes
+    contents: List[Payload] = []
+    for index in started or ():
+        stop = cursor + table[index].content_bytes
+        contents.append((index, cursor, stop))
+        cursor = stop
+    contents_end = cursor
+    validation: List[Payload] = []
+    if with_validation and end_error is None:
+        for index in ended_outputs:
+            stop = cursor + table[index].content_bytes
+            validation.append((index, cursor, stop))
+            cursor = stop
+    payloads = tuple(contents + validation)
+    eligible = 0
+    for index, start, stop in payloads:
+        if stop - start >= DEDUP_MIN_BYTES:
+            eligible |= 1 << index
+    legal = (header != 0 and start_error is None
+             and not (with_validation and end_error is not None))
+    return PacketLayout(
+        starts=starts, ends=ends, started=started, ended=ended,
+        ended_outputs=ended_outputs, contents=tuple(contents),
+        validation=tuple(validation), payloads=payloads,
+        contents_end=contents_end, size=cursor, eligible=eligible,
+        start_error=start_error, end_error=end_error, legal=legal)
+
+
+def layout_at(blob: "bytes | memoryview", offset: int, table: ChannelTable,
+              with_validation: bool,
+              layouts: Dict[int, PacketLayout]) -> PacketLayout:
+    """Layout of the packet at ``offset``, memoised in the walk's ``layouts``.
+
+    A header cut short by the end of ``blob`` reads as its surviving
+    bytes; its layout still spans a full header, so it overruns.
+    """
+    header = int.from_bytes(
+        blob[offset:offset + 2 * table.bitvec_bytes], "little")
+    layout = layouts.get(header)
+    if layout is None:
+        layout = layouts[header] = packet_layout(table, header,
+                                                 with_validation)
+    return layout
+
+
 @dataclass
 class CyclePacket:
     """All transaction events of one clock cycle, plus contents."""
@@ -254,39 +371,40 @@ class CyclePacket:
 
     @classmethod
     def deserialize(cls, blob: memoryview, offset: int, table: ChannelTable,
-                    with_validation: bool) -> Tuple["CyclePacket", int]:
-        """Decode one packet at ``offset``; returns (packet, next offset)."""
-        nbytes = table.bitvec_bytes
-        if offset + 2 * nbytes > len(blob):
+                    with_validation: bool,
+                    layouts: Optional[Dict[int, PacketLayout]] = None
+                    ) -> Tuple["CyclePacket", int]:
+        """Decode one packet at ``offset``; returns (packet, next offset).
+
+        ``layouts`` is the calling walk's header memo (see
+        :func:`layout_at`); a one-off decode leaves it out.
+        """
+        size = len(blob)
+        if offset + 2 * table.bitvec_bytes > size:
             raise TraceFormatError("trace truncated inside a cycle-packet header")
-        starts = int.from_bytes(blob[offset:offset + nbytes], "little")
-        ends = int.from_bytes(blob[offset + nbytes:offset + 2 * nbytes], "little")
-        cursor = offset + 2 * nbytes
-        started = iter_bits(starts, table.n)
-        for index in started:
-            if not table.is_input(index):
-                raise TraceFormatError(
-                    f"start bit set for output channel {table[index].name}"
-                )
-        content_len = sum(table[i].content_bytes for i in started)
-        # memoryview slices go straight into unpack_contents — the only copy
-        # is the final per-channel bytes() the packet keeps.
-        contents = unpack_contents(blob[cursor:cursor + content_len],
-                                   started, table)
-        cursor += content_len
-        validation: Dict[int, bytes] = {}
+        layout = layout_at(blob, offset, table, with_validation,
+                           {} if layouts is None else layouts)
+        end = offset + layout.size
+        if layout.legal and end <= size:
+            # memoryview slices: the per-channel bytes() is the only copy.
+            return cls(
+                starts=layout.starts, ends=layout.ends,
+                contents={i: bytes(blob[offset + start:offset + stop])
+                          for i, start, stop in layout.contents},
+                validation={i: bytes(blob[offset + start:offset + stop])
+                            for i, start, stop in layout.validation},
+            ), end
+        # Illegal header or overrun: report the first fault in field order.
+        if layout.start_error is not None:
+            raise TraceFormatError(layout.start_error)
+        split = offset + layout.contents_end
+        unpack_contents(blob[offset + 2 * table.bitvec_bytes:split],
+                        layout.started, table)
         if with_validation:
-            ended_outputs = [i for i in iter_bits(ends, table.n)
-                             if not table.is_input(i)]
-            val_len = sum(table[i].content_bytes for i in ended_outputs)
-            validation = unpack_contents(blob[cursor:cursor + val_len],
-                                         ended_outputs, table)
-            cursor += val_len
-        packet = cls(starts=starts, ends=ends, contents=contents,
-                     validation=validation)
-        if packet.is_empty:
-            raise TraceFormatError(f"empty cycle packet at offset {offset}")
-        return packet, cursor
+            if layout.end_error is not None:
+                raise TraceFormatError(layout.end_error)
+            unpack_contents(blob[split:end], layout.ended_outputs, table)
+        raise TraceFormatError(f"empty cycle packet at offset {offset}")
 
 
 def serialize_packets(packets: List[CyclePacket], table: ChannelTable,
@@ -295,15 +413,37 @@ def serialize_packets(packets: List[CyclePacket], table: ChannelTable,
     return b"".join(p.serialize(table, with_validation) for p in packets)
 
 
+def iter_layouts(blob: "bytes | memoryview", table: ChannelTable,
+                 with_validation: bool) -> Iterator[Tuple[int, PacketLayout]]:
+    """``(offset, layout)`` of each packet of a trace body, in order.
+
+    The walk the decoders share: it reads only headers, and at the first
+    packet :meth:`CyclePacket.deserialize` would reject it raises that
+    method's :class:`TraceFormatError`.
+    """
+    view = memoryview(blob)
+    size = len(view)
+    layouts: Dict[int, PacketLayout] = {}
+    offset = 0
+    while offset < size:
+        layout = layout_at(view, offset, table, with_validation, layouts)
+        if not layout.legal or offset + layout.size > size:
+            CyclePacket.deserialize(view, offset, table, with_validation,
+                                    layouts)
+        yield offset, layout
+        offset += layout.size
+
+
 def deserialize_packets(blob: bytes, table: ChannelTable,
                         with_validation: bool) -> List[CyclePacket]:
     """Parse a trace body back into its cycle packets."""
     view = memoryview(blob)
+    layouts: Dict[int, PacketLayout] = {}
     packets: List[CyclePacket] = []
     offset = 0
     while offset < len(view):
         packet, offset = CyclePacket.deserialize(view, offset, table,
-                                                 with_validation)
+                                                 with_validation, layouts)
         packets.append(packet)
     return packets
 
@@ -321,16 +461,12 @@ def scan_packet_prefix(blob: "bytes | memoryview", table: ChannelTable,
     crash mid-recording — or corrupted from some point onward — still
     yields a loadable, replayable prefix trace.
     """
-    view = memoryview(blob)
-    size = len(view)
-    offset = 0
     count = 0
-    while offset < size:
-        try:
-            _, next_offset = CyclePacket.deserialize(view, offset, table,
-                                                     with_validation)
-        except TraceFormatError:
-            break
-        offset = next_offset
-        count += 1
+    offset = 0
+    try:
+        for start, layout in iter_layouts(blob, table, with_validation):
+            count += 1
+            offset = start + layout.size
+    except TraceFormatError:
+        pass
     return count, offset

@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from repro.core.decoder import expand_dedup_stream
 from repro.core.events import ChannelTable
 from repro.core.packets import (DEFAULT_DEDUP_SLOTS, CyclePacket, DedupDict,
-                                deserialize_packets, iter_bits,
+                                PacketLayout, deserialize_packets, layout_at,
                                 scan_packet_prefix, serialize_packets)
 from repro.errors import TraceFormatError, TraceIntegrityError
 
@@ -355,8 +355,9 @@ class TraceIndex:
     """Packet ordinal → byte offset map over a trace body.
 
     Built in one pass that reads only packet *headers* (the fixed-width
-    Starts/Ends bitvectors) and computes each packet's content length from
-    the channel table — no contents are decoded and no bytes are copied.
+    Starts/Ends bitvectors) and takes each packet's length from its
+    header's memoised :func:`~repro.core.packets.packet_layout` — no
+    contents are decoded and no bytes are copied.
     With the index, replay and the divergence detector seek to any packet
     (or slice out any packet range, e.g. a checkpoint shard) in O(1)
     instead of re-scanning the stream.
@@ -366,28 +367,25 @@ class TraceIndex:
                  with_validation: bool):
         self.table = table
         self.with_validation = with_validation
-        nbytes = table.bitvec_bytes
-        content_bytes = [table[i].content_bytes for i in range(table.n)]
-        is_input = [table.is_input(i) for i in range(table.n)]
+        hbytes = 2 * table.bitvec_bytes
+        layouts: Dict[int, PacketLayout] = {}
         view = memoryview(body)
         size = len(view)
         offsets: List[int] = []
         offset = 0
         while offset < size:
-            if offset + 2 * nbytes > size:
+            if offset + hbytes > size:
                 raise TraceFormatError(
                     "trace truncated inside a cycle-packet header")
+            layout = layout_at(view, offset, table, with_validation, layouts)
+            # Lenient like a length walk: only bitvectors too wide to
+            # size a packet stop it (replay and salvage check the rest).
+            if layout.started is None:
+                raise TraceFormatError(layout.start_error)
+            if with_validation and layout.end_error is not None:
+                raise TraceFormatError(layout.end_error)
             offsets.append(offset)
-            starts = int.from_bytes(view[offset:offset + nbytes], "little")
-            ends = int.from_bytes(
-                view[offset + nbytes:offset + 2 * nbytes], "little")
-            offset += 2 * nbytes
-            for i in iter_bits(starts, table.n):
-                offset += content_bytes[i]
-            if with_validation:
-                for i in iter_bits(ends, table.n):
-                    if not is_input[i]:
-                        offset += content_bytes[i]
+            offset += layout.size
         self.offsets = offsets
         self.end = size
         self._body = body
@@ -459,11 +457,12 @@ class TraceFile:
     def iter_packets(self) -> Iterator[CyclePacket]:
         """Decode packets lazily — no up-front list materialization."""
         view = memoryview(self.body)
+        layouts: Dict[int, PacketLayout] = {}
         offset = 0
         size = len(view)
         while offset < size:
             packet, offset = CyclePacket.deserialize(
-                view, offset, self.table, self.with_validation)
+                view, offset, self.table, self.with_validation, layouts)
             yield packet
 
     @classmethod

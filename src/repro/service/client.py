@@ -206,6 +206,10 @@ class FlightStreamer:
         while True:
             self._wake.wait(timeout=0.2)
             self._wake.clear()
+            # Read once, before the take: ``detach`` unhooks the observer
+            # before it sets ``_closing``, so this take drains the last
+            # frame and the loop may exit without another poll.
+            closing = self._closing
             chunk = self._take()
             if chunk:
                 try:
@@ -215,7 +219,7 @@ class FlightStreamer:
                 except ServiceError as exc:
                     self.error = str(exc)   # keep recording; drop streaming
                     return
-            if self._closing and not chunk:
+            if closing:
                 return
 
     def detach(self) -> Dict[str, Any]:

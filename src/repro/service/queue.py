@@ -157,22 +157,27 @@ class JobQueue:
         self._finish(job, result, error)
 
     def _finish(self, job: Job, result, error: Optional[str]) -> None:
+        state = "done" if error is None else "failed"
         with self._cond:
             job.result = result
             job.error = error
             job.finished_t = time.time()
-            job.state = "done" if error is None else "failed"
+            record = dict(job.detail(), state=state)
+        # Persist the verdict before publishing it: a client whose wait
+        # saw the job finish must also find it in the results store.
+        if self.results is not None:
+            try:
+                self.results.append("job", job.kind, record)
+            except OSError:
+                pass    # results persistence must not kill the scheduler
+        with self._cond:
+            job.state = state
             self._inflight -= 1
             if error is None:
                 self.completed += 1
             else:
                 self.failed += 1
             self._cond.notify_all()
-        if self.results is not None:
-            try:
-                self.results.append("job", job.kind, job.detail())
-            except OSError:
-                pass    # results persistence must not kill the scheduler
 
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Job:

@@ -127,6 +127,70 @@ class TestFrameStreamParser:
 
 
 # ----------------------------------------------------------------------
+# FlightStreamer — client-side live ingest, against a stub client
+# ----------------------------------------------------------------------
+
+class _StubIngestClient:
+    """Records the ingest calls a ``FlightStreamer`` makes; no daemon."""
+
+    def __init__(self):
+        self.calls = []
+
+    def ingest_begin(self, tenant, prefix):
+        self.calls.append(("begin", tenant, prefix))
+
+    def ingest_frames(self, tenant, chunk):
+        self.calls.append(("frames", tenant, chunk))
+
+    def ingest_end(self, tenant):
+        self.calls.append(("end", tenant))
+        return {"tenant": tenant}
+
+
+class _StubRingStore:
+    is_ring = True
+    observer = None
+
+    def set_observer(self, observer):
+        self.observer = observer
+
+
+class TestFlightStreamer:
+    def test_detach_returns_without_waiting_out_the_poll(self):
+        from types import SimpleNamespace
+
+        from repro.core.events import ChannelInfo, ChannelTable
+        from repro.service.client import FlightStreamer
+
+        table = ChannelTable([ChannelInfo(index=0, name="ocl.w",
+                                          direction="in", content_bytes=4,
+                                          payload_bits=32)])
+        store = _StubRingStore()
+        deployment = SimpleNamespace(shim=SimpleNamespace(
+            store=store, table=table,
+            encoder=SimpleNamespace(record_output_contents=True),
+            config=SimpleNamespace(flight_dedup_slots=16)))
+        client = _StubIngestClient()
+        streamer = FlightStreamer(client, "t", chunk_bytes=1 << 20)
+        streamer.attach(deployment)
+        frames = [(FRAME_ANCHOR, b""), (FRAME_RUN, _mk_run(1)),
+                  (FRAME_RUN, _mk_run(2))]
+        for kind, payload in frames:     # far below chunk_bytes: buffered
+            store.observer(kind, payload)
+        started = time.perf_counter()
+        streamer.detach()
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.05, f"detach took {elapsed * 1e3:.0f} ms"
+        assert not streamer._thread.is_alive()
+        assert store.observer is None
+        assert [c[0] for c in client.calls].count("begin") == 1
+        assert [c[0] for c in client.calls].count("end") == 1
+        assert client.calls[-1] == ("end", "t")
+        sent = b"".join(c[2] for c in client.calls if c[0] == "frames")
+        assert sent == b"".join(encode_frame(k, p) for k, p in frames)
+
+
+# ----------------------------------------------------------------------
 # ResultsStore — append-only, CRC-framed, torn-tail tolerant
 # ----------------------------------------------------------------------
 
@@ -315,12 +379,7 @@ class TestJobQueue:
                 job = queue.get(job_id)
                 assert job.state == "done", job.error
                 assert job.result["packets"] > 0
-            # The store append happens just after the finish notification;
-            # poll briefly for the last record.
-            deadline = time.monotonic() + 10.0
-            while (len(store.records(kind="job")) < 4
-                   and time.monotonic() < deadline):
-                time.sleep(0.02)
+            # Each verdict is persisted before its job counts as finished.
             finished = [r["payload"]["id"] for r in store.records(kind="job")]
             assert finished == [blocker, high, mid, low], (
                 "queue did not honour priorities (lower number first)")
@@ -359,10 +418,6 @@ class TestJobQueue:
             job_id = client.submit("salvage",
                                    {"trace_path": str(small_trace)})
             detail = client.wait(job_id, timeout=300.0)
-            deadline = time.monotonic() + 10.0
-            while (not client.results(kind="job")
-                   and time.monotonic() < deadline):
-                time.sleep(0.02)
             (record,) = client.results(kind="job")
             for job in (detail, record["payload"]):
                 assert job["id"] == job_id
