@@ -18,7 +18,7 @@ from repro.analysis.tables import render_table
 from repro.apps.registry import APPS, get_app
 from repro.core import VidiConfig
 from repro.harness.runner import bench_config, record_run, replay_run
-from repro.harness.sharded_replay import record_with_checkpoints, replay_sharded
+from repro.harness.sharded_replay import SHARD_ANCHOR_STRIDE, replay_sharded
 
 
 def measure():
@@ -101,21 +101,24 @@ def test_time_warp_throughput(emit):
             f"time-warp {warp_cps:>10,.0f}   skip {skip_ratio:5.1%}   "
             f"speedup {speedup:.2f}x")
 
-    # Sharded replay: split the DMA trace at harvested checkpoints and
+    # Sharded replay: split a DMA flight trace at its ANCHOR frames and
     # report how much of the sequential critical path the shards remove.
     spec = get_app("dram_dma")
-    metrics, checkpoints = record_with_checkpoints(spec, seed=100)
-    trace = metrics.result["trace"]
+    trace = record_run(
+        spec, bench_config(VidiConfig.r2, flight_recorder=True,
+                           flight_anchor_stride=SHARD_ANCHOR_STRIDE),
+        seed=100).result["trace"]
     sequential = replay_run(spec, trace)
-    sharded = replay_sharded(spec, trace, checkpoints, segments=3, jobs=3)
+    sharded = replay_sharded(spec, trace, segments=3, jobs=3)
     assert bytes(sharded.validation.body) == \
         bytes(sequential.result["validation"].body)
     shard_speedup = sequential.cycles / max(sharded.critical_path_cycles, 1)
     report["sharded_dram_dma"] = {
-        "config": "r2(five-interface), 3 segments",
+        "config": f"r2(five-interface) flight, anchor stride "
+                  f"{SHARD_ANCHOR_STRIDE}, 3 segments",
         "sequential_cycles": sequential.cycles,
         "critical_path_cycles": sharded.critical_path_cycles,
-        "checkpoints_harvested": len(checkpoints),
+        "anchors": len(trace.anchors),
         "speedup": round(shard_speedup, 2),
     }
     lines.append(

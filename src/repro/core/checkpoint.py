@@ -83,7 +83,7 @@ def take_checkpoint(deployment) -> Checkpoint:
 
 
 def checkpoint_to_dict(checkpoint: Checkpoint) -> Dict:
-    """JSON-serializable form of a checkpoint (sidecars, v3 ANCHOR frames).
+    """JSON-serializable form of a checkpoint (v3 ANCHOR frames).
 
     Word-map keys become strings because JSON objects cannot hold integer
     keys; :func:`checkpoint_from_dict` reverses this exactly.

@@ -308,25 +308,26 @@ class VidiShim(Module):
         to a flat body; when the ring wrapped, the trace starts at the
         oldest surviving re-anchor point and ``metadata['ring']`` carries
         its ``{ordinal, cycle, checkpoint}`` so replay can restore from
-        the checkpoint before driving the suffix.
+        the checkpoint before driving the suffix. The later re-anchor
+        points become the trace's :attr:`~TraceFile.anchors`.
         """
         if self.store is None or self.encoder is None:
             raise ConfigError("no recording in this configuration")
         self.store.flush()
         metadata = dict(metadata or {})
         if getattr(self.store, "is_ring", False):
-            body, start, _ = self.store.expand(
+            body, start, info = self.store.expand(
                 self.table, self.encoder.record_output_contents,
                 self.config.flight_dedup_slots)
             if start["ordinal"] or start["checkpoint"] is not None:
                 metadata["ring"] = start
-            trace = TraceFile(
+            return TraceFile(
                 table=self.table,
                 body=body,
                 with_validation=self.encoder.record_output_contents,
                 metadata=metadata,
+                anchors=info["anchor_points"],
             )
-            return trace
         return TraceFile(
             table=self.table,
             body=self.store.trace_bytes,

@@ -275,9 +275,12 @@ def _expand_v3_frames(frames: List[tuple], table: ChannelTable,
 
     Returns ``(body, start, info)`` where ``start`` is the first anchor's
     ``{ordinal, cycle, checkpoint}`` and ``info`` gathers expansion stats.
-    Each ANCHOR resets the dedup dictionary exactly like the encoder did;
-    anchor ordinals are checked for consistency with the packet count so a
-    mismatched window fails loudly instead of replaying garbage.
+    ``info["anchor_points"]`` maps the body-relative packet ordinal of
+    every later checkpoint-carrying anchor inside the body to that anchor:
+    the points sharded replay cuts at. Each ANCHOR resets the dedup
+    dictionary exactly like the encoder did; anchor ordinals are checked
+    for consistency with the packet count so a mismatched window fails
+    loudly instead of replaying garbage.
     """
     dedup = DedupDict(dedup_slots)
     body = bytearray()
@@ -291,6 +294,7 @@ def _expand_v3_frames(frames: List[tuple], table: ChannelTable,
     start: Optional[Dict[str, Any]] = None
     info = {"packets": 0, "stream_bytes": 0, "dropped_stream_bytes": 0,
             "anchors": 0, "stopped": None}
+    points: Dict[int, Dict[str, Any]] = {}
 
     def flush_epoch() -> bool:
         """Expand the buffered epoch; False if expansion had to stop."""
@@ -326,6 +330,8 @@ def _expand_v3_frames(frames: List[tuple], table: ChannelTable,
                         f"the {expected} packets expanded so far")
                 info["stopped"] = "anchor ordinal mismatch"
                 break
+            if anchor["checkpoint"] is not None:
+                points[info["packets"]] = anchor
             dedup.clear()
             dobj = None
         elif kind == FRAME_RUN:
@@ -346,6 +352,8 @@ def _expand_v3_frames(frames: List[tuple], table: ChannelTable,
         flush_epoch()
     info["backrefs"] = dedup.hits
     info["literals"] = dedup.inserts
+    info["anchor_points"] = {k: anchor for k, anchor in points.items()
+                             if 0 < k < info["packets"]}
     if start is None:
         start = {"ordinal": 0, "cycle": 0, "checkpoint": None}
     return bytes(body), start, info
@@ -359,7 +367,7 @@ class TraceIndex:
     header's memoised :func:`~repro.core.packets.packet_layout` — no
     contents are decoded and no bytes are copied.
     With the index, replay and the divergence detector seek to any packet
-    (or slice out any packet range, e.g. a checkpoint shard) in O(1)
+    (or slice out any packet range, e.g. a replay shard) in O(1)
     instead of re-scanning the stream.
     """
 
@@ -401,7 +409,7 @@ class TraceIndex:
 
     def slice(self, start: int, stop: int) -> bytes:
         """The body bytes spanning packets ``[start, stop)`` — a valid
-        trace body of its own (used to carve checkpoint shards)."""
+        trace body of its own (used to carve replay shards)."""
         return self._body[self.offset_of(start):self.offset_of(stop)]
 
     def packet_at(self, ordinal: int) -> CyclePacket:
@@ -422,6 +430,11 @@ class TraceFile:
     with_validation: bool = True
     metadata: Dict[str, Any] = field(default_factory=dict)
     format_version: int = field(default=DEFAULT_FORMAT_VERSION, compare=False)
+    # Resume points inside the body, from a flight trace's ANCHOR frames:
+    # body-relative packet ordinal -> {ordinal, cycle, checkpoint}. Packets
+    # [k, ...) replay from that checkpoint (sharded replay cuts here).
+    anchors: Dict[int, Dict[str, Any]] = field(
+        default_factory=dict, repr=False, compare=False)
     container_stats: Optional[Dict[str, Any]] = field(
         default=None, init=False, repr=False, compare=False)
     _index: Optional[TraceIndex] = field(
@@ -728,7 +741,8 @@ class TraceFile:
         last re-anchor checkpoint. The expanded flat body then behaves like
         any other trace (index, replay, mutation), with
         ``metadata['ring']`` carrying the window's re-anchor point when it
-        does not start at packet 0.
+        does not start at packet 0, and :attr:`anchors` the later
+        re-anchor points inside the window.
         """
         blob = bytes(blob)
         if len(blob) < _PREAMBLE_V2:
@@ -789,7 +803,8 @@ class TraceFile:
                                 "cycle": start["cycle"],
                                 "checkpoint": start["checkpoint"]}
         trace = cls(table=table, body=body, with_validation=with_validation,
-                    metadata=metadata, format_version=3)
+                    metadata=metadata, format_version=3,
+                    anchors=info["anchor_points"])
         trace.container_stats = {
             "format": 3,
             "container_bytes": len(blob),

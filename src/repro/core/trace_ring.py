@@ -23,7 +23,9 @@ Framing, compression and eviction are *host-side* bookkeeping over already
 drained bytes: they consume zero simulated cycles and cannot perturb
 back-pressure or handshake timing. Two flight recordings that differ only
 in retention budget therefore produce bit-identical packet streams — the
-property the wrap-boundary replay tests pin.
+property the wrap-boundary replay tests pin. The anchor stride is another
+matter: each anchor resets the encoder's dedup dictionary, which lengthens
+the drained stream and so shifts record timing.
 
 The retention policy itself lives in :class:`FrameRing`, which is shared
 with the trace-service daemon: the daemon's per-tenant ingest keeps the

@@ -353,15 +353,14 @@ class _Campaign:
         result = self._crash_ref()
         if result is None:
             return "masked", "crash trial skipped: no shardable trace"
-        spec, metrics, checkpoints, clean_body = result
+        spec, trace, clean_body = result
         from repro.harness.sharded_replay import replay_sharded
 
         injector = FaultInjector(plan)
         try:
             sharded = replay_sharded(
-                spec, metrics.result["trace"], checkpoints,
-                segments=3, jobs=2, retries=2, injector=injector,
-                scheduler=self.scheduler)
+                spec, trace, segments=3, jobs=2, retries=2,
+                injector=injector, scheduler=self.scheduler)
         except ReproError as exc:
             return "detected", f"sharded replay failed: {type(exc).__name__}"
         if bytes(sharded.validation.body) == clean_body:
@@ -374,25 +373,25 @@ class _Campaign:
     def _crash_ref(self):
         if self._crash_reference is None:
             from repro.apps.registry import get_app
-            from repro.harness.sharded_replay import (
-                record_with_checkpoints,
-                replay_sharded,
-            )
+            from repro.core.config import VidiConfig
+            from repro.harness.runner import bench_config
+            from repro.harness.sharded_replay import (SHARD_ANCHOR_STRIDE,
+                                                      replay_sharded)
 
             spec = get_app(self.crash_app)
-            self.progress(f"recording {self.crash_app} with checkpoints "
-                          "for worker-crash trials")
-            metrics, checkpoints = record_with_checkpoints(
-                spec, seed=self.seed, scheduler=self.scheduler)
-            if not checkpoints:
+            self.progress(f"flight-recording {self.crash_app} for "
+                          "worker-crash trials")
+            trace = self.record_run(
+                spec, bench_config(VidiConfig.r2, flight_recorder=True,
+                                   flight_anchor_stride=SHARD_ANCHOR_STRIDE),
+                seed=self.seed).result["trace"]
+            if not trace.anchors:
                 self._crash_reference = (None,)
             else:
-                clean = replay_sharded(spec, metrics.result["trace"],
-                                       checkpoints, segments=3, jobs=2,
+                clean = replay_sharded(spec, trace, segments=3, jobs=2,
                                        scheduler=self.scheduler)
-                self._crash_reference = (
-                    spec, metrics, checkpoints,
-                    bytes(clean.validation.body))
+                self._crash_reference = (spec, trace,
+                                         bytes(clean.validation.body))
         if len(self._crash_reference) == 1:
             return None
         return self._crash_reference
@@ -407,11 +406,12 @@ def run_campaign(app: str = "sha256", n_faults: int = 200, seed: int = 0,
     """Run a seeded fault campaign; see the module docstring for verdicts.
 
     ``app`` hosts the cheap per-trial record/replay faults; ``crash_app``
-    (which must yield checkpoints — DRAM-heavy apps do) hosts the sharded
-    worker-crash trials. The same ``(app, n_faults, seed)`` triple
-    reproduces the identical campaign, fault for fault. ``scheduler``
-    selects the simulation kernel every trial runs on (``None`` defers to
-    ``REPRO_SIM_SCHEDULER`` and then the simulator default).
+    (whose flight recording must carry anchors — DRAM-heavy apps do)
+    hosts the sharded worker-crash trials. The same ``(app, n_faults,
+    seed)`` triple reproduces the identical campaign, fault for fault.
+    ``scheduler`` selects the simulation kernel every trial runs on
+    (``None`` defers to ``REPRO_SIM_SCHEDULER`` and then the simulator
+    default).
 
     ``batch_size`` > 1 packs the simulation-layer trials' faulted record
     legs — same app and seed, differing only by fault plan — into

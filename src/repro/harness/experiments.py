@@ -29,6 +29,7 @@ from repro.harness.runner import (
     OverheadStats,
     SweepCell,
     bench_config,
+    record_run,
     replay_run,
     run_cells,
     run_divergence_cell,
@@ -405,7 +406,7 @@ def render_case_testing(outcome: Dict[str, object]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Replay time warp + checkpoint-sharded parallel replay
+# Replay time warp + anchor-sharded parallel replay
 # ----------------------------------------------------------------------
 
 
@@ -418,7 +419,7 @@ class TimeWarpRow:
     warped_cycles: int
     percycle_cps: float          # simulated cycles/sec, warp disabled
     warp_cps: float              # simulated cycles/sec, warp enabled
-    segments: int                # checkpoint shards the trace split into
+    segments: int                # anchor shards the trace split into
     critical_path_cycles: int    # slowest shard (parallel wall-clock)
     identical: bool              # warp + stitched bodies == per-cycle body
 
@@ -447,23 +448,22 @@ def run_time_warp(apps: Sequence[str] = ("sha256", "dram_dma", "bnn"),
                   jobs: Optional[int] = None) -> List[TimeWarpRow]:
     """Measure replay acceleration: quiescent-gap skipping and sharding.
 
-    Records each app once (harvesting checkpoints), replays the trace
-    per-cycle and with time warp (wall-clock timed), then replays it
-    sharded at checkpoint boundaries and verifies all three validation
-    traces are byte-identical.
+    Flight-records each app once at the shard anchor stride, replays the
+    trace per-cycle and with time warp (wall-clock timed), then replays it
+    sharded at its ANCHOR frames and verifies all three validation traces
+    are byte-identical.
     """
     import time
 
-    from repro.harness.sharded_replay import (
-        record_with_checkpoints,
-        replay_sharded,
-    )
+    from repro.harness.sharded_replay import (SHARD_ANCHOR_STRIDE,
+                                              replay_sharded)
 
+    config = bench_config(VidiConfig.r2, flight_recorder=True,
+                          flight_anchor_stride=SHARD_ANCHOR_STRIDE)
     rows: List[TimeWarpRow] = []
     for key in apps:
         spec = get_app(key)
-        metrics, checkpoints = record_with_checkpoints(spec, seed=seed)
-        trace = metrics.result["trace"]
+        trace = record_run(spec, config, seed=seed).result["trace"]
 
         t0 = time.perf_counter()
         percycle = replay_run(spec, trace, time_warp=False)
@@ -471,8 +471,7 @@ def run_time_warp(apps: Sequence[str] = ("sha256", "dram_dma", "bnn"),
         t0 = time.perf_counter()
         warp = replay_run(spec, trace, time_warp=True)
         warp_s = time.perf_counter() - t0
-        sharded = replay_sharded(spec, trace, checkpoints,
-                                 segments=segments, jobs=jobs)
+        sharded = replay_sharded(spec, trace, segments=segments, jobs=jobs)
 
         reference_body = bytes(percycle.result["validation"].body)
         identical = (
@@ -503,11 +502,11 @@ def render_time_warp(rows: Sequence[TimeWarpRow]) -> str:
         "yes" if row.identical else "NO",
     ] for row in rows]
     note = ("(skip% = replay cycles bridged by quiescent-gap warps; shard = "
-            "replay-cycle reduction from checkpoint-sharded parallel replay; "
+            "replay-cycle reduction from anchor-sharded parallel replay; "
             "identical = per-cycle, warped and stitched validation traces "
             "agree byte-for-byte)")
     return render_table(
-        "Replay acceleration: time warp and checkpoint sharding",
+        "Replay acceleration: time warp and anchor sharding",
         ["App", "Cycles", "Skip%", "Warp", "Shards", "Shard", "Identical"],
         body) + "\n" + note
 

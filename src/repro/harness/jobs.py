@@ -10,10 +10,10 @@ CLI uses them as argparse ``dest``s and :func:`check_job` validates every
 job against them, at daemon submit time and again before it runs.
 
 ``record`` returns the trace blob's SHA-256 and record metrics (with
-``save_to`` it also writes the blob; ``inject`` arms a fault plan,
-``checkpoints`` harvests quiescent checkpoints for sharded replay);
-``replay`` replays ``trace_path``, sharded across ``jobs`` workers when
-asked, and returns the verdict and the validation digest;
+``save_to`` it also writes the blob; ``inject`` arms a fault plan);
+``replay`` replays ``trace_path``, sharded across ``jobs`` workers at the
+flight trace's ANCHOR frames when asked, and returns the verdict and the
+validation digest;
 ``divergence`` records then replays; ``salvage`` reports what survives
 of a damaged container; ``campaign`` returns every fault trial's
 verdict, a digest over them and the rendered report.
@@ -40,10 +40,10 @@ _INJECT = {"inject": str, "inject_seed": int}
 
 JOB_PARAMS: Dict[str, Dict[str, type]] = {
     "record": {**_RECORDING, **_INJECT, "save_to": str, "compress": bool,
-               "profile": bool, "checkpoints": str},
+               "profile": bool},
     "replay": {"app": str, "trace_path": str, "scheduler": str,
                "salvage": bool, "no_time_warp": bool, "jobs": int,
-               "checkpoints": str, **_INJECT},
+               **_INJECT},
     "divergence": _RECORDING,
     "salvage": {"trace_path": str, "save_to": str},
     "campaign": {"app": str, "n_faults": int, "seed": int, "crash_app": str,
@@ -55,14 +55,8 @@ JOB_KINDS = tuple(JOB_PARAMS)
 _REQUIRED = {"record": ("app",), "replay": ("app", "trace_path"),
              "divergence": ("app",), "salvage": ("trace_path",)}
 _RECORD_CONFLICTS = (
-    ("flight_recorder", "checkpoints", "the flight recorder embeds "
-     "checkpoints in its ANCHOR frames; checkpoints cannot combine with it"),
     ("flight_recorder", "compress", "compress applies to v1/v2 containers; "
      "flight recordings are already block-compressed (v3)"),
-    ("inject", "checkpoints", "inject and checkpoints cannot combine (both "
-     "hook the recording deployment)"),
-    ("profile", "checkpoints", "profile and checkpoints cannot combine "
-     "(checkpoint harvesting records without the kernel profiler)"),
 )
 
 
@@ -91,11 +85,8 @@ def check_job(kind: str, params: Dict[str, Any]) -> None:
     for a, b, message in _RECORD_CONFLICTS if kind == "record" else ():
         if params.get(a) and params.get(b):
             raise JobParamError(message)
-    sharded = kind == "replay" and params.get("jobs", 0) > 1
-    if sharded and not params.get("checkpoints"):
-        raise JobParamError("sharded replay (jobs > 1) needs the checkpoints "
-                            "written by `record --checkpoints`")
-    if kind == "replay" and not sharded and params.get("inject"):
+    if (kind == "replay" and params.get("inject")
+            and params.get("jobs", 0) <= 1):
         raise JobParamError("inject on replay arms worker-crash faults, "
                             "which need sharded mode (jobs > 1)")
 
@@ -113,11 +104,9 @@ def _injector(params: Dict[str, Any]):
                                    seed=params.get("inject_seed", 0))
 
 
-def _record(params: Dict[str, Any], out: Dict[str, Any], run=None,
-            **kwargs):
-    """``(spec, run(spec, config, ...))`` for the recording ``params``
-    select, ``run`` defaulting to :func:`~repro.harness.runner.record_run`;
-    notes the app and seed in ``out``.
+def _record(params: Dict[str, Any], out: Dict[str, Any], **kwargs):
+    """``(spec, record_run(spec, config, ...))`` for the recording
+    ``params`` select; notes the app and seed in ``out``.
     """
     from repro.apps.registry import get_app
     from repro.core import VidiConfig
@@ -128,7 +117,7 @@ def _record(params: Dict[str, Any], out: Dict[str, Any], run=None,
     if params.get("flight_recorder"):
         flight = {k: v for k, v in params.items() if k.startswith("flight_")}
     out.update(app=spec.key, label=spec.label, seed=params.get("seed", 0))
-    return spec, (run or record_run)(
+    return spec, record_run(
         spec, bench_config(VidiConfig.r2, **flight), seed=out["seed"],
         scale=params.get("scale"), scheduler=params.get("scheduler"),
         **kwargs)
@@ -174,18 +163,9 @@ def _load(params: Dict[str, Any], salvage: bool, out: Dict[str, Any]):
 def _job_record(params: Dict[str, Any], progress) -> Dict[str, Any]:
     out: Dict[str, Any] = {"kind": "record"}
     injector = _injector(params)
-    if params.get("checkpoints"):
-        from repro.harness.sharded_replay import (record_with_checkpoints,
-                                                  save_checkpoints)
-
-        _, (metrics, checkpoints) = _record(params, out,
-                                            run=record_with_checkpoints)
-        save_checkpoints(params["checkpoints"], checkpoints)
-        out["checkpoints"] = len(checkpoints)
-    else:
-        _, metrics = _record(
-            params, out, profile=params.get("profile", False),
-            before_run=injector.arm_recording if injector else None)
+    _, metrics = _record(
+        params, out, profile=params.get("profile", False),
+        before_run=injector.arm_recording if injector else None)
     trace = metrics.result["trace"]
     if params.get("flight_recorder"):
         # The retained ring as a real v3 container: every surviving
@@ -219,14 +199,13 @@ def _job_replay(params: Dict[str, Any], progress) -> Dict[str, Any]:
     trace = _load(params, params.get("salvage", False), out)
     if params.get("jobs", 0) <= 1:
         return _replay(spec, trace, params, out)
-    from repro.harness.sharded_replay import load_checkpoints, replay_sharded
+    from repro.harness.sharded_replay import replay_sharded
     from repro.harness.worker_pool import shutdown_pool
 
     injector = _injector(params)
     try:
         result = replay_sharded(
-            spec, trace, load_checkpoints(params["checkpoints"]),
-            jobs=params["jobs"], injector=injector,
+            spec, trace, jobs=params["jobs"], injector=injector,
             time_warp=False if params.get("no_time_warp") else None,
             scheduler=params.get("scheduler"))
     finally:

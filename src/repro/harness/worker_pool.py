@@ -1,6 +1,6 @@
 """Process-persistent warm worker pool: the harness's only process pool.
 
-Every parallel frontend — ``run_cells`` sweeps, checkpoint-sharded
+Every parallel frontend — ``run_cells`` sweeps, anchor-sharded
 replay, campaign crash trials and the trace-service daemon's job queue —
 dispatches through one module-level pool that lives as long as the
 process, so worker start-up, ``repro`` import and kernel compilation are

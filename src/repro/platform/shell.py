@@ -150,9 +150,19 @@ class F1Deployment:
         since the last anchor, snapshot the architectural state, queue an
         ANCHOR frame at the exact packet-stream watermark, and reset the
         encoder's dedup dictionary so the new epoch is self-contained.
-        All of this is host-side bookkeeping — it never stalls or reorders
-        the simulated design, so flight recordings are timing-identical
-        regardless of how often anchoring succeeds.
+
+        The snapshot and the framing take no simulated cycles, but the
+        anchor stride does change record timing. Each dedup reset makes
+        the packet stream longer, and that extra store traffic shares
+        PCIe with the application. dram_dma seed 5 has 0 store stall
+        cycles, yet it records 19,273 / 19,342 / 19,532 / 19,856 cycles
+        at strides 2048 / 512 / 256 / 64. Its stream grows from 337,385
+        to 349,404 bytes at stride 64, and at stride <= 256 the packet
+        stream itself differs. With anchoring disabled every stride
+        gives 19,273 cycles, so the chunked probing below is neutral. The
+        retention budget does not perturb timing either: 65,536 and
+        4,096 words give the same cycles. Compare flight recordings only
+        at equal strides.
 
         The probe is *not* installed as a per-cycle hook: cycle hooks cost
         a Python call on every simulated cycle and disable the schedulers'

@@ -7,8 +7,8 @@ command builds one job and runs it here through
 :func:`repro.harness.jobs.execute_job`; ``vidi submit <kind>`` takes the
 same arguments and runs the job on a daemon::
 
-    vidi record dram_dma -o d.trace --seed 7 --checkpoints d.ckpt
-    vidi replay dram_dma d.trace --jobs 4 --checkpoints d.ckpt
+    vidi record dram_dma -o d.trace --flight-recorder --anchor-stride 64
+    vidi replay dram_dma d.trace --jobs 4   # shards cut at ANCHOR frames
     vidi record sha256 -o f.trace --flight-recorder --retain-words 4096
     vidi record sha256 -o bad.trace --inject 'store-bitflip:flips=2'
     vidi replay sha256 bad.trace --salvage
@@ -295,9 +295,6 @@ def cmd_run(args) -> int:
 
 
 def _show_record(result: dict, params: dict) -> None:
-    if "checkpoints" in result:
-        print(f"harvested {result['checkpoints']} quiescent checkpoint(s) "
-              f"-> {params['checkpoints']}")
     for entry in result.get("faults", ()):
         print(f"fault: {entry}")
     print(f"recorded {result['label']}: {result['cycles']} cycles, "
@@ -457,7 +454,8 @@ def _recording_args(parser: argparse.ArgumentParser) -> None:
             ("--retain-words", "ring retention budget in 64-byte words"),
             ("--dedup-slots", "content-dedup dictionary capacity"),
             ("--compress-level", "zlib level for the ring's RUN frames"),
-            ("--anchor-stride", "cycles between re-anchor attempts")):
+            ("--anchor-stride", "cycles between re-anchor attempts "
+             "(anchors are sharded replay's cut points)")):
         parser.add_argument(flag, type=int, metavar="N", help=text,
                             dest="flight_" + flag[2:].replace("-", "_"))
 
@@ -469,9 +467,6 @@ def _record_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--compress", action="store_true")
     parser.add_argument("--profile", action="store_true",
                         help="report per-module comb/seq kernel time shares")
-    parser.add_argument("--checkpoints", metavar="PATH",
-                        help="also harvest quiescent checkpoints to this "
-                        "sidecar file (enables sharded replay)")
     _add_inject(parser, "arm a fault plan while recording, e.g. "
                 "'store-bitflip:flips=2;channel-stall:cycles=200'")
 
@@ -480,10 +475,9 @@ def _replay_args(parser: argparse.ArgumentParser) -> None:
     _add_positional(parser, "app", "registry key of the application")
     _add_positional(parser, "trace_path", "trace file")
     parser.add_argument("--jobs", type=int, metavar="N",
-                        help="checkpoint-sharded parallel replay across N "
-                        "worker processes (needs --checkpoints)")
-    parser.add_argument("--checkpoints", metavar="PATH",
-                        help="sidecar written by `record --checkpoints`")
+                        help="parallel replay across N worker processes, "
+                        "cut at the flight trace's ANCHOR frames (a trace "
+                        "without anchors replays as one segment)")
     parser.add_argument("--no-time-warp", action="store_true",
                         help="disable quiescent-gap skipping")
     parser.add_argument("--salvage", action="store_true",
@@ -502,8 +496,9 @@ def _salvage_args(parser: argparse.ArgumentParser) -> None:
 def _campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--app", help="app hosting the per-trial "
                         "record/replay faults (default sha256)")
-    parser.add_argument("--crash-app", help="checkpoint-yielding app for "
-                        "worker-crash trials (default dram_dma)")
+    parser.add_argument("--crash-app", help="app whose flight recording "
+                        "is sharded for worker-crash trials (default "
+                        "dram_dma)")
     parser.add_argument("--faults", type=int, dest="n_faults",
                         help="fault count (default 200)")
     parser.add_argument("--seed", type=int)

@@ -6,8 +6,8 @@
 * parity — every kind run inline and through a daemon, both via the CLI,
   gives the same result (record bytes, replay validation digest and
   verdict, divergence, salvage, campaign trials digest);
-* the run flags' CLI paths: flight recorder, fault injection, checkpoint
-  sharding and the kernel profile;
+* the run flags' CLI paths: flight recorder, fault injection, sharding
+  at flight anchors and the kernel profile;
 * the service edges: params validated at submit time (HTTP 400, nothing
   queued) and ``wait`` answered server-side in one request.
 """
@@ -60,23 +60,22 @@ def test_run_commands_are_the_job_kinds_and_take_every_param():
 ARGV = {
     "record": (["sha256", "-o", "r.trace", "--seed", "3", "--scale", "0.5",
                 "--scheduler", "event", "--compress", "--profile",
-                "--checkpoints", "r.ckpt", "--inject", "store-bitflip",
+                "--inject", "store-bitflip",
                 "--inject-seed", "4", "--flight-recorder",
                 "--retain-words", "64", "--dedup-slots", "16",
                 "--compress-level", "1", "--anchor-stride", "128"],
                {"app": "sha256", "save_to": "r.trace", "seed": 3,
                 "scale": 0.5, "scheduler": "event", "compress": True,
-                "profile": True, "checkpoints": "r.ckpt",
+                "profile": True,
                 "inject": "store-bitflip", "inject_seed": 4,
                 "flight_recorder": True, "flight_retain_words": 64,
                 "flight_dedup_slots": 16, "flight_compress_level": 1,
                 "flight_anchor_stride": 128}),
-    "replay": (["dram_dma", "d.trace", "--jobs", "2", "--checkpoints",
-                "d.ckpt", "--no-time-warp", "--salvage", "--inject",
-                "worker-crash", "--inject-seed", "1", "--scheduler",
-                "compiled"],
+    "replay": (["dram_dma", "d.trace", "--jobs", "2", "--no-time-warp",
+                "--salvage", "--inject", "worker-crash", "--inject-seed",
+                "1", "--scheduler", "compiled"],
                {"app": "dram_dma", "trace_path": "d.trace", "jobs": 2,
-                "checkpoints": "d.ckpt", "no_time_warp": True,
+                "no_time_warp": True,
                 "salvage": True, "inject": "worker-crash", "inject_seed": 1,
                 "scheduler": "compiled"}),
     "divergence": (["bnn", "--seed", "9", "--flight-recorder"],
@@ -99,9 +98,8 @@ def test_inline_and_submit_build_identical_params(kind):
     inline = _job_params(kind, parser.parse_args([kind] + argv))
     submitted = _job_params(kind, parser.parse_args(["submit", kind] + argv))
     assert inline == submitted == expected
-    if kind == "record":      # drop the flags that conflict with flight
-        expected = {k: v for k, v in expected.items()
-                    if k not in ("checkpoints", "profile", "compress")}
+    if kind == "record":      # drop the flag that conflicts with flight
+        expected = {k: v for k, v in expected.items() if k != "compress"}
     check_job(kind, expected)
 
 
@@ -139,11 +137,11 @@ INVALID = [
     ("record", {"app": "sha256", "flight_recorder": True, "compress": True},
      "block-compressed"),
     ("record", {"app": "sha256", "flight_recorder": True,
-                "checkpoints": "c"}, "ANCHOR frames"),
-    ("record", {"app": "sha256", "inject": "store-bitflip",
-                "checkpoints": "c"}, "inject and checkpoints"),
-    ("replay", {"app": "sha256", "trace_path": "t", "jobs": 2},
-     "needs the checkpoints"),
+                "checkpoints": "c"}, "unknown record job param"),
+    ("record", {"app": "sha256", "checkpoints": "c"},
+     "unknown record job param"),
+    ("replay", {"app": "sha256", "trace_path": "t", "jobs": 2,
+                "checkpoints": "c"}, "unknown replay job param"),
     ("replay", {"app": "sha256", "trace_path": "t",
                 "inject": "worker-crash"}, "need sharded mode"),
     ("campaign", {"n_faults": 2.5}, "must be int"),
@@ -300,20 +298,27 @@ def test_inject_then_salvaging_replay(tmp_path, capsys):
     assert "salvaged" in capsys.readouterr().out
 
 
-def test_checkpoints_shard_replay_across_two_workers(tmp_path, capsys):
-    trace, ckpt = tmp_path / "d.trace", tmp_path / "d.ckpt"
+def test_flight_trace_shards_across_two_workers(tmp_path, capsys):
+    trace = tmp_path / "d.trace"
     assert main(["record", "dram_dma", "-o", str(trace), "--scale", "0.5",
-                 "--checkpoints", str(ckpt)]) == 0
-    assert "quiescent checkpoint(s)" in capsys.readouterr().out
+                 "--flight-recorder", "--anchor-stride", "64"]) == 0
+    capsys.readouterr()
     assert main(["replay", "dram_dma", str(trace)]) == 0
     sequential = capsys.readouterr().out.splitlines()[-1]
-    assert main(["replay", "dram_dma", str(trace), "--jobs", "2",
-                 "--checkpoints", str(ckpt)]) == 0
+    assert main(["replay", "dram_dma", str(trace), "--jobs", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "2 segment(s)" in out[0]
     assert out[-1] == sequential
-    assert main(["replay", "dram_dma", str(trace), "--jobs", "2"]) == 2
-    assert "needs the checkpoints" in capsys.readouterr().err
+    flat = tmp_path / "flat.trace"        # v2: no anchors, one segment
+    TraceFile.load(trace).save(flat)
+    assert main(["replay", "dram_dma", str(flat), "--jobs", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "1 segment(s)" in out[0] and out[-1] == sequential
+    torn = tmp_path / "torn.trace"
+    torn.write_bytes(trace.read_bytes()[:-4096])
+    assert main(["replay", "dram_dma", str(torn), "--salvage",
+                 "--jobs", "2"]) == 0
+    assert "2 segment(s)" in capsys.readouterr().out
 
 
 def test_profile_prints_kernel_shares(tmp_path, capsys):

@@ -364,8 +364,11 @@ class TestFlightRecorderEndToEnd:
         from repro.harness.runner import bench_config, record_run
 
         spec = get_app("dram_dma")
+        # Equal anchor strides: the stride changes record timing (each
+        # anchor resets the dedup dictionary), so only retention differs.
         full = record_run(
-            spec, bench_config(VidiConfig.r2, flight_recorder=True),
+            spec, bench_config(VidiConfig.r2, flight_recorder=True,
+                               flight_anchor_stride=512),
             seed=self.SEED)
         small = record_run(
             spec, bench_config(VidiConfig.r2, flight_recorder=True,

@@ -1,18 +1,15 @@
-"""Tests for checkpoint-sharded parallel replay."""
+"""Tests for anchor-sharded parallel replay."""
 
 import pytest
 
 from repro.apps.registry import get_app
-from repro.core import compare_traces
-from repro.core.checkpoint import Checkpoint
+from repro.core import TraceFile, VidiConfig, compare_traces
 from repro.errors import ConfigError
-from repro.harness.runner import replay_run
+from repro.harness.runner import bench_config, record_run, replay_run
 from repro.harness.sharded_replay import (
-    load_checkpoints,
+    SHARD_ANCHOR_STRIDE,
     plan_shards,
-    record_with_checkpoints,
     replay_sharded,
-    save_checkpoints,
 )
 
 
@@ -21,40 +18,67 @@ def _always_dies(cell):
     raise RuntimeError("persistent fault")
 
 
+def _flight_record(spec, seed, **overrides):
+    config = bench_config(VidiConfig.r2, flight_recorder=True,
+                          flight_anchor_stride=SHARD_ANCHOR_STRIDE,
+                          **overrides)
+    return record_run(spec, config, seed=seed)
+
+
+def _assert_shards_like_sequential(spec, trace, segments=3):
+    result = replay_sharded(spec, trace, segments=segments)
+    assert result.segments == segments
+    sequential = replay_run(spec, trace)
+    assert bytes(result.validation.body) == \
+        bytes(sequential.result["validation"].body)
+
+
 @pytest.fixture(scope="module")
 def recorded():
-    """One DRAM-DMA recording with harvested checkpoints plus its
+    """One DRAM-DMA flight recording at the shard anchor stride plus its
     sequential replay — the reference every sharded variant must match."""
     spec = get_app("dram_dma")
-    metrics, checkpoints = record_with_checkpoints(spec, seed=5)
+    metrics = _flight_record(spec, seed=5)
     trace = metrics.result["trace"]
     sequential = replay_run(spec, trace)
-    return spec, trace, checkpoints, sequential
+    return spec, metrics, trace, sequential
 
 
-class TestRecordWithCheckpoints:
-    def test_harvests_quiescent_checkpoints(self, recorded):
-        _spec, trace, checkpoints, _seq = recorded
-        assert checkpoints
+class TestAnchorShardPoints:
+    def test_anchors_are_in_body_shard_points(self, recorded):
+        _spec, metrics, trace, _seq = recorded
+        assert len(trace.anchors) >= 2
         n = trace.packet_count
-        for ordinal, checkpoint in checkpoints.items():
-            assert 0 < ordinal <= n
-            assert checkpoint.cycle > 0
-            assert checkpoint.dram_words
+        for ordinal, anchor in trace.anchors.items():
+            assert 0 < ordinal < n
+            assert anchor["ordinal"] == ordinal     # window starts at 0
+            assert anchor["checkpoint"]["dram_words"]
+            assert anchor["cycle"] > 0
+        loaded = TraceFile.from_bytes(metrics.result["flight_blob"])
+        assert loaded.anchors == trace.anchors
 
-    def test_metrics_match_plain_record(self, recorded):
-        """The harvesting hook must not perturb the recorded execution."""
-        from repro.harness.runner import bench_config, record_run
-        from repro.core import VidiConfig
+    def test_wrapped_window(self, recorded):
+        """The first shard restores the window's own anchor (at this
+        retention the window's first packets read DRAM written before
+        it, so a shard that skips the restore replays them wrong)."""
+        spec = recorded[0]
+        trace = _flight_record(spec, seed=5, flight_retain_words=3072
+                               ).result["trace"]
+        assert trace.metadata["ring"]["ordinal"] > 0
+        assert len(trace.anchors) >= 2
+        _assert_shards_like_sequential(spec, trace)
 
-        spec, trace, _checkpoints, _seq = recorded
-        plain = record_run(spec, bench_config(VidiConfig.r2), seed=5)
-        assert bytes(plain.result["trace"].body) == bytes(trace.body)
+    def test_salvaged_torn_container(self, recorded):
+        spec, metrics, _trace, _seq = recorded
+        blob = metrics.result["flight_blob"]
+        torn = TraceFile.from_bytes(blob[:len(blob) * 2 // 3], salvage=True)
+        assert torn.salvaged and len(torn.anchors) >= 2
+        _assert_shards_like_sequential(spec, torn)
 
 
 class TestPlanShards:
-    CPS = {10: Checkpoint(cycle=1), 20: Checkpoint(cycle=2),
-           30: Checkpoint(cycle=3)}
+    CPS = {k: {"ordinal": k, "cycle": k, "checkpoint": {}}
+           for k in (10, 20, 30)}
 
     def test_single_segment_needs_no_checkpoint(self):
         assert plan_shards(40, self.CPS, 1) == [(0, 40, None)]
@@ -86,16 +110,16 @@ class TestPlanShards:
 class TestShardedReplay:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_stitched_identical_to_sequential(self, recorded, jobs):
-        spec, trace, checkpoints, sequential = recorded
-        result = replay_sharded(spec, trace, checkpoints,
-                                segments=max(jobs, 2), jobs=jobs)
+        spec, _metrics, trace, sequential = recorded
+        result = replay_sharded(spec, trace, segments=max(jobs, 2),
+                                jobs=jobs)
         assert result.segments >= 2
         reference = sequential.result["validation"]
         assert bytes(result.validation.body) == bytes(reference.body)
 
     def test_divergence_verdicts_identical(self, recorded):
-        spec, trace, checkpoints, sequential = recorded
-        result = replay_sharded(spec, trace, checkpoints, segments=3)
+        spec, _metrics, trace, sequential = recorded
+        result = replay_sharded(spec, trace, segments=3)
         sharded_report = compare_traces(trace, result.validation)
         reference_report = compare_traces(
             trace, sequential.result["validation"])
@@ -105,15 +129,15 @@ class TestShardedReplay:
              for d in reference_report.divergences]
 
     def test_segments_cut_replay_critical_path(self, recorded):
-        spec, trace, checkpoints, sequential = recorded
-        result = replay_sharded(spec, trace, checkpoints, segments=3)
+        spec, _metrics, trace, sequential = recorded
+        result = replay_sharded(spec, trace, segments=3)
         assert result.segments == 3
         assert result.critical_path_cycles < sequential.cycles
 
     def test_per_cycle_shards_also_identical(self, recorded):
         """Sharding composes with the warp switch in either position."""
-        spec, trace, checkpoints, sequential = recorded
-        result = replay_sharded(spec, trace, checkpoints, segments=2,
+        spec, _metrics, trace, sequential = recorded
+        result = replay_sharded(spec, trace, segments=2,
                                 time_warp=False)
         assert bytes(result.validation.body) == \
             bytes(sequential.result["validation"].body)
@@ -126,10 +150,10 @@ class TestCrashRecovery:
     def test_single_crash_recovers_bit_identically(self, recorded):
         from repro.faults import FaultInjector, FaultPlan
 
-        spec, trace, checkpoints, sequential = recorded
+        spec, _metrics, trace, sequential = recorded
         injector = FaultInjector(
             FaultPlan.single("worker-crash", seed=1, crashes=1))
-        result = replay_sharded(spec, trace, checkpoints, segments=3,
+        result = replay_sharded(spec, trace, segments=3,
                                 jobs=2, retries=2, injector=injector)
         assert any("worker-crash" in entry for entry in injector.log)
         assert bytes(result.validation.body) == \
@@ -140,10 +164,10 @@ class TestCrashRecovery:
         inline fallback) reconstruct the full validation trace."""
         from repro.faults import FaultInjector, FaultPlan
 
-        spec, trace, checkpoints, sequential = recorded
+        spec, _metrics, trace, sequential = recorded
         injector = FaultInjector(
             FaultPlan.single("worker-crash", seed=2, crashes=99))
-        result = replay_sharded(spec, trace, checkpoints, segments=3,
+        result = replay_sharded(spec, trace, segments=3,
                                 jobs=2, retries=2, injector=injector)
         assert bytes(result.validation.body) == \
             bytes(sequential.result["validation"].body)
@@ -157,10 +181,3 @@ class TestCrashRecovery:
         with pytest.raises(ShardReplayError):
             run_cells([1, 2], _always_dies, jobs=2, retries=1)
 
-
-class TestCheckpointSidecar:
-    def test_save_load_round_trip(self, recorded, tmp_path):
-        _spec, _trace, checkpoints, _seq = recorded
-        path = tmp_path / "trace.ckpt"
-        save_checkpoints(path, checkpoints)
-        assert load_checkpoints(path) == checkpoints
