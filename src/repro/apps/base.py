@@ -71,8 +71,12 @@ class Accelerator(Module):
         self._dma_blocked = False
         self._resume_value: Any = None
         # seq() returns immediately while no kernel invocation is live
-        # (before the doorbell and after completion).
-        self.seq_idle_when(("none", "_kernel"))
+        # (before the doorbell and after completion). The guard describes
+        # this class's seq(): a subclass that overrides seq() declares its
+        # own guard, or none.
+        if type(self).seq is Accelerator.seq:
+            self.seq_idle_when(("none", "_kernel"))
+        self.kernel_steps = 0     # kernel advances (replay watchdog progress)
         self.kernels_completed = 0
         self.busy_cycles = 0
         self.doorbell_count = 0
@@ -143,6 +147,7 @@ class Accelerator(Module):
             return
         if self._dma_blocked:
             return
+        self.kernel_steps += 1
         try:
             request = self._kernel.send(self._resume_value)
         except StopIteration:
@@ -173,6 +178,11 @@ class Accelerator(Module):
             self.ddr.dma_read(addr, n_words, on_complete=self._dma_done_read)
         else:
             raise SimulationError(f"{self.name}: kernel yielded {request!r}")
+
+    @property
+    def computing(self) -> bool:
+        """A kernel invocation is live and not waiting on a DMA completion."""
+        return self._kernel is not None and not self._dma_blocked
 
     def next_wake(self, cycle):
         if self._kernel is None:
@@ -216,6 +226,7 @@ class Accelerator(Module):
         self._budget = 0
         self._dma_blocked = False
         self._resume_value = None
+        self.kernel_steps = 0
         self.kernels_completed = 0
         self.busy_cycles = 0
         self.doorbell_count = 0

@@ -138,11 +138,13 @@ class TraceMutator:
     def build(self, metadata: Optional[dict] = None) -> TraceFile:
         """Serialize the mutated packets into a new trace.
 
-        The result is an ordinary :class:`TraceFile`: serializing it (v2)
+        The result is an ordinary :class:`TraceFile`: serializing it
         computes fresh CRC32 frames over the *mutated* content, so a
         semantic mutation always yields a self-consistent container —
         mutants are distinguishable from corruption, which breaks the
-        frames (see :func:`corrupt_frame`).
+        frames (see :func:`corrupt_v3_frame`). It carries no
+        :attr:`~TraceFile.anchors`: a mutation moves packet ordinals, so
+        the source trace's resume points no longer hold.
         """
         meta = dict(self.trace.metadata)
         meta.update(metadata or {})
@@ -157,7 +159,7 @@ class TraceMutator:
 # ----------------------------------------------------------------------
 
 FRAME_REGIONS = ("magic", "length", "header", "body", "footer")
-"""The v2 container regions :func:`corrupt_frame` can target."""
+"""The legacy v2 container regions :func:`corrupt_frame` can target."""
 
 V3_FRAME_REGIONS = ("magic", "length", "header", "run", "anchor",
                     "truncate", "backref")
@@ -175,14 +177,15 @@ catch it."""
 
 def corrupt_frame(blob: bytes, rng, region: Optional[str] = None
                   ) -> Tuple[str, bytes]:
-    """Flip one random bit of a v2 container *without* fixing its CRCs.
+    """Flip one random bit of a legacy v2 container *without* fixing its
+    CRCs.
 
     The dual of :class:`TraceMutator`: where semantic mutations re-frame
     cleanly, this damages the frame itself — magic, declared lengths,
     CRC-protected header/body bytes, or the footer (body length + CRC).
     Returns ``(description, damaged blob)``. Every such mutant must be
     *rejected* by :meth:`TraceFile.from_bytes`; one that loads silently
-    is a framing hole (the property ``tools/fuzz.fuzz_frames`` checks).
+    is a framing hole.
     """
     from repro.core.trace_file import _MAGIC_V2, _FOOTER_V2, _PREAMBLE_V2
 

@@ -6,12 +6,17 @@ mutation). The header carries everything needed to interpret the body:
 the channel table (names, directions, content lengths), whether output
 contents were recorded, and free-form metadata (application name, workload
 seed, run configuration).
+
+Every writer emits the v3 frame container (docs/TRACE_FORMAT.md): the
+flight recorder's ring store, the trace service's streamer and
+:meth:`TraceFile.to_bytes` alike. The v1 and v2 containers are read-only
+legacy formats: :meth:`TraceFile.from_bytes` still loads and salvages
+them, nothing writes them.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,20 +29,18 @@ from repro.core.packets import (DEFAULT_DEDUP_SLOTS, CyclePacket, DedupDict,
                                 scan_packet_prefix, serialize_packets)
 from repro.errors import TraceFormatError, TraceIntegrityError
 
-_MAGIC = b"VIDITRC1"
-_MAGIC_V2 = b"VIDITRC2"
+_MAGIC = b"VIDITRC1"      # legacy, read-only
+_MAGIC_V2 = b"VIDITRC2"   # legacy, read-only
 _MAGIC_V3 = b"VIDITRC3"
-# v2 container framing (docs/TRACE_FORMAT.md): magic(8) + header_len(8) +
+# v2 container framing (legacy, read-only): magic(8) + header_len(8) +
 # header_crc32(4) + header + body + footer[body_len(8) + body_crc32(4)].
 # Header and body are independently CRC32-framed so any at-rest corruption
-# is caught before bytes reach the decoder; the footer trails the body so a
-# streaming writer can append packets without knowing the final length —
-# a crash before the footer lands leaves a salvageable prefix.
+# is caught before bytes reach the decoder; a blob torn before its footer
+# leaves a salvageable packet prefix.
 _PREAMBLE_V2 = 8 + 8 + 4
 _FOOTER_V2 = 8 + 4
-DEFAULT_FORMAT_VERSION = 2
 
-# --- v3 flight-recorder framing (docs/TRACE_FORMAT.md) -----------------
+# --- v3 frame container (docs/TRACE_FORMAT.md) --------------------------
 # Same preamble/header as v2, but the body is a sequence of CRC-framed
 # *frames* instead of a raw packet stream:
 #
@@ -82,18 +85,6 @@ def encode_frame(kind: int, payload: bytes) -> bytes:
         zlib.crc32(payload).to_bytes(4, "little"),
         payload,
     ])
-
-
-def encode_run_frame(raw: "bytes | bytearray",
-                     level: int = DEFAULT_V3_COMPRESS_LEVEL) -> bytes:
-    """A RUN frame holding ``raw`` stream bytes as a standalone zlib body.
-
-    Writers that emit several RUN frames per epoch should instead share
-    one ``zlib.compressobj`` cut at ``Z_SYNC_FLUSH`` boundaries (see
-    :class:`~repro.core.trace_ring.RingTraceStore`) so the compression
-    window spans frames; the decoder accepts both forms.
-    """
-    return encode_frame(FRAME_RUN, zlib.compress(bytes(raw), level))
 
 
 _WORD_MAP_KEYS = ("dram_words", "registers", "host_words")
@@ -144,6 +135,17 @@ def encode_end_frame() -> bytes:
     return encode_frame(FRAME_END, b"")
 
 
+def _run_frames(stream: bytearray) -> List[bytes]:
+    """One epoch's RUN frames: a single DEFLATE stream cut at sync-flush
+    boundaries, so the compression window spans frames (as the ring store
+    emits them)."""
+    cobj = zlib.compressobj(DEFAULT_V3_COMPRESS_LEVEL)
+    return [encode_frame(FRAME_RUN,
+                         cobj.compress(stream[offset:offset + _V3_RUN_BYTES])
+                         + cobj.flush(zlib.Z_SYNC_FLUSH))
+            for offset in range(0, len(stream), _V3_RUN_BYTES)]
+
+
 def _parse_anchor_payload(payload: bytes) -> Dict[str, Any]:
     try:
         anchor = json.loads(zlib.decompress(payload))
@@ -160,10 +162,9 @@ def build_v3_container(table: ChannelTable, with_validation: bool,
                        dedup_slots: int) -> bytes:
     """Assemble a v3 container around an already-framed byte stream.
 
-    The ring store hands over its retained frames verbatim (END included),
-    so every surviving ANCHOR stays a salvage resync point — re-encoding
-    through :meth:`TraceFile.to_bytes` would collapse them into one
-    genesis anchor.
+    The one preamble writer: the ring store hands over its retained frames
+    verbatim (END included), :meth:`TraceFile.to_bytes` the frames it
+    encodes from a flat body.
     """
     header = json.dumps({
         "channels": table.to_dict(),
@@ -429,7 +430,8 @@ class TraceFile:
     body: bytes
     with_validation: bool = True
     metadata: Dict[str, Any] = field(default_factory=dict)
-    format_version: int = field(default=DEFAULT_FORMAT_VERSION, compare=False)
+    # Container version the trace was loaded from; every writer emits v3.
+    format_version: int = field(default=3, compare=False)
     # Resume points inside the body, from a flight trace's ANCHOR frames:
     # body-relative packet ordinal -> {ordinal, cycle, checkpoint}. Packets
     # [k, ...) replay from that checkpoint (sharded replay cuts here).
@@ -490,96 +492,39 @@ class TraceFile:
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
-    def _header_bytes(self, compress: bool,
-                      extra: Optional[Dict[str, Any]] = None) -> bytes:
-        header = {
-            "channels": self.table.to_dict(),
-            "with_validation": self.with_validation,
-            "metadata": self.metadata,
-            "compressed": compress,
-        }
-        if extra:
-            header.update(extra)
-        return json.dumps(header).encode("utf-8")
+    def to_bytes(self) -> bytes:
+        """Serialize the trace as a v3 frame container.
 
-    def to_bytes(self, compress: bool = False,
-                 version: int = DEFAULT_FORMAT_VERSION,
-                 dedup_slots: int = DEFAULT_DEDUP_SLOTS,
-                 compress_level: int = DEFAULT_V3_COMPRESS_LEVEL) -> bytes:
-        """Serialize the whole trace (header + body) for storage.
-
-        ``version=2`` (the default) produces the CRC32-framed container —
-        any flipped or missing byte fails loudly at load time instead of
-        reaching the decoder. ``version=1`` writes the legacy unframed
-        layout for older readers. ``version=3`` writes the flight-recorder
-        frame container: the body is dedup-coded (``dedup_slots``-entry
-        LRU dictionary) and split into zlib-compressed, individually
-        CRC-framed RUN frames behind a genesis ANCHOR (carrying this
-        trace's ``metadata['ring']`` re-anchor point, if any) and before a
-        clean-close END frame. All three load back with :meth:`from_bytes`.
-
-        ``compress=True`` additionally DEFLATEs the v1/v2 packet body —
-        useful for archiving traces offline; the on-FPGA format (what the
-        TS column of Table 1 measures) stays uncompressed. v3 frames are
-        always per-frame compressed (``compress_level``), so the flag is
-        meaningless there and rejected.
+        The body is dedup-coded and cut into zlib-compressed, CRC-framed
+        RUN frames. A genesis ANCHOR carries the trace's
+        ``metadata['ring']`` window start, if any (the JSON header does
+        not repeat it), and an ANCHOR at every :attr:`anchors` ordinal
+        carries that resume point. Each anchor restarts the dedup
+        dictionary and the DEFLATE stream, as the ring store does, so the
+        trace loads back with the same anchors and each stays a salvage
+        resync point. An END frame closes the stream.
         """
-        if version == 3:
-            if compress:
-                raise TraceFormatError(
-                    "v3 frames are always compressed; compress= applies "
-                    "to v1/v2 only")
-            return self._to_bytes_v3(dedup_slots, compress_level)
-        body = zlib.compress(self.body, level=6) if compress else self.body
-        header = self._header_bytes(compress)
-        if version == 1:
-            return b"".join([
-                _MAGIC,
-                len(header).to_bytes(8, "little"),
-                header,
-                len(body).to_bytes(8, "little"),
-                body,
-            ])
-        if version != 2:
-            raise TraceFormatError(f"unknown trace format version {version}")
-        return b"".join([
-            _MAGIC_V2,
-            len(header).to_bytes(8, "little"),
-            zlib.crc32(header).to_bytes(4, "little"),
-            header,
-            body,
-            len(body).to_bytes(8, "little"),
-            zlib.crc32(bytes(body)).to_bytes(4, "little"),
-        ])
-
-    def _to_bytes_v3(self, dedup_slots: int, compress_level: int) -> bytes:
-        """Re-encode the flat body as a single-window v3 frame stream."""
-        header = self._header_bytes(False, {"v3": {"dedup_slots": dedup_slots}})
+        metadata = {k: v for k, v in self.metadata.items() if k != "ring"}
         ring = self.metadata.get("ring") or {}
-        parts = [
-            _MAGIC_V3,
-            len(header).to_bytes(8, "little"),
-            zlib.crc32(header).to_bytes(4, "little"),
-            header,
-            encode_anchor_frame(int(ring.get("ordinal", 0)),
-                                int(ring.get("cycle", 0)),
-                                ring.get("checkpoint")),
-        ]
-        dedup = DedupDict(dedup_slots)
+        frames = [encode_anchor_frame(int(ring.get("ordinal", 0)),
+                                      int(ring.get("cycle", 0)),
+                                      ring.get("checkpoint"))]
+        dedup = DedupDict(DEFAULT_DEDUP_SLOTS)
         stream = bytearray()
-        for packet in self.iter_packets():
+        for ordinal, packet in enumerate(self.iter_packets()):
+            anchor = self.anchors.get(ordinal) if ordinal else None
+            if anchor is not None:
+                frames += _run_frames(stream)
+                frames.append(encode_anchor_frame(
+                    anchor["ordinal"], anchor["cycle"], anchor["checkpoint"]))
+                dedup.clear()
+                stream = bytearray()
             packet.serialize_into(stream, self.table, self.with_validation,
                                   dedup=dedup)
-        # One DEFLATE stream cut at sync-flush boundaries: the compression
-        # window spans RUN frames, matching what the ring store emits.
-        cobj = zlib.compressobj(compress_level)
-        view = memoryview(stream)
-        for offset in range(0, len(view), _V3_RUN_BYTES):
-            payload = cobj.compress(view[offset:offset + _V3_RUN_BYTES]) \
-                + cobj.flush(zlib.Z_SYNC_FLUSH)
-            parts.append(encode_frame(FRAME_RUN, payload))
-        parts.append(encode_end_frame())
-        return b"".join(parts)
+        frames += _run_frames(stream)
+        frames.append(encode_end_frame())
+        return build_v3_container(self.table, self.with_validation, metadata,
+                                  b"".join(frames), DEFAULT_DEDUP_SLOTS)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -606,12 +551,15 @@ class TraceFile:
 
     @classmethod
     def from_bytes(cls, blob: bytes, salvage: bool = False) -> "TraceFile":
-        """Parse a serialized trace; validates magic, framing and (v2) CRCs.
+        """Parse a serialized trace; validates magic, framing and CRCs.
 
-        With ``salvage=True`` a v2 blob whose *body* segment is damaged —
-        truncated mid-recording, missing its footer, or failing its CRC —
-        is recovered as the longest decodable packet prefix instead of
-        raising; the result carries a ``metadata['salvaged']`` record with
+        Loads the v3 container every writer emits and the read-only
+        legacy v1 and v2 containers. With ``salvage=True`` a damaged
+        container is recovered instead of raising: a v3 stream as its
+        most recent ANCHOR-led frame window (:meth:`_from_bytes_v3`), a
+        v2 blob whose *body* segment is damaged — truncated, missing its
+        footer, or failing its CRC — as the longest decodable packet
+        prefix. The result carries a ``metadata['salvaged']`` record with
         the recovered/dropped byte counts. The header segment must still be
         intact (without the channel table nothing can be interpreted), and
         v1 blobs have no redundancy to salvage with.
@@ -820,122 +768,12 @@ class TraceFile:
         }
         return trace
 
-    def save(self, path: str | Path, compress: bool = False,
-             version: int = DEFAULT_FORMAT_VERSION) -> None:
-        """Write the trace to disk (optionally DEFLATE-compressed)."""
-        Path(path).write_bytes(self.to_bytes(compress=compress,
-                                             version=version))
+    def save(self, path: str | Path) -> None:
+        """Write the trace to disk as a v3 container (:meth:`to_bytes`)."""
+        Path(path).write_bytes(self.to_bytes())
 
     @classmethod
     def load(cls, path: str | Path, salvage: bool = False) -> "TraceFile":
-        """Read a trace from disk (``salvage=True``: recover a damaged v2
-        body as its longest valid packet prefix)."""
+        """Read a trace from disk (``salvage=True``: recover what survives
+        of a damaged container, see :meth:`from_bytes`)."""
         return cls.from_bytes(Path(path).read_bytes(), salvage=salvage)
-
-
-class TraceWriter:
-    """Streaming, crash-safe trace writer (v2 container only).
-
-    Recording pipelines that persist as they go cannot hold the whole body
-    in memory to compute lengths up front — and a crash mid-recording must
-    not destroy the usable prefix. The writer therefore:
-
-    1. writes the CRC-framed header immediately (channel table and metadata
-       are known at recording start),
-    2. appends raw body chunks (or whole packets) as the store drains them,
-    3. on :meth:`close`, appends the ``body_len + body CRC32`` footer,
-       fsyncs, and atomically renames ``<path>.part`` onto ``<path>``.
-
-    A crash at any earlier point leaves only the ``.part`` file: its header
-    is intact and its body is a packet prefix (possibly with a torn tail
-    packet), which ``TraceFile.load(part_path, salvage=True)`` recovers —
-    the availability guarantee for replay starting points.
-    """
-
-    def __init__(self, path: str | Path, table: ChannelTable,
-                 with_validation: bool = True,
-                 metadata: Optional[Dict[str, Any]] = None):
-        self.path = Path(path)
-        self.part_path = self.path.with_name(self.path.name + ".part")
-        self.table = table
-        self.with_validation = with_validation
-        self.metadata = dict(metadata or {})
-        self._crc = 0
-        self._body_len = 0
-        self._closed = False
-        header = json.dumps({
-            "channels": table.to_dict(),
-            "with_validation": with_validation,
-            "metadata": self.metadata,
-            "compressed": False,
-        }).encode("utf-8")
-        self._fh = open(self.part_path, "wb")
-        try:
-            self._fh.write(_MAGIC_V2)
-            self._fh.write(len(header).to_bytes(8, "little"))
-            self._fh.write(zlib.crc32(header).to_bytes(4, "little"))
-            self._fh.write(header)
-            self._fh.flush()
-        except BaseException:
-            self._fh.close()
-            raise
-
-    def append(self, chunk: "bytes | memoryview") -> None:
-        """Append raw body bytes (already-serialized cycle packets)."""
-        if self._closed:
-            raise TraceFormatError(f"writer for {self.path} is closed")
-        data = bytes(chunk)
-        self._fh.write(data)
-        self._crc = zlib.crc32(data, self._crc)
-        self._body_len += len(data)
-
-    def append_packet(self, packet: CyclePacket) -> None:
-        """Serialize and append one cycle packet."""
-        self.append(packet.serialize(self.table, self.with_validation))
-
-    def close(self) -> Path:
-        """Finalize: footer, fsync, atomic rename. Returns the final path."""
-        if self._closed:
-            return self.path
-        self._fh.write(self._body_len.to_bytes(8, "little"))
-        self._fh.write(self._crc.to_bytes(4, "little"))
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._fh.close()
-        os.replace(self.part_path, self.path)
-        # The rename itself lives in the directory inode: without fsyncing
-        # the parent directory a crash can publish an empty or torn file
-        # despite the atomic-rename dance (the data fsync above only made
-        # the *content* durable, not the name change).
-        try:
-            dir_fd = os.open(self.path.parent, os.O_RDONLY)
-        except OSError:
-            dir_fd = -1   # platform without directory fds
-        if dir_fd >= 0:
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        self._closed = True
-        return self.path
-
-    def abort(self) -> None:
-        """Drop the partial file without finalizing (explicit cancellation)."""
-        if self._closed:
-            return
-        self._fh.close()
-        self.part_path.unlink(missing_ok=True)
-        self._closed = True
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # Normal exit finalizes; an exception leaves the .part file for
-        # salvage, exactly like a crash would.
-        if exc_type is None:
-            self.close()
-        elif not self._closed:
-            self._fh.flush()
-            self._fh.close()
-            self._closed = True

@@ -47,7 +47,7 @@ class TraceFormatError(ReproError):
 
 
 class TraceIntegrityError(TraceFormatError):
-    """A v2 trace segment failed its CRC32 check (corruption at rest).
+    """A trace container failed a CRC32 check (corruption at rest).
 
     Subclasses :class:`TraceFormatError` so existing ``except`` clauses keep
     working; the distinct type lets salvage tooling tell "the framing is

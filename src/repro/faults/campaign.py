@@ -187,12 +187,9 @@ class _Campaign:
         self.record_run = functools.partial(record_run, scheduler=scheduler)
         self.replay_run = functools.partial(replay_run, scheduler=scheduler)
         # Fault-free references: one record, one replay, one serialization.
-        # A flight campaign serializes its reference as a v3 container so
-        # the blob-layer faults attack the framed/compressed format.
         ref = self.record_run(self.spec, self.config, seed=seed)
         self.ref_trace = ref.result["trace"]
-        self.ref_blob = self.ref_trace.to_bytes(
-            version=3) if flight_recorder else self.ref_trace.to_bytes()
+        self.ref_blob = self.ref_trace.to_bytes()
         rep = self.replay_run(self.spec, self.ref_trace)
         self.ref_validation_body = bytes(rep.result["validation"].body)
         self._crash_reference = None   # lazily recorded (it is expensive)
@@ -420,15 +417,14 @@ def run_campaign(app: str = "sha256", n_faults: int = 200, seed: int = 0,
     scalar legs', so the report is fault-for-fault identical either way;
     only the campaign's wall-clock changes.
 
+    The blob faults attack the reference trace's v3 container.
     ``flight_recorder`` runs every record leg with the always-on ring
-    store and serializes the reference as a v3 container, so the blob
-    faults attack the framed/compressed format and the storage faults
-    land in the flight recorder's drain path. It now **defaults on**
-    (``None`` resolves to ``True``): campaign fleets are exactly the
-    deployments the always-on recorder exists for, and the flight path's
-    verdicts are containment-identical to the flat path's. Pass
-    ``False`` (CLI: ``--no-flight-recorder``) to opt out and attack the
-    flat v2 container instead.
+    store, so the storage faults land in the flight recorder's drain
+    path. It **defaults on** (``None`` resolves to ``True``): campaign
+    fleets are exactly the deployments the always-on recorder exists for,
+    and the flight path's verdicts are containment-identical to the flat
+    path's. Pass ``False`` (CLI: ``--no-flight-recorder``) to record
+    flat.
 
     The worker-crash trials' sharded replays run on the warm worker pool
     (:mod:`repro.harness.worker_pool`).

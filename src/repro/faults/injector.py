@@ -18,7 +18,7 @@ The injector attaches at four places:
   CRC exists — modelling corruption at rest that only the semantic nets
   (decode, replay, divergence) can catch.
 * :meth:`mangle_blob` mutilates a serialized container (truncation,
-  byte flips) — the layer the v2 CRC framing must catch.
+  byte flips) — the layer the container's CRC framing must catch.
 * :meth:`crashing_worker` wraps a ``run_cells`` worker so chosen cells
   hard-kill their worker process on first execution (``os._exit``, no
   cleanup — exactly what a real OOM kill looks like to the pool) and run

@@ -39,8 +39,7 @@ _RECORDING = {
 _INJECT = {"inject": str, "inject_seed": int}
 
 JOB_PARAMS: Dict[str, Dict[str, type]] = {
-    "record": {**_RECORDING, **_INJECT, "save_to": str, "compress": bool,
-               "profile": bool},
+    "record": {**_RECORDING, **_INJECT, "save_to": str, "profile": bool},
     "replay": {"app": str, "trace_path": str, "scheduler": str,
                "salvage": bool, "no_time_warp": bool, "jobs": int,
                **_INJECT},
@@ -54,10 +53,6 @@ JOB_KINDS = tuple(JOB_PARAMS)
 
 _REQUIRED = {"record": ("app",), "replay": ("app", "trace_path"),
              "divergence": ("app",), "salvage": ("trace_path",)}
-_RECORD_CONFLICTS = (
-    ("flight_recorder", "compress", "compress applies to v1/v2 containers; "
-     "flight recordings are already block-compressed (v3)"),
-)
 
 
 class JobParamError(ConfigError, ValueError):
@@ -82,9 +77,6 @@ def check_job(kind: str, params: Dict[str, Any]) -> None:
     for name in _REQUIRED.get(kind, ()):
         if name not in params:
             raise JobParamError(f"{kind} job needs {name!r}")
-    for a, b, message in _RECORD_CONFLICTS if kind == "record" else ():
-        if params.get(a) and params.get(b):
-            raise JobParamError(message)
     if (kind == "replay" and params.get("inject")
             and params.get("jobs", 0) <= 1):
         raise JobParamError("inject on replay arms worker-crash faults, "
@@ -168,12 +160,11 @@ def _job_record(params: Dict[str, Any], progress) -> Dict[str, Any]:
         before_run=injector.arm_recording if injector else None)
     trace = metrics.result["trace"]
     if params.get("flight_recorder"):
-        # The retained ring as a real v3 container: every surviving
-        # re-anchor checkpoint stays a salvage resync point.
+        # The retained ring verbatim: its frames as the recorder cut them.
         blob = metrics.result["flight_blob"]
         out["flight"] = metrics.result["flight"]
     else:
-        blob = trace.to_bytes(compress=params.get("compress", False))
+        blob = trace.to_bytes()
     if injector is not None:
         blob = injector.mangle_blob(blob)
         out["faults"] = list(injector.log)

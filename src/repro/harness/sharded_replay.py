@@ -29,7 +29,7 @@ synergy this makes a long replay embarrassingly parallel:
 The stitched validation trace is byte-identical to the one a sequential
 replay produces: each segment starts from the same architectural state the
 sequential replay holds at that boundary, and the replay pipeline contains
-no environment nondeterminism. A trace without anchors (a flat v1/v2
+no environment nondeterminism. A trace without anchors (a flat
 recording, or a flight window with none inside it) replays as one segment.
 """
 

@@ -32,12 +32,14 @@ AcceleratorFactory = Callable[[Dict[str, AxiInterface]], Module]
 
 HOST_MEMORY_BYTES = 1 << 22   # 4 MiB of modelled host DRAM
 DEFAULT_MAX_CYCLES = 2_000_000
-# Replay progress-watchdog window: cycles without a single transaction
-# completion before a livelocked replay is converted into a structured
-# ReplayStallError. Generous against genuinely slow stretches (the longest
-# legitimate inter-completion gaps observed across the app suite are a few
-# thousand cycles) yet small enough that a wedged replay fails in well
-# under a second instead of consuming its full cycle budget.
+# Replay progress-watchdog window: cycles without a transaction completion
+# or a kernel step, and with no kernel computing, before a livelocked
+# replay is converted into a structured ReplayStallError. Accelerator
+# compute does not count against it (sssp at default scale computes for
+# ~38k cycles with no transaction), so the window only has to outlast the
+# gaps between a kernel's DMA and its completion, and it is small enough
+# that a wedged replay fails in well under a second instead of consuming
+# its full cycle budget.
 DEFAULT_REPLAY_STALL_BUDGET = 16_384
 
 
@@ -248,8 +250,9 @@ class F1Deployment:
 
         A progress watchdog guards against *livelock* (replayers alive but
         permanently vector-clock-gated, e.g. by a causally impossible
-        mutated trace or a corrupted Ends bitvector): if no transaction
-        completes for ``stall_budget`` consecutive cycles while feeds
+        mutated trace or a corrupted Ends bitvector): if for
+        ``stall_budget`` consecutive cycles no transaction completes and
+        the accelerator's kernel neither steps nor computes while feeds
         remain unconsumed, a structured
         :class:`~repro.errors.ReplayStallError` is raised — per-channel
         clocks, pending handshakes and the last-progress cycle attached —
@@ -265,7 +268,17 @@ class F1Deployment:
         start = sim.cycle
         end = start + max_cycles
         done = shim.replay_done
-        last_token = shim.progress_token()
+        accelerator = self.accelerator
+
+        def progress():
+            # Completion broadcasts and kernel steps move a replay on; a
+            # kernel computing right now (None) is progress as well.
+            if getattr(accelerator, "computing", False):
+                return None
+            return (shim.progress_token(),
+                    getattr(accelerator, "kernel_steps", 0))
+
+        last_token = progress()
         while not done:
             chunk = min(budget, end - sim.cycle)
             if chunk <= 0:
@@ -277,13 +290,14 @@ class F1Deployment:
                               what=f"{self.name}: replay completion")
                 done = True
             except WatchdogTimeout:
-                token = shim.progress_token()
-                if token == last_token:
+                token = progress()
+                if token is not None and token == last_token:
                     report = shim.stall_report()
                     stuck = len(report["channels"])
                     raise ReplayStallError(
                         f"{self.name}: replay livelocked — no transaction "
-                        f"completed in {chunk} cycles (cycle {sim.cycle}, "
+                        f"completed and no kernel computed in {chunk} "
+                        f"cycles (cycle {sim.cycle}, "
                         f"last progress at cycle "
                         f"{report['last_progress_cycle']}, {stuck} "
                         f"channel(s) blocked)",

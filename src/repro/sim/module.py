@@ -71,7 +71,10 @@ correct, they just get the conservative treatment:
 
   Declaring a condition that can be true while ``seq()`` still has work
   is a correctness bug — exactly the class of error the 3-way
-  differential harness exists to catch.
+  differential harness exists to catch. A guard describes the ``seq()``
+  of the class that declares it, so a subclass that overrides ``seq()``
+  declares its own guard or none; the same holds for :meth:`next_wake`,
+  which class creation enforces.
 
 Time-warp declarations (quiescent-gap skipping)
 -----------------------------------------------
@@ -156,6 +159,16 @@ class Module:
     # is called — letting the batched kernel park the module indefinitely
     # instead of re-checking the guard every cycle.
     burn_idle: bool = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A wake hint describes one seq(): a class that overrides seq()
+        # under an inherited hint must state its own (the kernels that
+        # warp or burn would otherwise skip the new seq()'s work).
+        if ("seq" in cls.__dict__ and "next_wake" not in cls.__dict__
+                and cls.next_wake is not Module.next_wake):
+            raise TypeError(f"{cls.__qualname__} overrides seq() but "
+                            "inherits next_wake(); declare its own")
 
     def __init__(self, name: str):
         self.name = name

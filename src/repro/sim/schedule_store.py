@@ -28,11 +28,10 @@ This module persists the compiled artifact so the work is paid once per
   ``schedule_key`` part is the same fingerprint the in-process cache
   trusts.
 
-* **Write discipline.** Entries are written with the same crash-safety
-  the :class:`~repro.core.trace_file.TraceWriter` uses: payload framed as
-  ``magic + crc32 + length + pickle``, written to a ``.part`` sibling,
-  fsynced, then atomically renamed into place. Concurrent writers of the
-  same key race benignly — they write identical bytes.
+* **Write discipline.** Entries are written crash-safely: payload
+  framed as ``magic + crc32 + length + pickle``, written to a ``.part``
+  sibling, fsynced, then atomically renamed into place. Concurrent
+  writers of the same key race benignly — they write identical bytes.
 
 * **Corruption policy.** A missing, truncated, CRC-failing, unpicklable
   or version-stale entry is *silently* discarded (and best-effort

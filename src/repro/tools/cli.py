@@ -61,8 +61,8 @@ def cmd_info(args) -> int:
     trace = TraceFile.load(args.trace)
     packets = trace.packets()
     print(f"trace      : {args.trace}")
-    print(f"format     : v{trace.format_version} "
-          f"{'(CRC32-framed)' if trace.format_version >= 2 else '(legacy)'}")
+    legacy = " (legacy, read-only)" if trace.format_version < 3 else ""
+    print(f"format     : v{trace.format_version}{legacy}")
     print(f"body       : {fmt_bytes(trace.size_bytes)} "
           f"({len(packets)} cycle packets)")
     print(f"validation : {'output contents recorded' if trace.with_validation else 'no'}")
@@ -233,8 +233,7 @@ def cmd_fuzz(args) -> int:
 
     trace = TraceFile.load(args.trace)
     if args.frames:
-        outcomes = fuzz_frames(trace, n_mutants=args.mutants, seed=args.seed,
-                               version=args.container)
+        outcomes = fuzz_frames(trace, n_mutants=args.mutants, seed=args.seed)
         print(render_fuzz(outcomes))
         return 0 if not any(o.verdict == "silent-accept"
                             for o in outcomes) else 1
@@ -464,7 +463,6 @@ def _record_args(parser: argparse.ArgumentParser) -> None:
     _recording_args(parser)
     parser.add_argument("-o", "--output", "--save-to", dest="save_to",
                         metavar="PATH", help="write the trace file here")
-    parser.add_argument("--compress", action="store_true")
     parser.add_argument("--profile", action="store_true",
                         help="report per-module comb/seq kernel time shares")
     _add_inject(parser, "arm a fault plan while recording, e.g. "
@@ -510,7 +508,7 @@ def _campaign_args(parser: argparse.ArgumentParser) -> None:
                         "(the default)")
     parser.add_argument("--no-flight-recorder", action="store_false",
                         dest="flight_recorder",
-                        help="flat record legs, v2 container attacks")
+                        help="flat record legs")
     _add_scheduler(parser)
 
 
@@ -814,12 +812,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--reference-app",
                         help="known-good design for causal triage")
     p_fuzz.add_argument("--frames", action="store_true",
-                        help="fuzz the container framing instead of the "
-                        "event semantics (exit 1 on any silent accept)")
-    p_fuzz.add_argument("--container", type=int, default=2, choices=(2, 3),
-                        help="container version --frames targets: 2 "
-                        "(CRC-framed body) or 3 (flight-recorder frames, "
-                        "incl. the CRC-refixed backref mutant)")
+                        help="fuzz the v3 container framing instead of the "
+                        "event semantics, incl. the CRC-refixed backref "
+                        "mutant (exit 1 on any silent accept)")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_serve = sub.add_parser(

@@ -172,17 +172,14 @@ def fuzz_replay(trace: TraceFile,
 
 
 def fuzz_frames(trace: TraceFile, n_mutants: int = 50,
-                seed: int = 0, version: int = 2) -> List[FuzzOutcome]:
+                seed: int = 0) -> List[FuzzOutcome]:
     """Fuzz the *container framing* instead of the event semantics.
 
-    Each mutant damages the serialized container and asserts the loader's
-    verdict. ``version=2`` flips one random bit per mutant
-    (:func:`~repro.core.mutation.corrupt_frame` cycles through every
-    region class: magic, lengths, header, body, footer). ``version=3``
-    targets the flight-recorder frame container instead
-    (:func:`~repro.core.mutation.corrupt_v3_frame`: run/anchor payload
-    flips, mid-frame truncation, and the CRC-refixed ``backref`` mutant
-    that only the dedup decode can catch). Verdicts:
+    Each mutant damages the trace's v3 container
+    (:func:`~repro.core.mutation.corrupt_v3_frame`, round-robin over
+    run/anchor payload flips, mid-frame truncation, and the CRC-refixed
+    ``backref`` mutant that only the dedup decode can catch) and asserts
+    the loader's verdict:
 
     * ``detected``      — the load raised a typed ``TraceFormatError``
       (salvageable regions additionally note what salvage recovered);
@@ -190,31 +187,21 @@ def fuzz_frames(trace: TraceFile, n_mutants: int = 50,
       content that differs from the original: a framing hole. A healthy
       format produces **zero** of these.
     """
-    from repro.core.mutation import (FRAME_REGIONS, V3_FRAME_REGIONS,
-                                     corrupt_frame, corrupt_v3_frame)
+    from repro.core.mutation import V3_FRAME_REGIONS, corrupt_v3_frame
     from repro.errors import TraceFormatError
 
     rng = random.Random(seed)
-    if version == 3:
-        blob = trace.to_bytes(version=3)
-        regions: tuple = V3_FRAME_REGIONS
-        corrupt = corrupt_v3_frame
-        salvage_regions = ("run", "anchor", "truncate", "backref")
-    else:
-        blob = trace.to_bytes()
-        regions = FRAME_REGIONS
-        corrupt = corrupt_frame
-        salvage_regions = ("body",)
+    blob = trace.to_bytes()
     outcomes: List[FuzzOutcome] = []
     for mutant_index in range(n_mutants):
         # Round-robin over region classes so small runs still cover all.
-        region = regions[mutant_index % len(regions)]
-        description, damaged = corrupt(blob, rng, region=region)
+        region = V3_FRAME_REGIONS[mutant_index % len(V3_FRAME_REGIONS)]
+        description, damaged = corrupt_v3_frame(blob, rng, region=region)
         try:
             loaded = TraceFile.from_bytes(damaged)
         except TraceFormatError as exc:
             detail = type(exc).__name__
-            if region in salvage_regions:
+            if region in ("run", "anchor", "truncate", "backref"):
                 try:
                     salvaged = TraceFile.from_bytes(damaged, salvage=True)
                     info = salvaged.metadata.get("salvaged", {})

@@ -59,14 +59,13 @@ def test_run_commands_are_the_job_kinds_and_take_every_param():
 # Every flag either old parser accepted for the kind, and what it means.
 ARGV = {
     "record": (["sha256", "-o", "r.trace", "--seed", "3", "--scale", "0.5",
-                "--scheduler", "event", "--compress", "--profile",
+                "--scheduler", "event", "--profile",
                 "--inject", "store-bitflip",
                 "--inject-seed", "4", "--flight-recorder",
                 "--retain-words", "64", "--dedup-slots", "16",
                 "--compress-level", "1", "--anchor-stride", "128"],
                {"app": "sha256", "save_to": "r.trace", "seed": 3,
-                "scale": 0.5, "scheduler": "event", "compress": True,
-                "profile": True,
+                "scale": 0.5, "scheduler": "event", "profile": True,
                 "inject": "store-bitflip", "inject_seed": 4,
                 "flight_recorder": True, "flight_retain_words": 64,
                 "flight_dedup_slots": 16, "flight_compress_level": 1,
@@ -98,8 +97,6 @@ def test_inline_and_submit_build_identical_params(kind):
     inline = _job_params(kind, parser.parse_args([kind] + argv))
     submitted = _job_params(kind, parser.parse_args(["submit", kind] + argv))
     assert inline == submitted == expected
-    if kind == "record":      # drop the flag that conflicts with flight
-        expected = {k: v for k, v in expected.items() if k != "compress"}
     check_job(kind, expected)
 
 
@@ -134,8 +131,8 @@ INVALID = [
     ("salvage", {}, "needs 'trace_path'"),
     ("replay", {"app": "sha256", "trace_path": "t", "trace_hex": "00"},
      "unknown replay job param"),
-    ("record", {"app": "sha256", "flight_recorder": True, "compress": True},
-     "block-compressed"),
+    ("record", {"app": "sha256", "compress": True},
+     "unknown record job param"),
     ("record", {"app": "sha256", "flight_recorder": True,
                 "checkpoints": "c"}, "unknown record job param"),
     ("record", {"app": "sha256", "checkpoints": "c"},
@@ -291,7 +288,7 @@ def test_flight_recorder_with_retention_budget(tmp_path, capsys):
 def test_inject_then_salvaging_replay(tmp_path, capsys):
     path = tmp_path / "bad.trace"
     assert main(["record", "sha256", "-o", str(path), "--scale", "0.5",
-                 "--inject", "blob-truncate:keep=0.6"]) == 0
+                 "--inject", "blob-truncate:keep=0.8"]) == 0
     assert "fault: blob-truncate: kept" in capsys.readouterr().out
     assert main(["replay", "sha256", str(path)]) == 2     # torn container
     assert main(["replay", "sha256", str(path), "--salvage"]) == 0
@@ -309,8 +306,10 @@ def test_flight_trace_shards_across_two_workers(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "2 segment(s)" in out[0]
     assert out[-1] == sequential
-    flat = tmp_path / "flat.trace"        # v2: no anchors, one segment
-    TraceFile.load(trace).save(flat)
+    flat = tmp_path / "flat.trace"        # save() keeps anchors: clear
+    anchorless = TraceFile.load(trace)    # them for a one-segment copy
+    anchorless.anchors = {}
+    anchorless.save(flat)
     assert main(["replay", "dram_dma", str(flat), "--jobs", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "1 segment(s)" in out[0] and out[-1] == sequential
@@ -319,6 +318,13 @@ def test_flight_trace_shards_across_two_workers(tmp_path, capsys):
     assert main(["replay", "dram_dma", str(torn), "--salvage",
                  "--jobs", "2"]) == 0
     assert "2 segment(s)" in capsys.readouterr().out
+    salvaged = tmp_path / "s.trace"       # salvage -o keeps the anchors
+    assert main(["salvage", str(torn), "-o", str(salvaged)]) == 0
+    assert main(["replay", "dram_dma", str(salvaged)]) == 0
+    sequential = capsys.readouterr().out.splitlines()[-1]
+    assert main(["replay", "dram_dma", str(salvaged), "--jobs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "2 segment(s)" in out and out.splitlines()[-1] == sequential
 
 
 def test_profile_prints_kernel_shares(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for ordering coverage and trace compression."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.coverage import (
@@ -100,42 +102,49 @@ class TestOrderingCoverage:
 
 
 class TestTraceCompression:
-    def roundtrip(self, compress):
+    """The v3 writer always compresses; DEFLATE bodies of the legacy v1/v2
+    containers stay readable (fixtures in tests/data)."""
+
+    DATA = Path(__file__).parent / "data"
+
+    def fixture(self, name):
+        return (self.DATA / f"{name}.trace").read_bytes()
+
+    def test_uncompressed_roundtrip(self):
         table = table3()
         packets = [CyclePacket(starts=0b001, ends=0b001,
                                contents={0: bytes([i & 0xFF])})
                    for i in range(200)]
         trace = TraceFile.from_packets(table, packets, with_validation=True,
                                        metadata={"k": 1})
-        blob = trace.to_bytes(compress=compress)
+        blob = trace.to_bytes()
         again = TraceFile.from_bytes(blob)
         assert again.body == trace.body
         assert again.metadata == {"k": 1}
-        return len(blob)
-
-    def test_uncompressed_roundtrip(self):
-        self.roundtrip(False)
+        # v3 RUN frames are DEFLATEd: the frames undercut the flat body.
+        assert again.container_stats["frame_bytes"] < len(trace.body)
 
     def test_compressed_roundtrip_and_smaller(self):
-        compressed = self.roundtrip(True)
-        plain = self.roundtrip(False)
-        assert compressed < plain
+        for version in (1, 2):
+            plain = self.fixture(f"small_v{version}")
+            compressed = self.fixture(f"small_v{version}z")
+            loaded = TraceFile.from_bytes(compressed)
+            assert loaded.body == TraceFile.from_bytes(plain).body
+            assert loaded.metadata == {"app": "unit"}
+            assert len(compressed) < len(plain)
 
     def test_save_load_compressed(self, tmp_path):
-        table = table3()
-        trace = TraceFile.from_packets(
-            table, [CyclePacket(ends=0b010, validation={1: b"\x00"})] * 50)
-        path = tmp_path / "c.trace"
-        trace.save(path, compress=True)
-        assert TraceFile.load(path).body == trace.body
+        trace = TraceFile.load(self.DATA / "small_v2z.trace")
+        trace.save(tmp_path / "c.trace")
+        again = TraceFile.load(tmp_path / "c.trace")
+        assert again.format_version == 3
+        assert again.body == trace.body
 
-    def test_corrupt_compressed_body_detected(self, tmp_path):
+    def test_corrupt_compressed_body_detected(self):
         from repro.errors import TraceFormatError
 
-        table = table3()
-        trace = TraceFile.from_packets(
-            table, [CyclePacket(ends=0b010, validation={1: b"\x00"})])
-        blob = bytearray(trace.to_bytes(compress=True))
-        blob[-1] ^= 0xFF
-        with pytest.raises(TraceFormatError):
-            TraceFile.from_bytes(bytes(blob))
+        for name in ("small_v1z", "small_v2z"):
+            blob = bytearray(self.fixture(name))
+            blob[-1] ^= 0xFF
+            with pytest.raises(TraceFormatError):
+                TraceFile.from_bytes(bytes(blob))

@@ -8,6 +8,7 @@ conftest alarm guard would catch one) and never a silent wrong-accept.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.errors import (
 )
 from repro.faults import FAULT_KINDS, FaultInjector, FaultPlan, run_campaign
 from repro.harness.runner import bench_config, record_run, replay_run
+from repro.platform.shell import DEFAULT_REPLAY_STALL_BUDGET
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +84,18 @@ class TestFaultPlan:
 
 
 class TestCorruptionGrid:
-    """Seeded byte flips across every container region of a real trace:
-    every outcome must be masked, a typed rejection, or a detected
-    divergence — never a silent wrong-accept."""
+    """Seeded byte flips across every region of the legacy containers of a
+    real trace (the sha256 seed-3 recording, ``tests/data``): every
+    outcome must be masked, a typed rejection, or a detected divergence —
+    never a silent wrong-accept."""
 
     REGIONS = ("magic", "length", "header", "body", "footer")
+
+    def pristine(self, version):
+        """The fixture's bytes and the trace they hold (the reference)."""
+        blob = (Path(__file__).parent / "data"
+                / f"sha256_s3_v{version}.trace").read_bytes()
+        return blob, TraceFile.from_bytes(blob)
 
     def classify(self, spec, trace, original, damaged):
         try:
@@ -107,8 +116,8 @@ class TestCorruptionGrid:
     def test_grid_over_all_regions(self, reference):
         from repro.core.mutation import corrupt_frame
 
-        spec, _metrics, trace, _val = reference
-        blob = trace.to_bytes()
+        spec = reference[0]
+        blob, trace = self.pristine(2)
         rng = random.Random(42)
         outcomes = {}
         for i in range(40):
@@ -125,8 +134,8 @@ class TestCorruptionGrid:
     def test_grid_on_v1_still_contained(self, reference):
         """v1 has no CRCs, but framing checks still reject whole regions;
         body flips must surface as decode errors or divergence."""
-        spec, _metrics, trace, _val = reference
-        blob = trace.to_bytes(version=1)
+        spec = reference[0]
+        blob, trace = self.pristine(1)
         rng = random.Random(7)
         for _ in range(10):
             damaged = bytearray(blob)
@@ -265,6 +274,15 @@ class TestReplayStall:
         assert cycles_plain == cycles_chunked
         assert bytes(plain.recorded_trace().body) \
             == bytes(chunked.recorded_trace().body)
+        # sssp at its default scale computes for ~38k cycles with no
+        # transaction: a computing kernel is progress, not a stall.
+        sssp = get_app("sssp")
+        for seed, scheduler in ((0, "event"), (5, "compiled")):
+            trace = record_run(sssp, bench_config(VidiConfig.r2), seed=seed,
+                               scheduler=scheduler).result["trace"]
+            replay = replay_run(sssp, trace, scheduler=scheduler)
+            assert replay.cycles > 2 * DEFAULT_REPLAY_STALL_BUDGET
+            assert compare_traces(trace, replay.result["validation"]).clean
 
 
 class TestWorkerCrash:

@@ -1,7 +1,6 @@
 """Tests for the flight recorder: dedup dictionary, v3 frame container,
 ring-buffer retention, and wrap-boundary suffix replay."""
 
-import os
 import random
 import zlib
 
@@ -25,7 +24,6 @@ from repro.core.trace_file import (
     FRAME_END,
     FRAME_RUN,
     TraceFile,
-    TraceWriter,
     build_v3_container,
 )
 from repro.core.trace_ring import RingTraceStore
@@ -146,7 +144,7 @@ class TestDedupStream:
 class TestV3RoundTrip:
     def test_round_trip(self):
         trace = repetitive_trace(24)
-        blob = trace.to_bytes(version=3)
+        blob = trace.to_bytes()
         assert blob[:8] == b"VIDITRC3"
         loaded = TraceFile.from_bytes(blob)
         assert loaded.format_version == 3
@@ -157,7 +155,7 @@ class TestV3RoundTrip:
 
     def test_container_stats_report_dedup_and_compression(self):
         trace = repetitive_trace(24)
-        loaded = TraceFile.from_bytes(trace.to_bytes(version=3))
+        loaded = TraceFile.from_bytes(trace.to_bytes())
         stats = loaded.container_stats
         assert stats["format"] == 3
         assert stats["packets"] == trace.packet_count
@@ -168,7 +166,7 @@ class TestV3RoundTrip:
 
     def test_truncation_salvages_anchor_led_prefix(self):
         trace = repetitive_trace(24)
-        blob = trace.to_bytes(version=3)
+        blob = trace.to_bytes()
         cut = len(blob) - 9     # inside the last RUN frame / END marker
         with pytest.raises(TraceFormatError):
             TraceFile.from_bytes(blob[:cut])
@@ -184,7 +182,7 @@ class TestV3Corruption:
         of a v3 container and the loader either raises a typed error or
         loads content identical to the original — never silently wrong."""
         trace = repetitive_trace(24)
-        blob = trace.to_bytes(version=3)
+        blob = trace.to_bytes()
         rng = random.Random(7)
         for round_index in range(6):
             for region in V3_FRAME_REGIONS:
@@ -202,7 +200,7 @@ class TestV3Corruption:
         """The backref mutant re-frames with valid CRCs — only the dedup
         decode itself can reject it (the hole the v2 fuzzer cannot poke)."""
         trace = repetitive_trace(24)
-        blob = trace.to_bytes(version=3)
+        blob = trace.to_bytes()
         description, damaged = corrupt_backref(blob, random.Random(3))
         assert "backref" in description
         with pytest.raises(TraceFormatError):
@@ -223,16 +221,17 @@ class TestV3Corruption:
             packets.append(packet)
         trace = TraceFile.from_packets(table, packets)
         with pytest.raises(ConfigError):
-            corrupt_backref(trace.to_bytes(version=3), random.Random(0))
+            corrupt_backref(trace.to_bytes(), random.Random(0))
 
 
 def feed_ring(ring: RingTraceStore, table: ChannelTable, n_packets: int,
-              anchor_every: int, slots: int = 8):
+              anchor_every: int, slots: int = 8, checkpoints: bool = False):
     """Feed a dedup-coded packet stream with periodic re-anchors.
 
     Mirrors the deployment's contract: the encoder's dictionary is reset
-    at the exact packet boundary the anchor watermark is taken at. Returns
-    the flat (un-deduped) per-packet bodies for reference.
+    at the exact packet boundary the anchor watermark is taken at. With
+    ``checkpoints`` each anchor carries a (dummy) checkpoint. Returns the
+    flat (un-deduped) per-packet bodies for reference.
     """
     dedup = DedupDict(slots=slots)
     flats = []
@@ -247,7 +246,9 @@ def feed_ring(ring: RingTraceStore, table: ChannelTable, n_packets: int,
         flats.append(bytes(flat))
         if (i + 1) % anchor_every == 0 and i + 1 < n_packets:
             dedup.clear()
-            ring.request_anchor(ordinal=i + 1, cycle=i + 1, checkpoint=None)
+            ring.request_anchor(ordinal=i + 1, cycle=i + 1,
+                                checkpoint={"regs": [i + 1]}
+                                if checkpoints else None)
     ring.flush()
     return flats
 
@@ -329,26 +330,24 @@ class TestRingTraceStore:
         assert bytes(salvaged.body) == b"".join(flats[k:])
 
 
-class TestTraceWriterDurability:
-    def test_close_fsyncs_file_then_parent_directory(self, tmp_path,
-                                                     monkeypatch):
-        """The atomic-rename publish is only durable if both the part file
-        and the parent directory are fsynced before/after the rename."""
-        synced = []
-        real_fsync = os.fsync
-
-        def spy_fsync(fd):
-            synced.append(fd)
-            return real_fsync(fd)
-
-        monkeypatch.setattr(os, "fsync", spy_fsync)
-        trace = repetitive_trace(5)
-        path = tmp_path / "durable.trace"
-        with TraceWriter(path, trace.table) as writer:
-            writer.append(bytes(trace.body))
-        assert path.exists()
-        assert len(synced) >= 2     # data file + parent directory
-        assert bytes(TraceFile.load(path).body) == bytes(trace.body)
+class TestRingRewrite:
+    def test_rewrite_matches_ring_container(self):
+        """Rewriting a ring window (TraceFile.save, ``vidi salvage -o``)
+        keeps what the ring container holds: window start, checkpoint
+        anchors, body, and one epoch per anchor."""
+        table = small_table()
+        ring = RingTraceStore("ring", retain_words=8, run_bytes=64)
+        feed_ring(ring, table, 60, anchor_every=10, checkpoints=True)
+        retained = TraceFile.from_bytes(build_v3_container(
+            table, True, {"app": "unit"}, ring.frame_stream(end=True), 8))
+        assert retained.metadata["ring"]["ordinal"] > 0
+        assert len(retained.anchors) >= 2
+        rewritten = TraceFile.from_bytes(retained.to_bytes())
+        assert rewritten.anchors == retained.anchors
+        assert rewritten.metadata == retained.metadata
+        assert bytes(rewritten.body) == bytes(retained.body)
+        assert rewritten.container_stats["anchors"] == \
+            retained.container_stats["anchors"]
 
 
 class TestFlightRecorderEndToEnd:

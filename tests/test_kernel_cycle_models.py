@@ -71,7 +71,7 @@ class TestHarnessRecordReplayCli:
 
         path = tmp_path / "cli.trace"
         assert main(["record", "sha256", "-o", str(path), "--seed", "4",
-                     "--scale", "0.4", "--compress"]) == 0
+                     "--scale", "0.4"]) == 0
         assert path.exists()
         assert main(["replay", "sha256", str(path)]) == 0
         out = capsys.readouterr().out

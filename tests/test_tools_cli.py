@@ -136,3 +136,6 @@ class TestFuzzCommand:
         assert exit_triaged == 0
         if "deadlock" in out_untriaged:
             assert exit_untriaged == 1
+        # --frames attacks the trace's v3 container, every region class.
+        assert main(["fuzz", "--frames", trace_path, "--mutants", "14"]) == 0
+        assert "silent-accept" not in capsys.readouterr().out

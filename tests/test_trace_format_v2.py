@@ -1,19 +1,36 @@
-"""Tests for the v2 CRC32-framed trace container, salvage, and TraceWriter."""
+"""Tests for the trace containers: the one (v3) writer, and the read-only
+v1/v2 loaders and v2 salvage, run against the fixtures in ``tests/data``."""
 
+import hashlib
+import json
 import random
-import zlib
+from pathlib import Path
 
 import pytest
 
 from repro.core.events import ChannelInfo, ChannelTable
-from repro.core.mutation import FRAME_REGIONS, corrupt_frame
+from repro.core.mutation import FRAME_REGIONS, TraceMutator, corrupt_frame
 from repro.core.packets import CyclePacket, scan_packet_prefix
-from repro.core.trace_file import (
-    DEFAULT_FORMAT_VERSION,
-    TraceFile,
-    TraceWriter,
-)
+from repro.core.trace_file import FRAME_ANCHOR, TraceFile
 from repro.errors import ConfigError, TraceFormatError, TraceIntegrityError
+
+DATA = Path(__file__).parent / "data"
+# SHA-256 of the body each fixture family was written from (tests/data).
+BODY_SHA256 = {
+    "small":
+        "496a4e270b5e0661a6ce1c02fac718afcc085be98ef0381063c7814923755500",
+    "sha256_s3":
+        "22967421cb0dd6c62e88fa90b199a92d8733ccd53ff2fad0bc18ff92d8065f04",
+}
+
+
+def fixture(name: str) -> bytes:
+    return (DATA / f"{name}.trace").read_bytes()
+
+
+def legacy(version: int) -> bytes:
+    """The pristine legacy container of :func:`small_trace`."""
+    return fixture(f"small_v{version}")
 
 
 def small_table() -> ChannelTable:
@@ -36,43 +53,79 @@ def small_trace(n_packets: int = 6) -> TraceFile:
     return TraceFile.from_packets(table, packets, metadata={"app": "unit"})
 
 
-class TestRoundTrip:
-    def test_default_version_is_v2(self):
-        assert DEFAULT_FORMAT_VERSION == 2
-        assert small_trace().to_bytes()[:8] == b"VIDITRC2"
+def anchored_trace() -> TraceFile:
+    """small_trace(8) as a window from ordinal 10, anchored at 3 and 6."""
+    trace = small_trace(8)
+    trace.metadata["ring"] = {"ordinal": 10, "cycle": 40,
+                              "checkpoint": {"regs": [0]}}
+    trace.anchors = {k: {"ordinal": 10 + k, "cycle": 40 + 5 * k,
+                         "checkpoint": {"regs": [k]}} for k in (3, 6)}
+    return trace
 
-    @pytest.mark.parametrize("version", [1, 2])
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_round_trip_both_versions(self, version, compress):
+
+def header_of(blob: bytes) -> dict:
+    return json.loads(blob[20:20 + int.from_bytes(blob[8:16], "little")])
+
+
+class TestRoundTrip:
+    def test_writes_only_v3(self, tmp_path):
         trace = small_trace()
-        blob = trace.to_bytes(compress=compress, version=version)
-        loaded = TraceFile.from_bytes(blob)
-        assert loaded.format_version == version
+        blob = trace.to_bytes()
+        assert blob[:8] == b"VIDITRC3"
+        # Anchorless, ring-less: the bytes the v2-era to_bytes(version=3)
+        # wrote for the same trace.
+        assert blob == fixture("small_v3")
+        trace.save(tmp_path / "t.trace")
+        assert (tmp_path / "t.trace").read_bytes() == blob
+        loaded = TraceFile.load(tmp_path / "t.trace")
+        assert loaded.format_version == 3
         assert bytes(loaded.body) == bytes(trace.body)
-        assert loaded.table.to_dict() == trace.table.to_dict()
-        assert loaded.metadata["app"] == "unit"
+        assert loaded.metadata == {"app": "unit"}
+
+    @pytest.mark.parametrize("name", ["small_v1", "small_v1z", "small_v2",
+                                      "small_v2z", "sha256_s3_v1",
+                                      "sha256_s3_v2"])
+    def test_fixture_loads(self, name):
+        """Each legacy fixture loads with the table, body and metadata it
+        was written from: rewritten, it is byte for byte the v3 fixture
+        the same writer made of the same trace."""
+        stem, version = name.rsplit("_v", 1)
+        loaded = TraceFile.from_bytes(fixture(name))
+        assert loaded.format_version == int(version[0])
         assert not loaded.salvaged
+        assert hashlib.sha256(loaded.body).hexdigest() == BODY_SHA256[stem]
+        reference = TraceFile.from_bytes(fixture(f"{stem}_v3"))
+        assert loaded.metadata == reference.metadata
+        assert loaded.table.to_dict() == reference.table.to_dict()
+        assert loaded.to_bytes() == fixture(f"{stem}_v3")
 
     def test_v1_traces_still_load(self, tmp_path):
-        """Pre-v2 archives keep working (format-version compatibility)."""
-        path = tmp_path / "legacy.trace"
-        small_trace().save(path, version=1)
-        loaded = TraceFile.load(path)
+        """Pre-v2 archives keep loading, and re-saving writes v3."""
+        loaded = TraceFile.load(DATA / "small_v1.trace")
         assert loaded.format_version == 1
         assert bytes(loaded.body) == bytes(small_trace().body)
+        loaded.save(tmp_path / "again.trace")
+        again = TraceFile.load(tmp_path / "again.trace")
+        assert again.format_version == 3
+        assert bytes(again.body) == bytes(loaded.body)
 
-    def test_unknown_version_rejected(self):
-        with pytest.raises(TraceFormatError):
-            small_trace().to_bytes(version=4)
+    def test_anchor_round_trip(self):
+        trace = anchored_trace()
+        blob = trace.to_bytes()
+        loaded = TraceFile.from_bytes(blob)
+        assert loaded.anchors == trace.anchors
+        assert loaded.metadata == trace.metadata
+        assert bytes(loaded.body) == bytes(trace.body)
+        assert loaded.to_bytes() == blob
 
 
 class TestFramingRejections:
     """Short blobs, truncated segments and trailing garbage must all fail
-    loudly, for both container versions."""
+    loudly, for both legacy container versions."""
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_short_blob(self, version):
-        blob = small_trace().to_bytes(version=version)
+        blob = legacy(version)
         for cut in (0, 3, 7):
             with pytest.raises(TraceFormatError):
                 TraceFile.from_bytes(blob[:cut])
@@ -84,50 +137,49 @@ class TestFramingRejections:
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_truncated_header(self, version):
-        blob = small_trace().to_bytes(version=version)
+        blob = legacy(version)
         preamble = 16 if version == 1 else 20
         with pytest.raises(TraceFormatError):
             TraceFile.from_bytes(blob[:preamble + 5])
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_trailing_garbage_rejected(self, version):
-        blob = small_trace().to_bytes(version=version)
+        blob = legacy(version)
         with pytest.raises(TraceFormatError):
             TraceFile.from_bytes(blob + b"\x00" * 9)
 
     def test_v1_truncated_body(self):
-        blob = small_trace().to_bytes(version=1)
         with pytest.raises(TraceFormatError):
-            TraceFile.from_bytes(blob[:-5])
+            TraceFile.from_bytes(legacy(1)[:-5])
 
 
 class TestCrcDetection:
     def test_every_single_byte_flip_detected(self):
-        """Exhaustive: no single-byte corruption of a v2 blob loads."""
-        trace = small_trace()
-        blob = bytearray(trace.to_bytes())
-        for position in range(len(blob)):
-            blob[position] ^= 0x41
-            with pytest.raises(TraceFormatError):
-                TraceFile.from_bytes(bytes(blob))
-            blob[position] ^= 0x41
+        """Exhaustive: no single-byte corruption of a v2 or v3 blob loads."""
+        for pristine in (legacy(2), small_trace().to_bytes()):
+            blob = bytearray(pristine)
+            for position in range(len(blob)):
+                blob[position] ^= 0x41
+                with pytest.raises(TraceFormatError):
+                    TraceFile.from_bytes(bytes(blob))
+                blob[position] ^= 0x41
 
     def test_header_corruption_is_integrity_error(self):
-        blob = bytearray(small_trace().to_bytes())
-        blob[25] ^= 1   # inside the JSON header
-        with pytest.raises(TraceIntegrityError):
-            TraceFile.from_bytes(bytes(blob))
+        for pristine in (legacy(2), small_trace().to_bytes()):
+            blob = bytearray(pristine)
+            blob[25] ^= 1   # inside the JSON header
+            with pytest.raises(TraceIntegrityError):
+                TraceFile.from_bytes(bytes(blob))
 
     def test_body_corruption_is_integrity_error(self):
-        blob = bytearray(small_trace().to_bytes())
+        blob = bytearray(legacy(2))
         blob[-20] ^= 1  # inside the body, near the footer
         with pytest.raises(TraceIntegrityError):
             TraceFile.from_bytes(bytes(blob))
 
     def test_corrupt_frame_never_silently_accepted(self):
         rng = random.Random(0)
-        trace = small_trace()
-        blob = trace.to_bytes()
+        blob = legacy(2)
         for i in range(60):
             region = FRAME_REGIONS[i % len(FRAME_REGIONS)]
             _desc, damaged = corrupt_frame(blob, rng, region=region)
@@ -135,19 +187,20 @@ class TestCrcDetection:
                 TraceFile.from_bytes(damaged)
 
     def test_corrupt_frame_needs_v2(self):
-        with pytest.raises(ConfigError):
-            corrupt_frame(small_trace().to_bytes(version=1),
-                          random.Random(0))
+        for blob in (legacy(1), small_trace().to_bytes()):
+            with pytest.raises(ConfigError):
+                corrupt_frame(blob, random.Random(0))
 
 
 class TestSalvage:
+    """v2 salvage, on the pristine fixture (six packets)."""
+
     def test_truncation_salvages_packet_prefix(self):
-        trace = small_trace(8)
-        blob = trace.to_bytes()
-        index = trace.index()
+        blob = legacy(2)
+        trace = TraceFile.from_bytes(blob)
         body_start = len(blob) - len(trace.body) - 12
         # Cut in the middle of packet 5's serialized bytes.
-        cut = body_start + index.offset_of(5) + 3
+        cut = body_start + trace.index().offset_of(5) + 3
         salvaged = TraceFile.from_bytes(blob[:cut], salvage=True)
         assert salvaged.salvaged
         assert salvaged.metadata["salvaged"]["packets"] == 5
@@ -155,8 +208,8 @@ class TestSalvage:
         assert salvaged.packet_count == 5
 
     def test_interior_corruption_salvages_leading_packets(self):
-        trace = small_trace(8)
-        blob = bytearray(trace.to_bytes())
+        blob = bytearray(legacy(2))
+        trace = TraceFile.from_bytes(bytes(blob))
         body_start = len(blob) - len(trace.body) - 12
         offset = trace.index().offset_of(3)
         blob[body_start + offset] ^= 0xFF   # break packet 3's bitvector
@@ -167,27 +220,26 @@ class TestSalvage:
         assert salvaged.packet_count >= 3
 
     def test_salvage_without_flag_still_raises(self):
-        blob = small_trace().to_bytes()
         with pytest.raises(TraceIntegrityError):
-            TraceFile.from_bytes(blob[:-1])
+            TraceFile.from_bytes(legacy(2)[:-1])
 
     def test_salvage_requires_intact_header(self):
-        blob = bytearray(small_trace().to_bytes())
+        blob = bytearray(legacy(2))
         blob[25] ^= 1
         with pytest.raises(TraceIntegrityError):
             TraceFile.from_bytes(bytes(blob[:-4]), salvage=True)
 
     def test_corrupt_compressed_body_cannot_salvage(self):
-        blob = bytearray(small_trace().to_bytes(compress=True))
+        blob = bytearray(fixture("small_v2z"))
         blob[-16] ^= 1
         with pytest.raises(TraceIntegrityError):
             TraceFile.from_bytes(bytes(blob), salvage=True)
 
     def test_intact_blob_salvage_is_identity(self):
-        blob = small_trace().to_bytes()
-        loaded = TraceFile.from_bytes(blob, salvage=True)
+        loaded = TraceFile.from_bytes(legacy(2), salvage=True)
         assert not loaded.salvaged
-        assert bytes(loaded.body) == bytes(small_trace().body)
+        assert bytes(loaded.body) == bytes(TraceFile.from_bytes(
+            legacy(2)).body)
 
 
 class TestScanPacketPrefix:
@@ -210,76 +262,67 @@ class TestScanPacketPrefix:
         assert nbytes == len(trace.body)
 
 
-class TestTraceWriter:
-    def test_streamed_file_equals_to_bytes(self, tmp_path):
-        trace = small_trace(7)
-        path = tmp_path / "run.trace"
-        with TraceWriter(path, trace.table, metadata={"app": "unit"}) as w:
-            index = trace.index()
-            for ordinal in range(len(index)):
-                w.append(index.slice(ordinal, ordinal + 1))
-        assert path.exists()
-        assert not path.with_name("run.trace.part").exists()
-        loaded = TraceFile.load(path)
-        assert bytes(loaded.body) == bytes(trace.body)
-        assert loaded.metadata["app"] == "unit"
+class TestV3Writer:
+    def test_header_has_no_ring(self):
+        """The window start lives in the genesis ANCHOR only; a shard's
+        ``ring: None`` writes no window at all."""
+        assert header_of(anchored_trace().to_bytes())["metadata"] == {
+            "app": "unit"}
+        shard = small_trace()
+        shard.metadata["ring"] = None
+        blob = shard.to_bytes()
+        assert header_of(blob)["metadata"] == {"app": "unit"}
+        assert "ring" not in TraceFile.from_bytes(blob).metadata
 
-    def test_append_packet(self, tmp_path):
-        trace = small_trace(3)
-        path = tmp_path / "p.trace"
-        with TraceWriter(path, trace.table) as w:
-            for packet in trace.packets():
-                w.append_packet(packet)
-        assert bytes(TraceFile.load(path).body) == bytes(trace.body)
+    def test_anchors_restart_epochs(self):
+        """Each anchor restarts the dedup dictionary and the DEFLATE
+        stream, so a later epoch decodes with no earlier history: damage
+        in the first epoch salvages from the next anchor on."""
+        trace = anchored_trace()
+        blob = bytearray(trace.to_bytes())
+        genesis = 20 + int.from_bytes(blob[8:16], "little")
+        first_run = genesis + 9 + int.from_bytes(
+            blob[genesis + 1:genesis + 5], "little")
+        assert blob[first_run] != FRAME_ANCHOR
+        blob[first_run + 9] ^= 0xFF   # inside epoch 0's RUN payload
+        with pytest.raises(TraceIntegrityError):
+            TraceFile.from_bytes(bytes(blob))
+        salvaged = TraceFile.from_bytes(bytes(blob), salvage=True)
+        assert bytes(salvaged.body) == bytes(trace.index().slice(3, 8))
+        assert salvaged.metadata["ring"] == trace.anchors[3]
+        assert salvaged.anchors == {3: trace.anchors[6]}
 
-    def test_crash_leaves_salvageable_part_file(self, tmp_path):
-        trace = small_trace(9)
-        path = tmp_path / "crash.trace"
-        writer = TraceWriter(path, trace.table)
-        index = trace.index()
-        for ordinal in range(4):
-            writer.append(index.slice(ordinal, ordinal + 1))
-        writer._fh.flush()          # simulate dying without close()
-        part = path.with_name("crash.trace.part")
-        assert part.exists() and not path.exists()
-        salvaged = TraceFile.load(part, salvage=True)
+    def test_salvaged_rewrite_keeps_anchors(self):
+        """``vidi salvage -o``: a torn container's surviving window,
+        rewritten, keeps its anchors and its salvage record."""
+        trace = anchored_trace()
+        blob = trace.to_bytes()
+        salvaged = TraceFile.from_bytes(blob[:-9], salvage=True)  # no END
         assert salvaged.salvaged
-        assert salvaged.metadata["salvaged"]["packets"] == 4
-        assert bytes(trace.body).startswith(bytes(salvaged.body))
-        writer.abort()
+        again = TraceFile.from_bytes(salvaged.to_bytes())
+        assert again.anchors == salvaged.anchors == trace.anchors
+        assert again.metadata == salvaged.metadata
+        assert bytes(again.body) == bytes(salvaged.body)
 
-    def test_exception_in_context_preserves_part(self, tmp_path):
-        trace = small_trace(4)
-        path = tmp_path / "x.trace"
-        with pytest.raises(RuntimeError):
-            with TraceWriter(path, trace.table) as w:
-                w.append(trace.index().slice(0, 2))
-                raise RuntimeError("recording died")
-        part = path.with_name("x.trace.part")
-        assert part.exists() and not path.exists()
-        salvaged = TraceFile.load(part, salvage=True)
-        assert salvaged.metadata["salvaged"]["packets"] == 2
+    def test_mutated_trace_drops_anchors(self):
+        """A mutation moves packet ordinals: the built trace has none."""
+        mutator = TraceMutator(anchored_trace())
+        mutator.packets.pop(1)
+        built = mutator.build()
+        assert built.anchors == {}
+        loaded = TraceFile.from_bytes(built.to_bytes())
+        assert loaded.anchors == {}
+        assert loaded.container_stats["anchors"] == 1   # genesis only
 
-    def test_abort_removes_part(self, tmp_path):
-        path = tmp_path / "a.trace"
-        writer = TraceWriter(path, small_table())
-        writer.abort()
-        assert not path.with_name("a.trace.part").exists()
-        assert not path.exists()
-
-    def test_closed_writer_rejects_appends(self, tmp_path):
-        writer = TraceWriter(tmp_path / "c.trace", small_table())
-        writer.close()
-        with pytest.raises(TraceFormatError):
-            writer.append(b"x")
-
-    def test_footer_crc_matches_streamed_bytes(self, tmp_path):
-        trace = small_trace(5)
-        path = tmp_path / "crc.trace"
-        with TraceWriter(path, trace.table) as w:
-            w.append(trace.body)
-        blob = path.read_bytes()
-        assert blob[-4:] == zlib.crc32(bytes(trace.body)).to_bytes(4, "little")
+    def test_legacy_salvage_rewrites_as_v3(self, tmp_path):
+        """A torn v2 archive salvaged and saved becomes a v3 trace."""
+        blob = legacy(2)
+        salvaged = TraceFile.from_bytes(blob[:-20], salvage=True)
+        salvaged.save(tmp_path / "s.trace")
+        again = TraceFile.load(tmp_path / "s.trace")
+        assert again.format_version == 3
+        assert again.metadata == salvaged.metadata
+        assert bytes(again.body) == bytes(salvaged.body)
 
 
 class TestSalvagedReplay:
@@ -294,8 +337,8 @@ class TestSalvagedReplay:
         metrics = record_run(spec, bench_config(VidiConfig.r2), seed=11)
         trace = metrics.result["trace"]
         blob = trace.to_bytes()
-        cut = len(blob) - (len(trace.body) // 3) - 12
-        salvaged = TraceFile.from_bytes(blob[:cut], salvage=True)
+        salvaged = TraceFile.from_bytes(blob[:2 * len(blob) // 3],
+                                        salvage=True)
         assert salvaged.salvaged
         assert 0 < salvaged.packet_count < trace.packet_count
         replay = replay_run(spec, salvaged, max_cycles=400_000)
