@@ -12,8 +12,18 @@ During replay every monitored channel gets a replayer:
 ``T_expected`` accumulates the ``Ends`` bitvectors of consumed trace
 elements; ``T_current`` counts transactions that actually completed, shared
 through a :class:`ReplayCoordinator` (the broadcast bus of the paper's
-design). Completions become visible to other replayers at the next cycle
-boundary, like the hardware's one-cycle broadcast.
+design). A completion is observed in the sequential phase of the cycle its
+handshake fires and is visible at once: a replayer later in elaboration
+order acts on it in that same cycle, one earlier in elaboration order in
+the next cycle — so a dependent start fires 1 or 2 cycles after its
+prerequisite's end, depending on the two replayers' order.
+
+A replayer whose next action is blocked waits on the *first* unmet
+``(channel, count)`` entry of that action's prerequisites: it registers
+with the coordinator as a waiter on that channel and stays idle (its
+``seq()`` skips the action walk) until a completion on that channel reaches
+the count and releases it. Replay cost therefore follows the completions
+that happen, not the number of replayers.
 
 Replayers consume :class:`~repro.core.decoder.ReplayAction` lists — only
 the events this channel must gate, each carrying a precomputed
@@ -41,23 +51,51 @@ class ReplayCoordinator:
 
     def __init__(self, n_channels: int):
         self.current = VectorClock(n_channels)
-        self.version = 0  # bumped on every completion; lets replayers cache
+        # Bumped on every completion: the replay watchdog's progress token.
+        self.version = 0
         # Cycle of the most recent completion broadcast (None before the
         # first). The replay progress watchdog reads this to pin down where
         # a livelocked replay last made forward progress.
         self.last_progress_cycle: Optional[int] = None
-        # Every replayer sharing this clock; a completion broadcast pokes
-        # them all so batch-parked replayers re-evaluate their gates.
-        self.replayers: List["ChannelReplayer"] = []
+        # Per channel: the (count, replayer) pairs whose walk stopped on
+        # that channel's T_current entry being below ``count``.
+        self.waiters: List[List[Tuple[int, "ChannelReplayer"]]] = [
+            [] for _ in range(n_channels)]
+        # Replayers with trace actions left or a transaction in flight;
+        # replay is done when this reaches zero.
+        self.live = 0
 
     def complete(self, index: int, cycle: Optional[int] = None) -> None:
-        """Broadcast that one more transaction finished on ``index``."""
+        """Broadcast that one more transaction finished on ``index``.
+
+        Releases exactly the waiters on ``index`` whose count is now met.
+        """
         self.current.increment(index)
         self.version += 1
         if cycle is not None:
             self.last_progress_cycle = cycle
-        for replayer in self.replayers:
-            replayer.seq_wake()
+        waiters = self.waiters[index]
+        if waiters:
+            now = self.current.counts[index]
+            keep = []
+            for entry in waiters:
+                if entry[0] <= now:
+                    replayer = entry[1]
+                    replayer._gated = False
+                    replayer.seq_wake()
+                else:
+                    keep.append(entry)
+            self.waiters[index] = keep
+
+    def reset(self, live: int) -> None:
+        """Back to power-on: no completions, no waiters, ``live`` replayers."""
+        counts = self.current.counts
+        counts[:] = [0] * len(counts)
+        self.version = 0
+        self.last_progress_cycle = None
+        for waiters in self.waiters:
+            waiters.clear()
+        self.live = live
 
 
 def compile_elements(feed: Sequence[ReplayElement], direction: str,
@@ -125,8 +163,8 @@ class ChannelReplayer(Module):
 
     comb_static = True
     # The idle guard's ``nofire`` term names the channel wires (watched by
-    # the batched kernel); the coordinator-version term is covered by the
-    # completion broadcast, which pokes every registered replayer.
+    # the batched kernel); ``_gated`` is cleared only by the coordinator
+    # releasing this replayer, and every release pokes ``seq_wake()``.
     burn_idle = True
 
     def __init__(self, name: str, index: int, channel: Channel,
@@ -161,19 +199,20 @@ class ChannelReplayer(Module):
         self._ready_credits = 0
         self.replayed_transactions = 0
         self.validation_contents: List[bytes] = []
-        # Coordinator version at which the action walk last came up empty
-        # (blocked or exhausted). While it still matches, and our channel
-        # did not fire, seq() is provably a no-op — the guard the compiled
-        # kernel inlines below.
-        self._blocked_version = -1
+        # Set when the action walk stops: blocked on an unmet prerequisite
+        # (and registered as a waiter on it) or out of actions. While set,
+        # seq() skips the walk; only a release by the coordinator clears
+        # it, so with our channel idle seq() is a no-op — the guard the
+        # compiled kernel inlines below.
+        self._gated = False
         self.sensitive_to()
         if direction == "in":
             self.drives(channel.valid, channel.payload)
         else:
             self.drives(channel.ready)
-        self.seq_idle_when(("nofire", channel),
-                           ("sync", "_blocked_version", "coordinator.version"))
-        coordinator.replayers.append(self)
+        self.seq_idle_when(("nofire", channel), ("truthy", "_gated"))
+        if self.actions:
+            coordinator.live += 1
 
     # ------------------------------------------------------------------
     @property
@@ -208,20 +247,27 @@ class ChannelReplayer(Module):
 
     def seq(self) -> None:
         channel = self.channel
+        coordinator = self.coordinator
         # 1. Observe actual completion on our channel and broadcast it.
         if channel.fired:
             if self.direction == "in":
                 self._current = None
+                idle = not self._pending_contents
             else:
                 self._ready_credits -= 1
                 if self._ready_credits < 0:
                     self._credit_underflow()
                 self.validation_contents.append(channel.payload_bytes())
+                idle = not self._ready_credits
             self.replayed_transactions += 1
-            self.coordinator.complete(
+            coordinator.complete(
                 self.index,
                 self._sim.cycle if self._sim is not None else None)
             self.wake()   # _current/_ready_credits changed
+            if idle and self._action_pos == len(self.actions):
+                coordinator.live -= 1   # this was our last transaction
+        if self._gated:
+            return
         # 2. Consume as many actions as the vector clocks allow. The delta
         # prerequisites stand in for the full ``geq`` (see
         # :func:`_delta_needs`); ``T_current``'s count list is mutated in
@@ -230,11 +276,13 @@ class ChannelReplayer(Module):
         needs = self._needs
         n_actions = len(actions)
         is_input = self.direction == "in"
-        counts = self.coordinator.current.counts
+        counts = coordinator.current.counts
         pos = self._action_pos
         while pos < n_actions:
             for index, count in needs[pos]:
                 if counts[index] < count:
+                    # Wait for this entry; a release re-runs the walk.
+                    coordinator.waiters[index].append((count, self))
                     break
             else:
                 if is_input:
@@ -246,15 +294,15 @@ class ChannelReplayer(Module):
                 continue
             break
         self._action_pos = pos
-        # The walk stopped: blocked on a prerequisite or out of actions.
-        # Either way nothing more can happen until the shared clock moves.
-        self._blocked_version = self.coordinator.version
+        # Blocked (and waiting) or out of actions: either way the walk has
+        # nothing to do until a release.
+        self._gated = True
 
     def next_wake(self, cycle: int) -> Optional[int]:
         # Purely reactive: everything seq() does is triggered by channel
-        # activity (fired) or another replayer's completion broadcast — and a
-        # broadcast is always made on a cycle with channel activity, which
-        # blocks warping until the cycle after we have observed it.
+        # activity (fired) or a release by another replayer's completion —
+        # and a completion is always made on a cycle with channel activity,
+        # which blocks warping until the cycle after we have observed it.
         return None
 
     # ------------------------------------------------------------------
@@ -278,7 +326,11 @@ class ChannelReplayer(Module):
         ready = ctx.bind(self.channel.ready)
         lines = [f"if {valid}._value and {ready}._value:"]
         if self.direction == "in":
-            lines += [f"    {m}._current = None"]
+            lines += [
+                f"    {m}._current = None",
+                f"    _ridle = not {m}._pending_contents",
+            ]
+            consume = f"{m}._pending_contents.append({m}.actions[_rpos].word)"
         else:
             lines += [
                 f"    {m}._ready_credits -= 1",
@@ -286,23 +338,23 @@ class ChannelReplayer(Module):
                 f"        {m}._credit_underflow()",
                 f"    {m}.validation_contents.append("
                 f"{m}.channel.payload_bytes())",
+                f"    _ridle = not {m}._ready_credits",
             ]
-        consume = (f"{m}._pending_contents.append("
-                   f"{m}.actions[_rpos].word)"
-                   if self.direction == "in"
-                   else f"{m}._ready_credits += 1")
+            consume = f"{m}._ready_credits += 1"
         lines += [
             f"    {m}.replayed_transactions += 1",
             f"    {m}.coordinator.complete({m}.index, S.cycle)",
             f"    {m}.wake()",
-            f"_rco = {m}.coordinator",
-            f"_rneeds = {m}._needs",
-            f"_rpos = {m}._action_pos",
-            "if _rpos < len(_rneeds):",
-            "    _rcur = _rco.current.counts",
+            f"    if _ridle and {m}._action_pos == len({m}.actions):",
+            f"        {m}.coordinator.live -= 1",
+            f"if not {m}._gated:",
+            f"    _rneeds = {m}._needs",
+            f"    _rpos = {m}._action_pos",
+            f"    _rcur = {m}.coordinator.current.counts",
             "    while _rpos < len(_rneeds):",
             "        for _ri, _rc in _rneeds[_rpos]:",
             "            if _rcur[_ri] < _rc:",
+            f"                {m}.coordinator.waiters[_ri].append((_rc, {m}))",
             "                break",
             "        else:",
             f"            {consume}",
@@ -311,7 +363,7 @@ class ChannelReplayer(Module):
             "            continue",
             "        break",
             f"    {m}._action_pos = _rpos",
-            f"{m}._blocked_version = _rco.version",
+            f"    {m}._gated = True",
         ]
         return lines
 
@@ -362,4 +414,4 @@ class ChannelReplayer(Module):
         self._ready_credits = 0
         self.replayed_transactions = 0
         self.validation_contents.clear()
-        self._blocked_version = -1
+        self._gated = False

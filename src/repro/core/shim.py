@@ -23,7 +23,7 @@ order and the simulator executes them in add order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.channels.axi import CHANNEL_ORDER, AxiInterface
 from repro.channels.handshake import Channel, PassThrough
@@ -85,7 +85,6 @@ class VidiShim(Module):
         self.monitors: List[ChannelMonitor] = []
         self.replayers: List[ChannelReplayer] = []
         self.coordinator: Optional[ReplayCoordinator] = None
-        self._replay_done_cache: Optional[Tuple[int, bool]] = None
         self.store: Optional[TraceStore] = None
         self.encoder: Optional[TraceEncoder] = None
 
@@ -253,22 +252,16 @@ class VidiShim(Module):
     def replay_done(self) -> bool:
         """All replayers consumed their feeds and have nothing in flight.
 
-        Cached on the coordinator version: a replayer's done-status only
-        moves in a cycle where some handshake fired, and every fire
-        broadcasts a completion (bumping the version) — so between bumps
-        the answer cannot change and the per-cycle ``run_until`` predicate
-        costs one comparison instead of a sweep over every replayer.
+        The coordinator counts the live replayers down as each one's last
+        transaction completes, so the per-cycle ``run_until`` predicate is
+        one comparison instead of a sweep over every replayer.
         """
-        coordinator = self.coordinator
-        if coordinator is None:
-            return all(r.done for r in self.replayers)
-        version = coordinator.version
-        cached = self._replay_done_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        result = all(r.done for r in self.replayers)
-        self._replay_done_cache = (version, result)
-        return result
+        return self.coordinator is None or self.coordinator.live == 0
+
+    def reset_state(self) -> None:
+        super().reset_state()
+        if self.coordinator is not None:
+            self.coordinator.reset(sum(1 for r in self.replayers if r.actions))
 
     def progress_token(self) -> int:
         """Monotone token that changes whenever replay makes progress.

@@ -10,19 +10,21 @@ elaboration*, the way Verilator levelizes a netlist:
    edge to that reader. Tarjan's algorithm condenses the graph into
    strongly connected components; acyclic components are ranked by longest
    path from the sources (their *level*), while every true combinational
-   cycle — a multi-module SCC or a self-loop — is demoted, alone, to
-   iterative settling at its level. Modules that declared no sensitivity
+   cycle — a multi-module SCC or a self-loop — is demoted, alone, to a
+   stage of its own at its level. Modules that declared no sensitivity
    at all stay on the every-pass fallback, exactly as under the event
-   kernel.
+   kernel. Every levelized module is numbered in stage order, then
+   elaboration order (its *rank*).
 
 2. **Code generation** (:func:`compile_kernel`). From the schedule we
    assemble the source of one fused per-cycle ``step`` function and
    ``exec`` it with the schedule's objects bound into its namespace:
-   module tuples per rank, bound ``seq`` methods, the signals read by the
-   declared seq-idle guards. The generated function contains, straight
-   line: the rank-ordered settle (each rank swept once per delta pass,
-   short-circuited by the per-module scheduled flag), iterative settling
-   blocks for demoted SCCs, the sequential calls in elaboration order —
+   bound ``seq`` methods, the fallback module tuples, the signals read by
+   the declared seq-idle guards. The generated function contains,
+   straight line: the settle — the event kernel's work-list delta loop,
+   each pass sorted by rank so that it evaluates drivers before their
+   readers, and a demoted SCC iterating across passes under the same
+   ``max_delta`` bound — the sequential calls in elaboration order —
    each wrapped in its module's inlined ``seq_idle_when`` guard when one
    was declared, or replaced outright by the module's own generated body
    when it implements :meth:`~repro.sim.module.Module.seq_inline_source`
@@ -44,8 +46,8 @@ elaboration*, the way Verilator levelizes a netlist:
 Correctness story: ``comb()`` processes are required to be idempotent and
 confluent (the contract the event/fixpoint differential tests already
 enforce), so evaluation *order* only affects how many delta passes are
-needed, never the fixpoint reached. The generated settle still iterates
-until the work-list drains, so even a wrong rank assignment (missing
+needed, never the fixpoint reached. The generated settle iterates until
+the work-list drains, so even a wrong rank assignment (missing
 ``drives()`` declarations, say) costs extra passes, not wrong values.
 Sequential order, commit order and hook order are preserved exactly.
 
@@ -58,6 +60,7 @@ kernel and forces a rebind.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CombinationalLoopError, SimulationError
@@ -191,8 +194,8 @@ def levelize(declared: Sequence[Module], always: Sequence[Module],
                 si = scc_of[id(succ)]
                 if si != ci and level[ci] + 1 > level[si]:
                     level[si] = level[ci] + 1
-    # A component is a true combinational cycle (and demoted to iterative
-    # settling) when it has several members or a self-loop.
+    # A component is a true combinational cycle (and demoted to a stage of
+    # its own) when it has several members or a self-loop.
     stages: List[Stage] = []
     plain: Dict[int, List[Module]] = {}
     for ci, comp in enumerate(sccs):
@@ -376,10 +379,34 @@ def _term_key(term: tuple, mod_addr, sig_addr) -> Optional[tuple]:
     return None
 
 
-# Class → (qualified name, comb overridden, seq overridden, seq inline
-# overridden), computed once per class: the key is taken for every
-# simulator of a sweep, so the per-module work matters.
+# Class → (seq_inline_source function, qualified name, comb overridden,
+# seq overridden, digest of the overriding seq_inline_source or None),
+# computed once per class and hook: the key is taken for every simulator
+# of a sweep, so the per-module work matters.
 _CLASS_FACTS: Dict[type, tuple] = {}
+
+
+def _code_digest(code) -> str:
+    """SHA-256 over a code object's bytecode, names and constants.
+
+    Nested code objects (comprehensions, inner functions) are folded in;
+    file names and line numbers are not, so the digest is the same in
+    every checkout of the same code.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    stack = [code]
+    while stack:
+        code = stack.pop()
+        digest.update(code.co_code)
+        digest.update(repr(code.co_names).encode())
+        for const in code.co_consts:
+            if hasattr(const, "co_code"):
+                stack.append(const)
+            else:
+                digest.update(repr(const).encode())
+    return digest.hexdigest()
 
 
 def schedule_key(sim) -> Optional[tuple]:
@@ -415,13 +442,18 @@ def schedule_key(sim) -> Optional[tuple]:
     for module in modules:
         cls = type(module)
         facts = class_facts.get(cls)
-        if facts is None:
-            facts = (f"{cls.__module__}.{cls.__qualname__}",
+        inline_fn = cls.seq_inline_source
+        if facts is None or facts[0] is not inline_fn:
+            # The hook's code is spliced into the generated step, so it
+            # keys the cache like the codegen's own source does.
+            facts = (inline_fn,
+                     f"{cls.__module__}.{cls.__qualname__}",
                      cls.comb is not Module.comb,
                      cls.seq is not Module.seq,
-                     cls.seq_inline_source is not Module.seq_inline_source)
+                     None if inline_fn is Module.seq_inline_source
+                     else _code_digest(inline_fn.__code__))
             class_facts[cls] = facts
-        cls_name, comb_overridden, seq_overridden, inline_overridden = facts
+        _fn, cls_name, comb_overridden, seq_overridden, inline_digest = facts
         sens: Optional[tuple]
         if module._sensitivity is None:
             sens = None
@@ -452,10 +484,11 @@ def schedule_key(sim) -> Optional[tuple]:
         # inlining, so it must split the cache key too.
         seq_wrapped = "seq" in module.__dict__
         inline_key = None
-        if not seq_wrapped and inline_overridden:
+        if not seq_wrapped and inline_digest is not None:
             inline_key = module.seq_inline_key()
             if inline_key is False:
                 return None
+            inline_key = (inline_digest, inline_key)
         emit((
             cls_name,
             module.has_comb,
@@ -605,8 +638,81 @@ def _base_recipe(sim) -> Dict[str, tuple]:
 def _bind_fixed(ns: Dict[str, object], sim) -> None:
     ns["_S"] = sim
     ns["_CombLoop"] = CombinationalLoopError
+    ns["_rk"] = _rank_key
     ns["_hooks"] = sim._cycle_hooks
     ns["_revs"] = sim.rank_evals
+
+
+def _stage_shapes(lev: Levelization) -> tuple:
+    """``((orders...), iterative, level)`` per stage: the cacheable schedule."""
+    return tuple((tuple(m._order for m in s.modules), s.iterative, s.level)
+                 for s in lev.stages)
+
+
+_rank_key = attrgetter("_rank")
+
+
+def _assign_ranks(stage_shapes: tuple, modules: Sequence[Module]) -> None:
+    """Number the levelized modules in stage order, then elaboration order.
+
+    ``_rank`` is the settle's work-list sort key, so a pass evaluates
+    drivers before their readers; ``_rank_stage`` picks the stage's
+    ``rank_evals`` counter.
+    """
+    rank = 0
+    for si, (orders, _iterative, _level) in enumerate(stage_shapes):
+        for order in orders:
+            module = modules[order]
+            module._rank = rank
+            module._rank_stage = si
+            rank += 1
+
+
+def _emit_settle(emit, dyn: Optional[str], alw: Optional[str],
+                 n_always: int, count_ranks: bool) -> None:
+    """Emit the combinational settle shared by the scalar and batch kernels.
+
+    Re-schedules the dynamic modules (``dyn`` names their tuple), then
+    opens ``if <work pending>:`` and fills it with the event kernel's delta
+    loop: each pass takes ``S._pending``, sorts it by levelized rank and
+    evaluates it; modules pended meanwhile form the next pass, and a
+    combinational cycle iterates across passes under the ``max_delta``
+    bound. ``alw`` names the always-evaluated modules. The caller closes
+    the branch (its body is indented eight spaces).
+    """
+    if dyn is not None:
+        emit("    pend = S._pending")
+        emit(f"    for m in {dyn}:")
+        emit("        if not m._comb_scheduled:")
+        emit("            m._comb_scheduled = True")
+        emit("            pend.append(m)")
+    emit(f"    if S._pending{' or True' if alw else ''}:")
+    emit("        evals = 0")
+    emit("        for _p in range(_md):")
+    emit("            batch = S._pending")
+    emit("            S._pending = []")
+    emit("            S._dirty = False")
+    emit("            if len(batch) > 1:")
+    emit("                batch.sort(key=_rk)")
+    emit("            for m in batch:")
+    emit("                m._comb_scheduled = False")
+    emit("                m.comb()")
+    if count_ranks:
+        emit("                _revs[m._rank_stage] += 1")
+    emit("            evals += len(batch)")
+    if alw is not None:
+        emit(f"            for m in {alw}:")
+        emit("                m.comb()")
+        emit(f"            evals += {n_always}")
+        emit("            if not S._pending and not S._dirty:")
+    else:
+        emit("            if not S._pending:")
+    emit("                break")
+    emit("        else:")
+    emit("            raise _CombLoop(")
+    emit("                '%s: combinational logic did not settle in "
+         "%d delta passes at cycle %d' % (S.name, _md, S.cycle))")
+    emit("        S.comb_evals += evals")
 
 
 def compile_kernel(sim) -> CompiledKernel:
@@ -641,6 +747,7 @@ def compile_kernel(sim) -> CompiledKernel:
         sim.rank_count = entry.rank_count
         sim.demoted_sccs = entry.demoted_sccs
         sim.rank_evals = [0] * entry.rank_count
+        _assign_ranks(entry.stage_shapes, sim.modules)
         ns = _resolve(entry.recipe, sim)
         _bind_fixed(ns, sim)
         exec(entry.code, ns)
@@ -652,6 +759,8 @@ def compile_kernel(sim) -> CompiledKernel:
     sim.schedule_cache_hit = False
     sim.schedule_cache_tier = "cold"
     lev = levelize(sim._event_comb, sim._always_comb, sim._dynamic_comb)
+    stage_shapes = _stage_shapes(lev)
+    _assign_ranks(stage_shapes, sim.modules)
     sim.rank_count = lev.rank_count
     sim.demoted_sccs = lev.demoted_sccs
     # One in-place-zeroable counter per stage (reset() clears them).
@@ -674,70 +783,12 @@ def compile_kernel(sim) -> CompiledKernel:
     if has_dynamic:
         ns["_dyn"] = tuple(lev.dynamic)
         recipe["_dyn"] = ("modtuple", tuple(m._order for m in lev.dynamic))
-        emit("    pend = S._pending")
-        emit("    for m in _dyn:")
-        emit("        if not m._comb_scheduled:")
-        emit("            m._comb_scheduled = True")
-        emit("            pend.append(m)")
-    active = "S._pending or True" if has_always else "S._pending"
-    emit(f"    if {active}:")
-
-    # --- settle: rank-ordered sweeps inside the delta-pass loop ---
-    emit("        evals = 0")
-    emit("        for _p in range(_md):")
-    emit("            S._pending = []")
-    emit("            S._dirty = False")
-    for si, stage in enumerate(lev.stages):
-        name = f"_stage{si}"
-        ns[name] = stage.modules
-        recipe[name] = ("modtuple", tuple(m._order for m in stage.modules))
-        emit(f"            n{si} = evals")
-        if stage.iterative:
-            emit("            for _i in range(_md):")
-            emit("                prog = False")
-            emit(f"                for m in {name}:")
-            emit("                    if m._comb_scheduled:")
-            emit("                        m._comb_scheduled = False")
-            emit("                        m.comb()")
-            emit("                        evals += 1")
-            emit("                        prog = True")
-            emit("                if not prog:")
-            emit("                    break")
-            emit("            else:")
-            emit("                raise _CombLoop(")
-            emit("                    '%s: combinational cycle %s did not "
-                 "settle in %d passes'")
-            emit(f"                    % (S.name, {name}[0].name, _md))")
-        else:
-            emit(f"            for m in {name}:")
-            emit("                if m._comb_scheduled:")
-            emit("                    m._comb_scheduled = False")
-            emit("                    m.comb()")
-            emit("                    evals += 1")
-        emit(f"            _revs[{si}] += evals - n{si}")
     if has_always:
         ns["_alw"] = tuple(lev.always)
         recipe["_alw"] = ("modtuple", tuple(m._order for m in lev.always))
-        emit("            for m in _alw:")
-        emit("                m.comb()")
-        emit(f"            evals += {len(lev.always)}")
-    emit("            live = False")
-    emit("            for m in S._pending:")
-    emit("                if m._comb_scheduled:")
-    emit("                    live = True")
-    emit("                    break")
-    if has_always:
-        emit("            if not live and not S._dirty:")
-    else:
-        emit("            if not live:")
-    emit("                if S._pending:")
-    emit("                    S._pending = []")
-    emit("                break")
-    emit("        else:")
-    emit("            raise _CombLoop(")
-    emit("                '%s: combinational logic did not settle in "
-         "%d delta passes at cycle %d' % (S.name, _md, S.cycle))")
-    emit("        S.comb_evals += evals")
+    _emit_settle(emit, "_dyn" if has_dynamic else None,
+                 "_alw" if has_always else None, len(lev.always),
+                 count_ranks=True)
     emit("        settled = True")
     emit("    else:")
     emit("        S.quiescent_cycles += 1")
@@ -848,9 +899,6 @@ def compile_kernel(sim) -> CompiledKernel:
 
     if key is not None and sigbind.cacheable:
         _CACHE_STATS["misses"] += 1
-        stage_shapes = tuple(
-            (tuple(m._order for m in s.modules), s.iterative, s.level)
-            for s in lev.stages)
         always_orders = tuple(m._order for m in lev.always)
         dynamic_orders = tuple(m._order for m in lev.dynamic)
         _SCHEDULE_CACHE[key] = _CacheEntry(
@@ -967,9 +1015,13 @@ def compile_batch(sims, D, E, inf: int) -> BatchProgram:
     inner = _Binder("g", addr_of)
     bind = _BatchBinder(inner)
 
+    stage_shapes = _stage_shapes(lev)
+    for sim in sims:
+        _assign_ranks(stage_shapes, sim.modules)
     ns: Dict[str, object] = {
         "_S": list(sims),
         "_CombLoop": CombinationalLoopError,
+        "_rk": _rank_key,
         "_md": sim0.max_delta,
         "_D": D,
         "_E": E,
@@ -978,77 +1030,23 @@ def compile_batch(sims, D, E, inf: int) -> BatchProgram:
     src: List[str] = []
     emit = src.append
 
-    # --- settle: the scalar delta loop, instance-indexed ---
+    # --- settle: the scalar kernel's, instance-indexed ---
     has_always = bool(lev.always)
     has_dynamic = bool(lev.dynamic)
-    emit("def _settle(_k):")
-    emit("    S = _S[_k]")
     if has_dynamic:
         ns["_dyn"] = [tuple(s.modules[m._order] for m in lev.dynamic)
                       for s in sims]
-        emit("    pend = S._pending")
-        emit("    for m in _dyn[_k]:")
-        emit("        if not m._comb_scheduled:")
-        emit("            m._comb_scheduled = True")
-        emit("            pend.append(m)")
-    if not has_always:
-        emit("    if not S._pending:")
-        emit("        S.quiescent_cycles += 1")
-        emit("        return False")
-    emit("    evals = 0")
-    emit("    for _p in range(_md):")
-    emit("        S._pending = []")
-    emit("        S._dirty = False")
-    for si, stage in enumerate(lev.stages):
-        name = f"_stage{si}"
-        ns[name] = [tuple(s.modules[m._order] for m in stage.modules)
-                    for s in sims]
-        if stage.iterative:
-            emit("        for _i in range(_md):")
-            emit("            prog = False")
-            emit(f"            for m in {name}[_k]:")
-            emit("                if m._comb_scheduled:")
-            emit("                    m._comb_scheduled = False")
-            emit("                    m.comb()")
-            emit("                    evals += 1")
-            emit("                    prog = True")
-            emit("            if not prog:")
-            emit("                break")
-            emit("        else:")
-            emit("            raise _CombLoop(")
-            emit("                '%s: combinational cycle %s did not settle "
-                 "in %d passes'")
-            emit(f"                % (S.name, {name}[_k][0].name, _md))")
-        else:
-            emit(f"        for m in {name}[_k]:")
-            emit("            if m._comb_scheduled:")
-            emit("                m._comb_scheduled = False")
-            emit("                m.comb()")
-            emit("                evals += 1")
     if has_always:
         ns["_alw"] = [tuple(s.modules[m._order] for m in lev.always)
                       for s in sims]
-        emit("        for m in _alw[_k]:")
-        emit("            m.comb()")
-        emit(f"        evals += {len(lev.always)}")
-    emit("        live = False")
-    emit("        for m in S._pending:")
-    emit("            if m._comb_scheduled:")
-    emit("                live = True")
-    emit("                break")
-    if has_always:
-        emit("        if not live and not S._dirty:")
-    else:
-        emit("        if not live:")
-    emit("            if S._pending:")
-    emit("                S._pending = []")
-    emit("            break")
-    emit("    else:")
-    emit("        raise _CombLoop(")
-    emit("            '%s: combinational logic did not settle in "
-         "%d delta passes at cycle %d' % (S.name, _md, S.cycle))")
-    emit("    S.comb_evals += evals")
-    emit("    return True")
+    emit("def _settle(_k):")
+    emit("    S = _S[_k]")
+    _emit_settle(emit, "_dyn[_k]" if has_dynamic else None,
+                 "_alw[_k]" if has_always else None, len(lev.always),
+                 count_ranks=False)
+    emit("        return True")
+    emit("    S.quiescent_cycles += 1")
+    emit("    return False")
     emit("")
 
     # --- per-slot sequential functions ---

@@ -67,7 +67,7 @@ correct, they just get the conservative treatment:
     attribute chain on the module is falsy / truthy;
   - ``("none", "attr.path")`` — the attribute chain is ``None``;
   - ``("sync", "attr.a", "attr.b")`` — two attribute chains compare equal
-    (version-cache idioms).
+    (a credit counter sitting at its cap, say).
 
   Declaring a condition that can be true while ``seq()`` still has work
   is a correctness bug — exactly the class of error the 3-way

@@ -26,7 +26,9 @@ This module persists the compiled artifact so the work is paid once per
   changes every key: an old cached step function can never be bound by a
   newer codegen (it is simply never found). The structural
   ``schedule_key`` part is the same fingerprint the in-process cache
-  trusts.
+  trusts; it carries a digest of the code of every overridden
+  ``seq_inline_source`` hook, so editing the source a module splices into
+  the step misses both tiers too.
 
 * **Write discipline.** Entries are written crash-safely: payload
   framed as ``magic + crc32 + length + pickle``, written to a ``.part``

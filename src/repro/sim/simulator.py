@@ -28,9 +28,10 @@ Two interchangeable settling schedulers implement phase 1:
 * ``"compiled"`` — static scheduling. At the first ``step()`` the declared
   sensitivity graph is levelized (:mod:`repro.sim.compile`) — comb modules
   topologically ranked by their ``drives()`` → ``sensitive_to()`` edges,
-  true combinational cycles demoted to iterative settling — and a fused
+  true combinational cycles demoted to stages of their own — and a fused
   per-cycle step function is generated (``exec`` of assembled source):
-  rank-ordered settling, sequential calls inlined straight-line with
+  the event kernel's work-list settle with each pass sorted by rank,
+  sequential calls inlined straight-line with
   ``seq_idle_when`` guards, inlined commit, and the same quiescent /
   time-warp fast paths. Bit-identical to the other two kernels, faster on
   designs with declared scheduling.

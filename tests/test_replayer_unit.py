@@ -26,6 +26,32 @@ def filler(ends_mask: int) -> ReplayElement:
                          ends_mask=ends_mask)
 
 
+def _dependent_start_gap(prereq_first):
+    """Cycles from channel 1's end to channel 0's start that depends on it."""
+    sim = Simulator()
+    coordinator = ReplayCoordinator(2)
+    ch0 = Channel("ch0", WORD, direction="in")
+    ch1 = Channel("ch1", WORD, direction="in")
+    dep = ChannelReplayer("rep0", 0, ch0, coordinator, "in",
+                          [filler(0b10), start_element(9), end_element(0b01)])
+    pre = ChannelReplayer("rep1", 1, ch1, coordinator, "in",
+                          [start_element(5), end_element(0b10)])
+    sinks = [ChannelSink("sink0", ch0), ChannelSink("sink1", ch1)]
+    for module in (ch0, ch1, *((pre, dep) if prereq_first else (dep, pre)),
+                   *sinks):
+        sim.add(module)
+    first = {}
+
+    def seen(cycle):
+        for i, sink in enumerate(sinks):
+            if sink.received:
+                first.setdefault(i, cycle)
+
+    sim.add_cycle_hook(seen)
+    sim.run(12)
+    return first[0] - first[1]
+
+
 class TestInputReplayer:
     def test_replays_contents_in_order(self):
         sim = Simulator()
@@ -60,6 +86,10 @@ class TestInputReplayer:
         coordinator.complete(1)             # channel 1's transaction ends
         sim.run(5)
         assert sink.received == [9]
+        # With a replayer on channel 1, our start fires 1 cycle after its
+        # end when that replayer runs before ours, 2 cycles when after.
+        for prereq_first, gap in ((True, 1), (False, 2)):
+            assert _dependent_start_gap(prereq_first) == gap
 
     def test_done_requires_drained_queue(self):
         sim = Simulator()
@@ -182,3 +212,4 @@ class TestDeltaNeeds:
                 pos_geq += 1
             assert pos_delta == pos_geq
         assert pos_delta == len(actions)
+

@@ -261,12 +261,45 @@ def test_store_key_depends_on_package_version(monkeypatch):
     assert schedule_store.store_key(key) != before
 
 
-def test_store_key_depends_on_codegen_source(monkeypatch):
+class Tick(Module):
+    """A seq-only module whose seq() the compiled kernel inlines."""
+
+    has_comb = False
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.n = 0
+
+    def seq(self):
+        self.n += 1
+
+    def seq_inline_source(self, ctx):
+        return [f"{ctx.mod_name}.n += 1"]
+
+
+def test_store_key_depends_on_codegen_source(store_dir, monkeypatch):
+    """The key follows the code spliced into the step: the codegen's own
+    source, and every ``seq_inline_source`` hook — editing a hook misses
+    both tiers."""
     sim, _ = _chain_sim()
     key = schedule_key(sim)
     before = schedule_store.store_key(key)
     monkeypatch.setattr(schedule_store, "_CODEGEN_SHA", "f" * 64)
     assert schedule_store.store_key(key) != before
+
+    def run():
+        sim = Simulator("tick", scheduler="compiled")
+        tick = sim.add(Tick("t"))
+        sim.run(2)
+        return sim, tick
+
+    run()
+    monkeypatch.setattr(Tick, "seq_inline_source",
+                        lambda self, ctx: [f"{ctx.mod_name}.n += 10"])
+    sim, tick = run()
+    assert sim.schedule_cache_tier == "cold"
+    assert schedule_cache_stats()["disk_misses"] == 2
+    assert tick.n == 20
 
 
 def test_version_skewed_entry_never_loads(store_dir, monkeypatch):

@@ -1,10 +1,14 @@
 """End-to-end Vidi tests on the F1 deployment: R1 -> R2 -> R3 workflows."""
 
+import hashlib
+
 import pytest
 
 from repro.apps.dram_dma import check, make
+from repro.apps.registry import get_app
 from repro.core import VidiConfig, VidiMode, compare_traces
 from repro.errors import ConfigError
+from repro.harness.runner import bench_config, record_run, trace_interfaces
 from repro.platform import EnvironmentMode, F1Deployment
 
 
@@ -22,6 +26,54 @@ def run_replay(trace, polling=True):
     dep = F1Deployment("r", acc_factory, VidiConfig.r3(), replay_trace=trace)
     cycles = dep.run_replay(max_cycles=400_000)
     return dep, cycles
+
+
+WAKEUP_APPS = ("dram_dma", "sha256", "bnn", "mobilenet", "packet_filter",
+               "dram_dma_axi")
+
+# Validation-trace pins (cycles, SHA-256) at seed 5. Every kernel runs the
+# same gated seq(), so a release landing a cycle late on all of them at
+# once passes the kernel differential tests; it fails here.
+PINNED = {
+    "dram_dma": (8604, "45127148e835ff4e87fd2392f4970be296c322d6"
+                       "2a21ebb8187f59f7805744e6"),
+    "sha256": (2179, "d648c868d04381742cbe171ff1d531bedb303a73"
+                     "b296b2d812f32528b765dd94"),
+}
+
+
+def replay_checking_wakeups(app, seed=5):
+    """Record ``app``, then replay it under event and compiled while a cycle
+    hook asserts at every cycle boundary that no gated replayer could
+    already act and that ``live`` counts exactly the replayers not done.
+    Returns ``{kernel: (cycles, validation-trace SHA-256)}``."""
+    spec = get_app(app)
+    trace = record_run(spec, bench_config(VidiConfig.r2), seed=seed,
+                       scheduler="compiled").result["trace"]
+    outs = {}
+    for kernel in ("event", "compiled"):
+        dep = F1Deployment(
+            f"rep_{app}", spec.make()[0],
+            VidiConfig.r3(interfaces=trace_interfaces(trace)),
+            replay_trace=trace, scheduler=kernel)
+        shim = dep.shim
+        counts = shim.coordinator.current.counts
+
+        def audit(cycle, shim=shim, counts=counts, kernel=kernel):
+            for r in shim.replayers:
+                if r._gated and r._action_pos < len(r.actions):
+                    expected = r.actions[r._action_pos].expected.counts
+                    assert any(c < e for c, e in zip(counts, expected)), (
+                        f"{app}/{kernel}: {r.name} gated but ready "
+                        f"at cycle {cycle}")
+            live = sum(not r.done for r in shim.replayers)
+            assert shim.coordinator.live == live, (app, kernel, cycle)
+
+        dep.sim.add_cycle_hook(audit)
+        cycles = dep.run_replay()
+        body = dep.recorded_trace().body
+        outs[kernel] = (cycles, hashlib.sha256(body).hexdigest())
+    return outs
 
 
 class TestRecordTransparency:
@@ -59,6 +111,11 @@ class TestReplay:
         # must always hold under transaction determinism.
         assert not report.of_kind("count")
         assert not report.of_kind("ordering")
+        # Replayers wake only when released; none may miss its release.
+        for app in WAKEUP_APPS:
+            for kernel, out in replay_checking_wakeups(app).items():
+                if app in PINNED:
+                    assert out == PINNED[app], (app, kernel)
 
     def test_replay_recreates_internal_state(self):
         """Replay reconstructs on-FPGA DRAM contents from the trace alone."""
@@ -82,9 +139,16 @@ class TestReplay:
     def test_replay_is_deterministic(self):
         dep, _, _ = run_host(VidiConfig.r2(), seed=8)
         trace = dep.recorded_trace()
-        a, _ = run_replay(trace)
+        a, cycles = run_replay(trace)
         b, _ = run_replay(trace)
-        assert a.recorded_trace().body == b.recorded_trace().body
+        body = a.recorded_trace().body
+        assert body == b.recorded_trace().body
+        # Simulator.reset() rewinds the replay coordinator with the design:
+        # the same deployment replays again to the same cycles and body.
+        a.sim.reset()
+        assert a.run_replay(max_cycles=400_000) == cycles
+        assert a.recorded_trace().body == body
+        assert cycles > 0
 
     def test_replay_needs_trace(self):
         acc_factory, _ = make()
