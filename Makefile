@@ -35,10 +35,11 @@ faults-warm:     ## compiled-kernel campaign smoke over the persistent cache
 test:            ## tier-1: the full unit/integration suite
 	$(PYTEST) -x -q
 
-test-schedulers: ## differential, levelization, replayer, sharded-replay + extension-app suites (CI matrix)
+test-schedulers: ## differential, levelization, replayer, sharded-replay, extension-app + host/store/DMA unit suites (CI matrix)
 	$(PYTEST) tests/test_scheduler_equivalence.py tests/test_compile.py \
 	  tests/test_replayer_unit.py tests/test_sharded_replay.py \
-	  tests/test_extension_registry.py -q
+	  tests/test_extension_registry.py tests/test_platform.py \
+	  tests/test_store.py tests/test_dma_engine_units.py -q
 
 bench-kernel:    ## kernel throughput + BENCH_kernel.json (speedup gate)
 	$(PYTEST) benchmarks/test_simulator_throughput.py -q -s

@@ -17,6 +17,7 @@ import random
 from typing import Dict
 
 from repro.apps.base import DOORBELL_ADDR, REG_ARG0, Accelerator
+from repro.apps.hostlib import random_bytes
 from repro.channels.atop_filter import AtopFilter
 from repro.platform.cpu import DmaWrite, HostMemRead, MmioWrite, WaitHostWord
 from repro.apps.base import REG_CTRL
@@ -64,7 +65,7 @@ class AtopEcho(Accelerator):
 def host_program(result: dict, seed: int, n_words: int = 24):
     """Ping, start, await the doorbell, then validate the pong in host DRAM."""
     rng = random.Random(seed)
-    payload = bytes(rng.getrandbits(8) for _ in range(64 * n_words))
+    payload = random_bytes(rng, 64 * n_words)
     yield DmaWrite(PING_BASE, payload)
     yield MmioWrite("ocl", REG_SRC * 4, PING_BASE)
     yield MmioWrite("ocl", REG_HOST_DST * 4, PONG_HOST_BASE)

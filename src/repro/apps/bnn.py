@@ -13,7 +13,7 @@ import random
 from typing import Dict, List
 
 from repro.apps.base import REG_ARG0, Accelerator
-from repro.apps.hostlib import standard_host
+from repro.apps.hostlib import random_bytes, standard_host
 
 REG_W_ADDR = REG_ARG0        # weights blob
 REG_X_ADDR = REG_ARG0 + 1    # input vectors
@@ -89,7 +89,7 @@ def make():
 
     def host_factory(result: dict, seed: int, scale: float = 1.0):
         rng = random.Random(seed)
-        weights = bytes(rng.getrandbits(8) for _ in range(W1_BYTES + W2_BYTES))
+        weights = random_bytes(rng, W1_BYTES + W2_BYTES)
         n_inputs = max(2, int(16 * scale))
         inputs = [rng.getrandbits(IN_BITS) for _ in range(n_inputs)]
         x_blob = b"".join(x.to_bytes(32, "little") for x in inputs)

@@ -32,6 +32,7 @@ from repro.apps.base import (
     REG_STATUS,
     Accelerator,
 )
+from repro.apps.hostlib import random_bytes
 from repro.platform.cpu import (
     DmaRead,
     DmaWrite,
@@ -102,7 +103,7 @@ def host_program(result: dict, seed: int, n_words: int = 64,
         # Task sizes vary, so completion drifts against the polling grid —
         # the same physical-timing dependence the real application has.
         task_words = n_words + rng.randrange(max(n_words // 2, 1))
-        data = bytes(rng.getrandbits(8) for _ in range(task_words * 64))
+        data = random_bytes(rng, task_words * 64)
         yield DmaWrite(SRC_BASE, data)
         yield MmioWrite("ocl", REG_SRC * 4, SRC_BASE)
         yield MmioWrite("ocl", REG_DST * 4, DST_BASE)

@@ -17,6 +17,7 @@ from typing import Dict
 from repro.apps import dram_dma
 from repro.apps.base import REG_ARG0, Accelerator
 from repro.apps.dram_dma import MIRROR_HOST_ADDR, MIRROR_WORDS
+from repro.apps.hostlib import random_bytes
 
 REG_SRC = REG_ARG0
 REG_DST = REG_ARG0 + 1
@@ -72,7 +73,7 @@ def host_program(result: dict, seed: int, n_words: int = 24,
     rng = random.Random(seed)
     ok = True
     for task in range(n_tasks):
-        data = bytes(rng.getrandbits(8) for _ in range(n_words * 64))
+        data = random_bytes(rng, n_words * 64)
         yield DmaWrite(dram_dma.SRC_BASE, data)
         yield MmioWrite("ocl", REG_SRC * 4, dram_dma.SRC_BASE)
         yield MmioWrite("ocl", REG_DST * 4, dram_dma.DST_BASE)

@@ -25,6 +25,7 @@ import random
 from typing import Dict, List
 
 from repro.apps.base import REG_ARG0, REG_CTRL, Accelerator
+from repro.apps.hostlib import random_bytes
 from repro.platform.cpu import DmaRead, DmaWrite, MmioWrite, WaitCycles
 from repro.sim.fifo import FrameFIFO
 
@@ -104,11 +105,11 @@ def sender_thread(result: dict, seed: int, n_frames: int = 32,
                   unaligned_offset: int = 0, settle_cycles: int = 3000):
     """T1: stream frames in, wait, read the echoed region back, validate."""
     rng = random.Random(seed)
-    payload = bytes(rng.getrandbits(8) for _ in range(n_frames * 64))
+    payload = random_bytes(rng, n_frames * 64)
     # Stream in bursts; an optional unaligned tail beat triggers bug #1.
     yield DmaWrite(IN_BASE, payload)
     if unaligned_offset:
-        tail = bytes(rng.getrandbits(8) for _ in range(32))
+        tail = random_bytes(rng, 32)
         yield DmaWrite(IN_BASE + n_frames * 64 + unaligned_offset, tail)
     yield WaitCycles(settle_cycles)
     echoed = yield DmaRead(OUT_BASE, len(payload))

@@ -13,7 +13,7 @@ import random
 from typing import Dict, List
 
 from repro.apps.base import REG_ARG0, Accelerator
-from repro.apps.hostlib import standard_host
+from repro.apps.hostlib import random_bytes, standard_host
 
 try:
     import numpy as _np
@@ -146,10 +146,9 @@ def make():
 
     def host_factory(result: dict, seed: int, scale: float = 1.0):
         rng = random.Random(seed)
-        weights = bytes(rng.getrandbits(8) for _ in range(W_BYTES))
+        weights = random_bytes(rng, W_BYTES)
         n_images = max(2, int(10 * scale))
-        images = [bytes(rng.getrandbits(8) for _ in range(IMG_BYTES))
-                  for _ in range(n_images)]
+        images = [random_bytes(rng, IMG_BYTES) for _ in range(n_images)]
         golden = bytes(mobilenet_infer(weights, img) for img in images)
         return standard_host(
             result,

@@ -27,6 +27,7 @@ import random
 from typing import Dict, List, Tuple
 
 from repro.apps.base import REG_ARG0, REG_CTRL, Accelerator
+from repro.apps.hostlib import random_bytes
 from repro.channels.axi_stream import pack_packet, unpack_packets
 from repro.channels.handshake import ChannelSink, ChannelSource
 from repro.platform.cpu import MmioRead, MmioWrite, WaitHostWord
@@ -46,7 +47,7 @@ def header_checksum(header: bytes) -> int:
 
 def make_packet(rng: random.Random, proto: int) -> bytes:
     """A random packet with a consistent header."""
-    payload = bytes(rng.getrandbits(8) for _ in range(rng.randrange(8, 120)))
+    payload = random_bytes(rng, rng.randrange(8, 120))
     header = bytearray(16)
     header[0:4] = rng.getrandbits(32).to_bytes(4, "little")
     header[4:8] = rng.getrandbits(32).to_bytes(4, "little")

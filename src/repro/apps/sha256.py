@@ -15,7 +15,7 @@ import struct
 from typing import Dict
 
 from repro.apps.base import REG_ARG0, Accelerator
-from repro.apps.hostlib import standard_host
+from repro.apps.hostlib import random_bytes, standard_host
 
 REG_MSG_ADDR = REG_ARG0
 REG_MSG_BLOCKS = REG_ARG0 + 1
@@ -136,8 +136,7 @@ def make():
 
     def host_factory(result: dict, seed: int, scale: float = 1.0):
         rng = random.Random(seed)
-        message = bytes(rng.getrandbits(8)
-                        for _ in range(max(64, int(2048 * scale))))
+        message = random_bytes(rng, max(64, int(2048 * scale)))
         padded = sha256_pad(message)
         golden = sha256_digest(message).ljust(64, b"\0")
         return standard_host(

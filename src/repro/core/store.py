@@ -12,12 +12,14 @@ is transaction-based — the application simply waits, with no loss and no
 broken orderings. This is the mechanism §6 contrasts against
 physical-timestamp tracers, which cannot pause without invalidating their
 timestamps.
+
+The per-cycle drain is integer credit arithmetic that only counts the
+bytes leaving staging. Staging is one append-only buffer; its drained
+front moves into external storage (``data``) when something reads or
+frames it, which changes no simulated fact.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from typing import Deque
 
 from repro.errors import SimulationError
 from repro.sim.module import Module
@@ -68,9 +70,9 @@ class TraceStore(Module):
             )
         self.staging_bytes = staging_bytes
         self.bandwidth = bandwidth_bytes_per_cycle
-        self._staged: Deque[bytes] = deque()
+        # Bytes not yet in ``data``: a drained front + _staged_bytes staged.
+        self._staging = bytearray()
         self._staged_bytes = 0
-        self._head_offset = 0            # bytes of the head chunk already drained
         # Fixed-point (×CREDIT_SCALE) integer credit; see CREDIT_SCALE.
         self._drain_credit = 0
         self._idle_credit_cap = round(4 * self.bandwidth * CREDIT_SCALE)
@@ -84,7 +86,7 @@ class TraceStore(Module):
         self.fault_bandwidth_factor = 1.0
         # With nothing staged, seq() only tops up the drain credit; once
         # the credit has saturated at its idle cap the call is a no-op.
-        self.seq_idle_when(("falsy", "_staged"),
+        self.seq_idle_when(("falsy", "_staged_bytes"),
                            ("sync", "_drain_credit", "_idle_credit_cap"))
 
     # ------------------------------------------------------------------
@@ -95,14 +97,15 @@ class TraceStore(Module):
 
     def accept(self, packet: bytes) -> None:
         """Stage one encoded cycle packet; capacity must have been granted."""
-        if len(packet) > self.free:
+        size = len(packet)
+        if size > self.staging_bytes - self._staged_bytes:
             raise SimulationError(
-                f"trace store {self.name!r}: accept of {len(packet)} bytes "
+                f"trace store {self.name!r}: accept of {size} bytes "
                 f"with only {self.free} free — reservation accounting broken"
             )
-        self._staged.append(packet)
-        self._staged_bytes += len(packet)
-        self.total_packet_bytes += len(packet)
+        self._staging += packet
+        self._staged_bytes += size
+        self.total_packet_bytes += size
         self.seq_wake()   # draining must resume
 
     # ------------------------------------------------------------------
@@ -111,37 +114,26 @@ class TraceStore(Module):
         if self.arbiter is not None:
             bandwidth = min(bandwidth, self.arbiter.store_budget())
         bw_fp = round(bandwidth * CREDIT_SCALE)
-        if not self._staged:
+        staged = self._staged_bytes
+        if not staged:
             self._drain_credit = min(self._drain_credit + bw_fp,
-                                     round(4 * self.bandwidth * CREDIT_SCALE))
+                                     self._idle_credit_cap)
             return
-        if self.free == 0:
+        if staged == self.staging_bytes:
             self.stall_cycles += 1
-        self._drain_credit += bw_fp
-        budget = self._drain_credit // CREDIT_SCALE
-        spent = 0
-        staged = self._staged
-        data = self.data
-        while staged and spent < budget:
-            head = staged[0]
-            offset = self._head_offset
-            avail = len(head) - offset
-            take = min(avail, budget - spent)
-            if take == avail:
-                # Whole (remaining) chunk: append without re-slicing the
-                # deque head — partially drained chunks advance an offset
-                # instead of being copied back shortened.
-                data += head if offset == 0 else memoryview(head)[offset:]
-                staged.popleft()
-                self._head_offset = 0
-            else:
-                data += memoryview(head)[offset:offset + take]
-                self._head_offset = offset + take
-            spent += take
-            self._staged_bytes -= take
-        self._drain_credit -= spent * CREDIT_SCALE
+        credit = self._drain_credit + bw_fp
+        spent = min(staged, credit // CREDIT_SCALE)
+        self._staged_bytes = staged - spent
+        self._drain_credit = credit - spent * CREDIT_SCALE
         if self.arbiter is not None and spent:
             self.arbiter.note_store_bytes(spent)
+
+    def _settle(self) -> None:
+        """Move the drained front of staging into external storage."""
+        drained = len(self._staging) - self._staged_bytes
+        if drained:
+            self.data += self._staging[:drained]
+            del self._staging[:drained]
 
     # ------------------------------------------------------------------
     # time-warp declarations
@@ -149,10 +141,10 @@ class TraceStore(Module):
     def next_wake(self, cycle):
         # Draining is per-cycle work; an empty staging buffer leaves only
         # idle credit accrual, which on_warp() accounts for in one step.
-        return cycle if self._staged else None
+        return cycle if self._staged_bytes else None
 
     def on_warp(self, gap: int) -> None:
-        if not self._staged:
+        if not self._staged_bytes:
             self._drain_credit = min(
                 self._drain_credit + gap * round(self.bandwidth * CREDIT_SCALE),
                 round(4 * self.bandwidth * CREDIT_SCALE))
@@ -164,23 +156,16 @@ class TraceStore(Module):
         # its cap — from there every skipped cycle is an exact no-op
         # (accept() pokes when staging refills). Saturation takes at most
         # four idle cycles, so the per-cycle tail is negligible.
-        if not self._staged and self._drain_credit == self._idle_credit_cap:
+        if (not self._staged_bytes
+                and self._drain_credit == self._idle_credit_cap):
             return None
         return 0
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
         """Drain everything instantly (end of a recording run)."""
-        offset = self._head_offset
-        for chunk in self._staged:
-            if offset:
-                self.data += memoryview(chunk)[offset:]
-                offset = 0
-            else:
-                self.data += chunk
-        self._staged.clear()
         self._staged_bytes = 0
-        self._head_offset = 0
+        self._settle()
         if self.faults is not None:
             # Storage-at-rest corruption happens *after* the drain: the
             # words were written correctly and rotted in external memory
@@ -191,12 +176,14 @@ class TraceStore(Module):
 
     @property
     def trace_bytes(self) -> bytes:
-        """The encoded trace body accumulated so far (flush first)."""
+        """The encoded trace body drained so far (flush first)."""
+        self._settle()
         return bytes(self.data)
 
     @property
     def storage_words(self) -> int:
         """64-byte storage words the trace occupies externally."""
+        self._settle()
         return (len(self.data) + STORAGE_WORD_BYTES - 1) // STORAGE_WORD_BYTES
 
     @property
@@ -206,9 +193,8 @@ class TraceStore(Module):
 
     def reset_state(self) -> None:
         super().reset_state()
-        self._staged.clear()
+        self._staging = bytearray()
         self._staged_bytes = 0
-        self._head_offset = 0
         self._drain_credit = 0
         self.data = bytearray()
         self.total_packet_bytes = 0

@@ -334,6 +334,7 @@ class RingTraceStore(TraceStore):
     # ------------------------------------------------------------------
     def _spill(self, force: bool) -> None:
         """Frame drained bytes, honouring pending anchor watermarks."""
+        self._settle()
         data = self.data
         while True:
             if self._pending_anchors:
@@ -363,7 +364,10 @@ class RingTraceStore(TraceStore):
         # Spill timing is host-side bookkeeping — deferring it to the next
         # eventful cycle (or flush) cannot change what gets framed.
         super().accept(packet)
-        if self._pending_anchors or len(self.data) >= self._run_bytes:
+        # Accepted bytes neither staged nor framed, wherever they sit.
+        unframed = (self.total_packet_bytes - self._staged_bytes
+                    - self._framed_raw)
+        if self._pending_anchors or unframed >= self._run_bytes:
             self._spill(force=False)
 
     def flush(self) -> None:
@@ -424,6 +428,7 @@ class RingTraceStore(TraceStore):
     @property
     def storage_words(self) -> int:
         """Retained external footprint in storage words (ring + remainder)."""
+        self._settle()
         retained = self.ring.retained_bytes + len(self.data)
         return (retained + STORAGE_WORD_BYTES - 1) // STORAGE_WORD_BYTES
 

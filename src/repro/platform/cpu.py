@@ -235,50 +235,36 @@ class PcisDmaEngine(Module):
 
     # ------------------------------------------------------------------
     def _plan_write(self, op: DmaWrite) -> List[Tuple[int, List[Tuple[int, int]]]]:
-        """Split a byte-accurate write into aligned bursts of (data, strobe)."""
-        addr, data = op.addr, op.data
-        if not self.model_strobes:
-            # Vendor-sim inaccuracy: addresses are force-aligned and strobes
-            # are full, silently corrupting unaligned transfers.
-            addr &= ~(self.WORD - 1)
-            padded = data.ljust((len(data) + self.WORD - 1) // self.WORD * self.WORD,
-                                b"\0")
-            beats = [
-                (int.from_bytes(padded[i:i + self.WORD], "little"),
-                 (1 << self.WORD) - 1)
-                for i in range(0, len(padded), self.WORD)
-            ]
-        else:
-            first_word = addr & ~(self.WORD - 1)
-            last_word = (addr + len(data) - 1) & ~(self.WORD - 1)
-            beats = []
-            for word_addr in range(first_word, last_word + self.WORD, self.WORD):
-                strobe = 0
-                word = 0
-                for lane in range(self.WORD):
-                    byte_addr = word_addr + lane
-                    if addr <= byte_addr < addr + len(data):
-                        strobe |= 1 << lane
-                        word |= data[byte_addr - addr] << (8 * lane)
-                beats.append((word, strobe))
-            addr = first_word
-        bursts = []
-        for i in range(0, len(beats), self.MAX_BURST):
-            bursts.append((addr + i * self.WORD, beats[i:i + self.MAX_BURST]))
-        return bursts
+        """Split a byte-accurate write into aligned bursts of (data, strobe).
+
+        The data is zero-padded to whole words, so only the first and last
+        beat can carry a partial strobe.
+        """
+        word = self.WORD
+        # Vendor-sim inaccuracy: without strobe modelling, addresses are
+        # force-aligned and strobes are full, silently corrupting
+        # unaligned transfers.
+        head = op.addr & (word - 1) if self.model_strobes else 0
+        addr = op.addr & ~(word - 1)
+        tail = -(head + len(op.data)) % word
+        padded = bytes(head) + op.data + bytes(tail)
+        full = (1 << word) - 1
+        strobes = [full] * (len(padded) // word)
+        if strobes and self.model_strobes:
+            strobes[0] &= full << head
+            strobes[-1] &= full >> tail
+        beats = [(int.from_bytes(padded[i * word:(i + 1) * word], "little"),
+                  strobe) for i, strobe in enumerate(strobes)]
+        return [(addr + i * word, beats[i:i + self.MAX_BURST])
+                for i in range(0, len(beats), self.MAX_BURST)]
 
     def _plan_read(self, op: DmaRead) -> List[Tuple[int, int]]:
         """Split a read into aligned (addr, n_beats) bursts covering it."""
         first_word = op.addr & ~(self.WORD - 1)
         last_word = (op.addr + op.length - 1) & ~(self.WORD - 1)
         n_words = (last_word - first_word) // self.WORD + 1
-        bursts = []
-        offset = 0
-        while offset < n_words:
-            take = min(n_words - offset, self.MAX_BURST)
-            bursts.append((first_word + offset * self.WORD, take))
-            offset += take
-        return bursts
+        return [(first_word + i * self.WORD, min(n_words - i, self.MAX_BURST))
+                for i in range(0, n_words, self.MAX_BURST)]
 
     def _gap_cycles(self) -> int:
         if self.gap_jitter <= 0:
@@ -384,7 +370,12 @@ class PcisDmaEngine(Module):
 
 
 class CpuModel(Module):
-    """Runs host-program threads against the environment-side interfaces."""
+    """Runs host-program threads against the environment-side interfaces.
+
+    ``_live`` counts threads not done, for ``done``; ``_runnable`` counts
+    those not blocked on an MMIO or DMA engine, and is the idle guard that
+    parks ``seq`` until an engine's completion callback.
+    """
 
     has_comb = False
 
@@ -411,6 +402,8 @@ class CpuModel(Module):
                 seed=None if seed is None else seed + 1, pcie=pcie)
             self.submodule(self.dma)
         self._threads: List[dict] = []
+        self._live = self._runnable = 0
+        self.seq_idle_when(("falsy", "_runnable"))
         # WaitHostWord threads park until the awaited flag could have
         # changed — any host-memory mutation un-parks the CPU (a no-op
         # outside the batched kernel).
@@ -433,14 +426,15 @@ class CpuModel(Module):
             "wait": None,           # WaitCycles/WaitHostWord bookkeeping
             "op": None,
         })
+        self._live += 1
+        self._runnable += 1
 
     @property
     def done(self) -> bool:
         """All threads finished and all engines drained."""
-        engines_idle = all(p.idle for p in self.mmio_ports.values())
-        if self.dma is not None:
-            engines_idle = engines_idle and self.dma.idle
-        return engines_idle and all(t["state"] == "done" for t in self._threads)
+        return (not self._live
+                and all(p.idle for p in self.mmio_ports.values())
+                and (self.dma is None or self.dma.idle))
 
     # ------------------------------------------------------------------
     def _dispatch(self, thread: dict, op) -> None:
@@ -448,6 +442,7 @@ class CpuModel(Module):
         def complete(result):
             thread["state"] = "ready"
             thread["result"] = result
+            self._runnable += 1
             self.seq_wake()   # the blocked thread parked the CPU
 
         if isinstance(op, (MmioWrite, MmioRead)):
@@ -455,11 +450,13 @@ class CpuModel(Module):
             if port is None:
                 raise SimulationError(f"no MMIO port {op.interface!r}")
             thread["state"] = "blocked"
+            self._runnable -= 1
             port.submit(op, complete)
         elif isinstance(op, (DmaWrite, DmaRead)):
             if self.dma is None:
                 raise SimulationError("no pcis DMA engine in this deployment")
             thread["state"] = "blocked"
+            self._runnable -= 1
             self.dma.submit(op, complete)
         elif isinstance(op, HostMemRead):
             thread["state"] = "ready"   # a plain load; resumes next cycle
@@ -508,6 +505,8 @@ class CpuModel(Module):
                 op = thread["gen"].send(thread["result"])
             except StopIteration:
                 thread["state"] = "done"
+                self._live -= 1
+                self._runnable -= 1
                 continue
             thread["result"] = None
             thread["op"] = op

@@ -50,12 +50,50 @@ class TestWritePlanning:
         assert head_strobe == (((1 << 54) - 1) << 10)   # lanes 10..63
         assert tail_strobe == (1 << 16) - 1             # lanes 0..15
 
+        def lane_loop(addr, data):
+            """Per-byte reference: every lane of every word tested."""
+            first_word = addr & ~63
+            last_word = (addr + len(data) - 1) & ~63
+            beats = []
+            for word_addr in range(first_word, last_word + 64, 64):
+                strobe = word = 0
+                for lane in range(64):
+                    if addr <= word_addr + lane < addr + len(data):
+                        strobe |= 1 << lane
+                        word |= data[word_addr + lane - addr] << (8 * lane)
+                beats.append((word, strobe))
+            return [(first_word + i * 64, beats[i:i + 8])
+                    for i in range(0, len(beats), 8)]
+
+        data = bytes((7 * i + 3) & 0xFF for i in range(1000))
+        for offset in range(64):
+            for length in (0, 1, 63, 64, 65, 127, 1000):
+                addr = 0x1000 + offset
+                op = DmaWrite(addr, data[:length])
+                assert engine._plan_write(op) == \
+                    lane_loop(addr, data[:length]), (offset, length)
+
     def test_vendor_sim_forces_alignment(self):
         engine = make_engine(model_strobes=False)
         bursts = engine._plan_write(DmaWrite(10, b"\xAA" * 70))
         addr, beats = bursts[0]
         assert addr == 0
         assert all(strobe == (1 << 64) - 1 for _d, strobe in beats)
+
+        def aligned_copy(addr, data):
+            """Reference: the data lands unshifted at the aligned base."""
+            padded = data.ljust(-(-len(data) // 64) * 64, b"\0")
+            beats = [(int.from_bytes(padded[i:i + 64], "little"),
+                      (1 << 64) - 1) for i in range(0, len(padded), 64)]
+            return [((addr & ~63) + i * 64, beats[i:i + 8])
+                    for i in range(0, len(beats), 8)]
+
+        data = bytes((5 * i + 1) & 0xFF for i in range(1000))
+        for offset in range(0, 64, 7):
+            for length in (0, 1, 63, 64, 65, 1000):
+                op = DmaWrite(0x1000 + offset, data[:length])
+                assert engine._plan_write(op) == \
+                    aligned_copy(op.addr, op.data), (offset, length)
 
     def test_long_write_splits_bursts(self):
         engine = make_engine()

@@ -1,6 +1,7 @@
 """Tests for the flight recorder: dedup dictionary, v3 frame container,
 ring-buffer retention, and wrap-boundary suffix replay."""
 
+import hashlib
 import random
 import zlib
 
@@ -399,6 +400,11 @@ class TestFlightRecorderEndToEnd:
 
     def test_flight_blob_round_trips_with_ring_metadata(self, recordings):
         _, _, small = recordings
+        # Pinned: the store's drain bookkeeping must not move record
+        # timing or a single framed byte.
+        assert small.cycles == 19342
+        assert hashlib.sha256(small.result["flight_blob"]).hexdigest() == (
+            "869cf264c57bb4f7f69012536be7a81e44f9e13c4b55025e76789c9ae5bf7b4c")
         loaded = TraceFile.from_bytes(small.result["flight_blob"])
         assert loaded.format_version == 3
         assert bytes(loaded.body) == bytes(small.result["trace"].body)

@@ -229,11 +229,30 @@ class TestHostThreads:
             yield MmioWrite("ocl", 8, 3)
             order.append("t2")
 
+        runnable_seen = set()
+
+        def audit(_cycle):
+            # The CPU's counters against a recount of the thread states.
+            states = [(t["state"], t["wait"]) for t in cpu._threads]
+            live = sum(1 for state, _w in states if state != "done")
+            on_engine = sum(1 for state, wait in states
+                            if state == "blocked" and wait is None)
+            assert cpu._live == live
+            assert cpu._runnable == live - on_engine
+            engines_idle = (all(p.idle for p in cpu.mmio_ports.values())
+                            and cpu.dma.idle)
+            assert cpu.done == (live == 0 and engines_idle)
+            runnable_seen.add(cpu._runnable)
+
         cpu.add_thread(t1())
         cpu.add_thread(t2())
+        sim.add_cycle_hook(audit)
         sim.run_until(lambda: cpu.done, max_cycles=1000)
         assert sorted(order) == ["t1", "t1", "t2"]
         assert regs[0] == 1 and regs[1] == 2 and regs[2] == 3
+        # Both threads parked on the ocl port at some boundary, and ran
+        # together at another.
+        assert {0, 1, 2} <= runnable_seen
 
     def test_seeded_timing_is_deterministic(self):
         def run(seed):

@@ -1,11 +1,14 @@
 """Unit tests for the trace store: staging, bandwidth, words, arbitration."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.core.store import STORAGE_WORD_BYTES, TraceStore
 from repro.errors import SimulationError
 from repro.platform.pcie import PcieArbiter
-from repro.sim import Simulator
+from repro.sim import Module, Simulator
 
 
 def make_store(**kwargs):
@@ -173,7 +176,9 @@ class TestFixedPointCredit:
         assert CREDIT_SCALE == 256
 
     def test_drain_schedule_is_exact(self):
-        """0.25 B/cycle drains exactly one byte every fourth cycle."""
+        """0.25 B/cycle drains exactly one byte every fourth cycle, and a
+        random arbitrated run drains, stalls and stores exactly like the
+        per-byte chunk drain the credit arithmetic replaced."""
         sim, store = make_store(staging_bytes=1024,
                                 bandwidth_bytes_per_cycle=0.25)
         store.accept(b"\xEE" * 10)
@@ -182,6 +187,88 @@ class TestFixedPointCredit:
             sim.run(1)
             drained.append(len(store.trace_bytes))
         assert drained == [k // 4 for k in range(1, 41)]
+
+        from repro.core.store import CREDIT_SCALE
+
+        class ChunkDrainStore(Module):
+            """Reference: copies each cycle's drain out of a chunk deque."""
+
+            has_comb = False
+
+            def __init__(self, arbiter):
+                super().__init__("ref")
+                self.arbiter = arbiter
+                self.chunks = deque()
+                self.head_offset = self.staged = self.credit = 0
+                self.stall_cycles = 0
+                self.data = bytearray()
+
+            def accept(self, packet):
+                self.chunks.append(packet)
+                self.staged += len(packet)
+
+            def seq(self):
+                bw_fp = round(min(22.0, self.arbiter.store_budget())
+                              * CREDIT_SCALE)
+                if not self.chunks:
+                    self.credit = min(self.credit + bw_fp,
+                                      round(4 * 22.0 * CREDIT_SCALE))
+                    return
+                if self.staged == 1024:
+                    self.stall_cycles += 1
+                self.credit += bw_fp
+                budget = self.credit // CREDIT_SCALE
+                spent = 0
+                while self.chunks and spent < budget:
+                    head = self.chunks[0]
+                    take = min(len(head) - self.head_offset, budget - spent)
+                    self.data += head[self.head_offset:
+                                      self.head_offset + take]
+                    self.head_offset += take
+                    if self.head_offset == len(head):
+                        self.chunks.popleft()
+                        self.head_offset = 0
+                    spent += take
+                self.staged -= spent
+                self.credit -= spent * CREDIT_SCALE
+                if spent:
+                    self.arbiter.note_store_bytes(spent)
+
+        rigs = []
+        for reference in (False, True):
+            rig_sim = Simulator()
+            arbiter = rig_sim.add(PcieArbiter("pcie", capacity=22.0))
+            rig_store = (ChunkDrainStore(arbiter) if reference else
+                         TraceStore("store", staging_bytes=1024,
+                                    bandwidth_bytes_per_cycle=22.0,
+                                    arbiter=arbiter))
+            rig_sim.add(rig_store)
+            rigs.append((rig_sim, arbiter, rig_store))
+        (sim, arbiter, store), (ref_sim, ref_arbiter, ref) = rigs
+        rng = random.Random(2024)
+        for cycle in range(3000):
+            # Alternate busy and quiet phases so staging both fills up
+            # (back-pressure) and empties (idle credit).
+            if rng.random() < (0.6 if cycle // 300 % 2 == 0 else 0.05):
+                # Clipped to the free space, so staging runs exactly full.
+                packet = rng.randbytes(rng.randint(1, 300))[:store.free]
+                if packet:
+                    store.accept(packet)
+                    ref.accept(packet)
+            for _ in range(rng.randrange(3)):
+                assert arbiter.request_app() == ref_arbiter.request_app()
+            sim.step()
+            ref_sim.step()
+            assert store.free == 1024 - ref.staged
+            assert store.stall_cycles == ref.stall_cycles
+            assert arbiter.total_store_bytes == ref_arbiter.total_store_bytes
+            if cycle % 97 == 0:
+                assert store.trace_bytes == bytes(ref.data)
+                assert store.storage_words == -(-len(ref.data) // 64)
+        assert store.stall_cycles > 100 and store.total_packet_bytes > 20_000
+        store.flush()
+        assert store.trace_bytes == bytes(ref.data) + b"".join(
+            bytes(chunk) for chunk in ref.chunks)[ref.head_offset:]
 
     def test_no_drift_over_long_runs(self):
         """floor(k * bandwidth) bytes after k cycles, even for bandwidths
