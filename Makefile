@@ -1,8 +1,8 @@
 # Development entry points. `make check` is the pre-merge gate: the full
 # tier-1 test suite, the throughput benches (which enforce the
-# event-scheduler, compiled-kernel, batch-kernel, time-warp,
+# event-scheduler, compiled-kernel, record-warp, replay time-warp,
 # flight-recorder, warm-pool/compile-cache and trace-service floors and
-# refresh BENCH_kernel.json / BENCH_compiled.json / BENCH_batch.json /
+# refresh BENCH_kernel.json / BENCH_compiled.json / BENCH_record_warp.json /
 # BENCH_replay.json / BENCH_flightrec.json / BENCH_warm.json /
 # BENCH_service.json — every refreshed snapshot is also appended to the
 # bench-history table in benchmarks/results/results.vrs), and the fault
@@ -12,20 +12,16 @@
 PYTHON ?= python
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest
 
-.PHONY: check test test-schedulers bench-kernel bench-compiled bench-batch \
-        bench-replay bench-flightrec bench-warm bench-service bench \
-        artifacts faults faults-batched faults-warm serve-smoke
+.PHONY: check test test-schedulers bench-kernel bench-compiled \
+        bench-record-warp bench-replay bench-flightrec bench-warm \
+        bench-service bench artifacts faults faults-warm serve-smoke
 
-check: test bench-kernel bench-compiled bench-batch bench-replay \
+check: test bench-kernel bench-compiled bench-record-warp bench-replay \
        bench-flightrec bench-warm bench-service faults
 
 faults:          ## seeded 200-fault injection campaign (containment gate)
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
 	  $(PYTHON) -m repro.tools campaign --faults 200 --seed 0
-
-faults-batched:  ## batched campaign smoke: record legs 16 per batch kernel
-	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
-	  $(PYTHON) -m repro.tools campaign --faults 60 --seed 0 --batch-size 16
 
 faults-warm:     ## compiled-kernel campaign smoke over the persistent cache
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
@@ -35,11 +31,12 @@ faults-warm:     ## compiled-kernel campaign smoke over the persistent cache
 test:            ## tier-1: the full unit/integration suite
 	$(PYTEST) -x -q
 
-test-schedulers: ## differential, levelization, replayer, sharded-replay, extension-app + host/store/DMA unit suites (CI matrix)
+test-schedulers: ## differential, levelization, replayer, sharded-replay, extension-app, record-warp + host/store/DMA unit suites (CI matrix)
 	$(PYTEST) tests/test_scheduler_equivalence.py tests/test_compile.py \
 	  tests/test_replayer_unit.py tests/test_sharded_replay.py \
-	  tests/test_extension_registry.py tests/test_platform.py \
-	  tests/test_store.py tests/test_dma_engine_units.py -q
+	  tests/test_extension_registry.py tests/test_record_warp.py \
+	  tests/test_platform.py tests/test_store.py \
+	  tests/test_dma_engine_units.py -q
 
 bench-kernel:    ## kernel throughput + BENCH_kernel.json (speedup gate)
 	$(PYTEST) benchmarks/test_simulator_throughput.py -q -s
@@ -47,8 +44,8 @@ bench-kernel:    ## kernel throughput + BENCH_kernel.json (speedup gate)
 bench-compiled:  ## compiled kernel + BENCH_compiled.json (per-leg gates)
 	$(PYTEST) benchmarks/test_compiled_kernel.py -q -s
 
-bench-batch:     ## batched campaign kernel + BENCH_batch.json (>=4x gate)
-	$(PYTEST) benchmarks/test_batch_kernel.py -q -s
+bench-record-warp: ## record-mode time warp + BENCH_record_warp.json (>=4x gate)
+	$(PYTEST) benchmarks/test_record_warp.py -q -s
 
 bench-replay:    ## replay throughput + BENCH_replay.json (time-warp gate)
 	$(PYTEST) benchmarks/test_replay_speed.py -q -s

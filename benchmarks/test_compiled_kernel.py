@@ -8,13 +8,16 @@ i.e. the paper's end-to-end record/replay loop, and each leg carries
 its own speedup floor:
 
 * **record leg** — R2 with the bench config, exactly as a campaign
-  records it;
+  records it, with ``time_warp=False`` on *both* kernels;
 * **replay leg** — R3 stepping with ``time_warp=False`` on *both*
-  kernels. Warp skips quiescent gaps wholesale, so a warped replay
-  executes only a few hundred busy steps and measures the warp
-  machinery (benchmarked separately in ``BENCH_replay.json``), not the
-  per-cycle kernel. Disabling it makes the leg a pure stepping-rate
-  comparison — the regime the replay-datapath inlining targets.
+  kernels.
+
+Warp skips quiescent gaps wholesale, so a warped record or replay
+executes only a few hundred busy steps and measures the warp machinery
+(benchmarked separately in ``BENCH_replay.json`` and
+``BENCH_record_warp.json``), not the per-cycle kernel. Disabling it
+makes each leg a pure stepping-rate comparison — the regime the
+compiled guards and the replay-datapath inlining target.
 
 Results land in ``benchmarks/results/BENCH_compiled.json``; the floors
 are part of ``make check``.
@@ -58,7 +61,8 @@ def _measure_scheduler(scheduler):
     for _ in range(ROUNDS):
         recording = F1Deployment("cmp_rec", acc_factory,
                                  bench_config(VidiConfig.r2), seed=1,
-                                 scheduler=scheduler)
+                                 scheduler=scheduler,
+                                 time_warp=False)   # see module doc
         result = {}
         recording.cpu.add_thread(
             host_factory(result, seed=1, scale=DEPLOY_SCALE))
@@ -149,7 +153,7 @@ def test_compiled_kernel_report(legs, emit):
         "per leg, record+replay)",
         f"  full R2+R3 pipeline: event {event_cps:>12,.0f}   "
         f"compiled {compiled_cps:>12,.0f}   speedup {speedup:.2f}x",
-        f"  record leg (R2):          {record_leg:.2f}x  "
+        f"  record leg (R2, no warp): {record_leg:.2f}x  "
         f"(floor {RECORD_LEG_FLOOR}x)",
         f"  replay leg (R3, no warp): {replay_leg:.2f}x  "
         f"(floor {REPLAY_LEG_FLOOR}x)",
@@ -164,9 +168,9 @@ def test_compiled_kernel_report(legs, emit):
 
 
 def test_compiled_record_leg(legs):
-    """R2 recording alone must clear its own floor — a campaign's steady
-    state is back-to-back record runs, so the record leg cannot hide
-    behind a fast replay leg (or vice versa)."""
+    """R2 recording (warp off) alone must clear its own floor — a
+    campaign's steady state is back-to-back record runs, so the record
+    leg cannot hide behind a fast replay leg (or vice versa)."""
     record_leg = legs["ev_rec"] / legs["cp_rec"]
     assert record_leg >= RECORD_LEG_FLOOR, (
         f"record-leg speedup regressed: {record_leg:.2f}x")

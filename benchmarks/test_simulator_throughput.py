@@ -58,7 +58,9 @@ def _deployment_cps(scheduler):
     """Best-of-N cycles/sec for a full five-interface R2 recording run.
 
     Construction happens outside the timed region: the bench measures
-    kernel stepping, not Python object creation.
+    kernel stepping, not Python object creation. Time warp is off (the
+    fixpoint kernel never warps), so event vs fixpoint stays a
+    per-cycle stepping rate.
     """
     spec = get_app("sha256")
     acc_factory, host_factory = spec.make()
@@ -66,7 +68,7 @@ def _deployment_cps(scheduler):
     for _ in range(ROUNDS):
         deployment = F1Deployment("thr", acc_factory,
                                   bench_config(VidiConfig.r2), seed=1,
-                                  scheduler=scheduler)
+                                  scheduler=scheduler, time_warp=False)
         result = {}
         deployment.cpu.add_thread(
             host_factory(result, seed=1, scale=DEPLOY_SCALE))

@@ -116,7 +116,6 @@ class Accelerator(Module):
         self._budget = 0
         self._dma_blocked = False
         self._resume_value = None
-        self.seq_wake()   # the idle guard no longer holds
 
     def kernel(self) -> Kernel:
         """The application's compute; subclasses must override."""
@@ -210,12 +209,10 @@ class Accelerator(Module):
 
     def _dma_done(self) -> None:
         self._dma_blocked = False
-        self.seq_wake()   # parked on the DMA; resume
 
     def _dma_done_read(self, words) -> None:
         self._dma_blocked = False
         self._resume_value = words
-        self.seq_wake()   # parked on the DMA; resume
 
     # ------------------------------------------------------------------
     def reset_state(self) -> None:

@@ -104,10 +104,6 @@ class ChannelSource(Module):
     """
 
     comb_static = True
-    # The idle guard (no transaction in flight) can only stop holding via
-    # the comb() pop below, which pokes seq_wake(), so the batched kernel
-    # may park an idle source indefinitely.
-    burn_idle = True
 
     def __init__(self, name: str, channel: Channel):
         super().__init__(name)
@@ -143,7 +139,6 @@ class ChannelSource(Module):
             # Present a freshly queued item in the same cycle it was queued;
             # the commitment to it is latched in seq().
             self._current = self.queue.popleft()
-            self.seq_wake()   # the idle guard no longer holds
         if self._current is not None:
             self.channel.valid.drive(1)
             self.channel.payload.drive(self._current)
@@ -178,12 +173,6 @@ class ChannelSink(Module):
     """
 
     comb_static = True
-    # Sinks that declare an idle guard (the always-ready policy below, or
-    # an owner-installed guard like the DMA engine's read sink) go idle
-    # only until a guard signal changes — the batched kernel watches the
-    # channel wires named by guard terms; owners poke for Python-state
-    # terms. Sinks without a guard are never idle and run every cycle.
-    burn_idle = True
 
     def __init__(self, name: str, channel: Channel,
                  policy: ReadyPolicy = always_ready):

@@ -40,9 +40,6 @@ class TraceEncoder(Module):
     """Builds one cycle packet per eventful cycle and streams it to the store."""
 
     has_comb = False
-    # Idle (empty cycle packet) can only end via the record_*/reserve_*
-    # entry points below, each of which pokes seq_wake().
-    burn_idle = True
 
     def __init__(self, name: str, table: ChannelTable, store: TraceStore,
                  record_output_contents: bool = True,
@@ -76,7 +73,7 @@ class TraceEncoder(Module):
         self.events_recorded = 0
         self.enabled = True
         # seq() only serializes a non-empty cycle packet (is_empty is
-        # exactly "no starts and no ends").
+        # exactly "no starts and no ends"); also the encoder's wake hint.
         self.seq_idle_when(("falsy", "_packet.starts"),
                            ("falsy", "_packet.ends"))
         # Ablation A1: when monitors bypass the reservation protocol the
@@ -126,7 +123,6 @@ class TraceEncoder(Module):
         self._packet.contents[index] = content
         self._reserved_bytes += self._end_cost(index)
         self.events_recorded += 1
-        self.seq_wake()
 
     def reserve_end(self, index: int) -> None:
         """Eagerly reserve the end-record slot for an output transaction."""
@@ -143,7 +139,6 @@ class TraceEncoder(Module):
                 f"encoder {self.name!r}: reservation accounting went negative"
             )
         self.events_recorded += 1
-        self.seq_wake()
 
     # ------------------------------------------------------------------
     def seq(self) -> None:
@@ -168,11 +163,6 @@ class TraceEncoder(Module):
             self.store.accept(bytes(stage))
             self.packets_emitted += 1
         packet.clear()
-
-    def next_wake(self, cycle):
-        # Events are recorded by monitor seq() calls, which only happen on
-        # cycles with channel activity — activity that blocks warping.
-        return cycle if not self._packet.is_empty else None
 
     def reset_dedup(self) -> None:
         """Start a fresh dedup epoch (mirrors the decoder's ANCHOR reset)."""

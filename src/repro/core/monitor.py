@@ -44,10 +44,6 @@ class ChannelMonitor(Module):
     """
 
     comb_static = True
-    # The idle guard below names the two VALID wires (watched by the
-    # batched kernel) and _committed, which only this module mutates while
-    # it is running — so a parked monitor is woken by wire activity alone.
-    burn_idle = True
 
     def __init__(self, name: str, index: int, up: Channel, down: Channel,
                  encoder: TraceEncoder, direction: str,
@@ -82,7 +78,8 @@ class ChannelMonitor(Module):
         self.sensitive_to(up.valid, up.payload, down.ready)
         self.drives(down.valid, down.payload, up.ready)
         # Mirrors the seq() idle early-return below, inlined by the
-        # compiled kernel so an idle channel costs no Python call at all.
+        # compiled kernel so an idle channel costs no Python call at all,
+        # and read by the time warp as the monitor's wake hint.
         self.seq_idle_when(("low", up.valid), ("low", down.valid),
                            ("falsy", "_committed"))
 
@@ -149,15 +146,6 @@ class ChannelMonitor(Module):
             # Active transaction: grant()/_committed may change the comb
             # output next cycle, so stay on the work-list while engaged.
             self.wake()
-
-    def next_wake(self, cycle):
-        # Mirrors the seq() idle early-return: while the channel shows no
-        # valid on either side and no end reservation is held, seq() is a
-        # no-op and the monitor sleeps until a signal change wakes the sim.
-        if not self.up.valid._value and not self.down.valid._value \
-                and not self._committed:
-            return None
-        return cycle
 
     def reset_state(self) -> None:
         super().reset_state()

@@ -82,7 +82,6 @@ class ReplayCoordinator:
                 if entry[0] <= now:
                     replayer = entry[1]
                     replayer._gated = False
-                    replayer.seq_wake()
                 else:
                     keep.append(entry)
             self.waiters[index] = keep
@@ -162,10 +161,6 @@ class ChannelReplayer(Module):
     """
 
     comb_static = True
-    # The idle guard's ``nofire`` term names the channel wires (watched by
-    # the batched kernel); ``_gated`` is cleared only by the coordinator
-    # releasing this replayer, and every release pokes ``seq_wake()``.
-    burn_idle = True
 
     def __init__(self, name: str, index: int, channel: Channel,
                  coordinator: ReplayCoordinator, direction: str,

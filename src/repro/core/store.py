@@ -106,7 +106,6 @@ class TraceStore(Module):
         self._staging += packet
         self._staged_bytes += size
         self.total_packet_bytes += size
-        self.seq_wake()   # draining must resume
 
     # ------------------------------------------------------------------
     def seq(self) -> None:
@@ -144,22 +143,17 @@ class TraceStore(Module):
         return cycle if self._staged_bytes else None
 
     def on_warp(self, gap: int) -> None:
+        # The idle accrual seq() would have run gap times, at the bandwidth
+        # it would have used: a brownout factor and the arbiter's budget
+        # stay fixed across a warp (fault windows end warps at their
+        # edges; an arbiter that is not idle refuses to warp).
         if not self._staged_bytes:
+            bandwidth = self.bandwidth * self.fault_bandwidth_factor
+            if self.arbiter is not None:
+                bandwidth = min(bandwidth, self.arbiter.store_budget())
             self._drain_credit = min(
-                self._drain_credit + gap * round(self.bandwidth * CREDIT_SCALE),
-                round(4 * self.bandwidth * CREDIT_SCALE))
-
-    def seq_burn(self, cycle):
-        # Tighter than the next_wake derivation: idle-credit accrual under
-        # an arbiter (or a brownout window) depends on *that cycle's* link
-        # state, so the store only parks once the credit has saturated at
-        # its cap — from there every skipped cycle is an exact no-op
-        # (accept() pokes when staging refills). Saturation takes at most
-        # four idle cycles, so the per-cycle tail is negligible.
-        if (not self._staged_bytes
-                and self._drain_credit == self._idle_credit_cap):
-            return None
-        return 0
+                self._drain_credit + gap * round(bandwidth * CREDIT_SCALE),
+                self._idle_credit_cap)
 
     # ------------------------------------------------------------------
     def flush(self) -> None:

@@ -46,12 +46,6 @@ _WEIGHTS = {
 }
 _MAX_CRASH_TRIALS = 3
 
-# Fault kinds whose trial starts with a fresh record run — the legs a
-# batched campaign packs into one BatchKernel (same app, same seed, only
-# the armed fault plan differs between instances).
-_RECORD_KINDS = ("store-bitflip", "store-drop", "store-brownout",
-                 "channel-stall")
-
 
 @dataclass(frozen=True)
 class FaultTrial:
@@ -114,10 +108,8 @@ class CampaignReport:
 def _draw_plan(kind: str, trial_seed: int, rng: random.Random) -> FaultPlan:
     """Draw one trial's fault parameters.
 
-    The draws consume ``rng`` in exactly the order the trial handlers
-    historically did, so a campaign's fault-for-fault schedule is
-    unchanged by the prepass that now materialises every plan up front
-    (which is what lets the record legs run batched).
+    Each kind draws from ``rng`` in a fixed order, so the same ``(app,
+    n_faults, seed)`` triple reproduces a campaign fault for fault.
     """
     if kind == "blob-truncate":
         return FaultPlan.single(kind, seed=trial_seed,
@@ -193,44 +185,10 @@ class _Campaign:
         rep = self.replay_run(self.spec, self.ref_trace)
         self.ref_validation_body = bytes(rep.result["validation"].body)
         self._crash_reference = None   # lazily recorded (it is expensive)
-        # index -> (RunMetrics | exception, FaultInjector), filled by
-        # prerecord() when the campaign runs its record legs batched.
-        self._prerecorded: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
-    def prerecord(self, record_trials: List[tuple], batch_size: int) -> None:
-        """Batch-record the simulation-layer trials' faulted record legs.
-
-        ``record_trials`` is ``[(index, kind, plan), ...]``. Every leg is
-        the same app and seed with a different fault plan armed, so they
-        pack into one :class:`~repro.sim.batch.BatchKernel`; the recorded
-        traces are bit-identical to the scalar legs, so the per-trial
-        verdicts cannot change. Failures are kept per instance and
-        re-raised when the owning trial consumes its leg.
-        """
-        if not record_trials:
-            return
-        from repro.harness.batch_runner import BatchRunner
-
-        self.progress(f"batch-recording {len(record_trials)} faulted "
-                      f"record leg(s), {batch_size} per kernel")
-        injectors = [FaultInjector(plan) for _, _, plan in record_trials]
-        runner = BatchRunner(batch_size=batch_size, scheduler=self.scheduler)
-        results = runner.record_batch(
-            self.spec, self.config, seeds=[self.seed] * len(record_trials),
-            before_run=lambda dep, i: injectors[i].arm_recording(dep),
-            on_error="return")
-        for (index, _kind, _plan), metrics, injector in zip(
-                record_trials, results, injectors):
-            self._prerecorded[index] = (metrics, injector)
-
-    def _record_leg(self, index: int, plan: FaultPlan):
-        """The trial's faulted record run: prerecorded batch leg or scalar."""
-        if index in self._prerecorded:
-            metrics, injector = self._prerecorded.pop(index)
-            if isinstance(metrics, BaseException):
-                raise metrics
-            return metrics, injector
+    def _record_leg(self, plan: FaultPlan):
+        """The trial's faulted record run and its armed injector."""
         injector = FaultInjector(plan)
         metrics = self.record_run(self.spec, self.config, seed=self.seed,
                                   before_run=injector.arm_recording)
@@ -248,12 +206,12 @@ class _Campaign:
             "channel-stall": self._trial_timing,
             "worker-crash": self._trial_crash,
         }[kind]
-        outcome, detail = handler(index, kind, plan)
+        outcome, detail = handler(kind, plan)
         return FaultTrial(index=index, kind=kind, seed=trial_seed,
                           outcome=outcome, detail=detail)
 
     # ------------------------------------------------------------------
-    def _trial_blob(self, index: int, kind: str, plan: FaultPlan):
+    def _trial_blob(self, kind: str, plan: FaultPlan):
         from repro.core.trace_file import TraceFile
         from repro.errors import TraceFormatError
 
@@ -292,11 +250,11 @@ class _Campaign:
                 "packet(s)")
 
     # ------------------------------------------------------------------
-    def _trial_store(self, index: int, kind: str, plan: FaultPlan):
+    def _trial_store(self, kind: str, plan: FaultPlan):
         from repro.core.divergence import compare_traces
 
         try:
-            metrics, _injector = self._record_leg(index, plan)
+            metrics, _injector = self._record_leg(plan)
         except ReproError as exc:
             # Flight recordings decode their dedup stream when the trace is
             # materialised — storage corruption can already surface there.
@@ -326,13 +284,13 @@ class _Campaign:
             "clean replay but outputs differ from the fault-free reference")
 
     # ------------------------------------------------------------------
-    def _trial_timing(self, index: int, kind: str, plan: FaultPlan):
+    def _trial_timing(self, kind: str, plan: FaultPlan):
         from repro.core.divergence import compare_traces
 
         try:
             # check=True: the host program's own result assertion runs, so
             # a timing fault that corrupted application data cannot pass.
-            metrics, injector = self._record_leg(index, plan)
+            metrics, injector = self._record_leg(plan)
             trace = metrics.result["trace"]
             rep = self.replay_run(self.spec, trace, max_cycles=400_000)
             report = compare_traces(trace, rep.result["validation"])
@@ -346,7 +304,7 @@ class _Campaign:
             f"timing fault leaked into replay: {report.summary()}")
 
     # ------------------------------------------------------------------
-    def _trial_crash(self, index: int, kind: str, plan: FaultPlan):
+    def _trial_crash(self, kind: str, plan: FaultPlan):
         result = self._crash_ref()
         if result is None:
             return "masked", "crash trial skipped: no shardable trace"
@@ -398,7 +356,6 @@ def run_campaign(app: str = "sha256", n_faults: int = 200, seed: int = 0,
                  crash_app: str = "dram_dma",
                  progress: Optional[Callable[[str], None]] = None,
                  scheduler: Optional[str] = None,
-                 batch_size: Optional[int] = None,
                  flight_recorder: Optional[bool] = None) -> CampaignReport:
     """Run a seeded fault campaign; see the module docstring for verdicts.
 
@@ -409,13 +366,6 @@ def run_campaign(app: str = "sha256", n_faults: int = 200, seed: int = 0,
     ``scheduler`` selects the simulation kernel every trial runs on
     (``None`` defers to ``REPRO_SIM_SCHEDULER`` and then the simulator
     default).
-
-    ``batch_size`` > 1 packs the simulation-layer trials' faulted record
-    legs — same app and seed, differing only by fault plan — into
-    :class:`~repro.sim.batch.BatchKernel` batches of that width before
-    the trial loop runs. The recorded traces are bit-identical to the
-    scalar legs', so the report is fault-for-fault identical either way;
-    only the campaign's wall-clock changes.
 
     The blob faults attack the reference trace's v3 container.
     ``flight_recorder`` runs every record leg with the always-on ring
@@ -436,19 +386,9 @@ def run_campaign(app: str = "sha256", n_faults: int = 200, seed: int = 0,
                          flight_recorder=flight_recorder)
     report = CampaignReport(app=app, seed=seed)
     kinds = _schedule(n_faults, rng)
-    # Materialise every trial's seed and plan up front (one rng pass, in
-    # trial order — the same consumption order the handlers used to draw
-    # in), so the record legs are known before the first trial runs.
-    trials = []
     for index, kind in enumerate(kinds):
         trial_seed = rng.randrange(1 << 30)
-        trials.append((index, kind, trial_seed,
-                       _draw_plan(kind, trial_seed, rng)))
-    if batch_size and batch_size > 1:
-        campaign.prerecord(
-            [(i, k, plan) for i, k, _s, plan in trials
-             if k in _RECORD_KINDS], batch_size)
-    for index, kind, trial_seed, plan in trials:
+        plan = _draw_plan(kind, trial_seed, rng)
         trial = campaign.run_trial(index, kind, trial_seed, plan)
         report.trials.append(trial)
         if progress and (index + 1) % 25 == 0:

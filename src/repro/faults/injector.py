@@ -9,9 +9,10 @@ The injector attaches at four places:
 
 * :meth:`arm_recording` wires a deployment's :class:`~repro.core.store.TraceStore`
   (storage corruption + brownout) and :class:`~repro.core.monitor.ChannelMonitor`
-  set (handshake stalls) before the run starts; timed faults install a
-  simulator cycle hook that toggles the module-level fault flags over
-  their ``[start, start+cycles)`` window.
+  set (handshake stalls) before the run starts; timed faults register
+  their window edges with the deployment, whose record run stops there
+  to toggle the module-level fault flags over their
+  ``[start, start+cycles)`` window.
 * :meth:`corrupt_storage` is called back by ``TraceStore.flush()``:
   bit flips and word drops land on the drained external storage image —
   after the recording pipeline wrote it correctly, before any container
@@ -133,7 +134,6 @@ class FaultInjector:
             def apply_stall(on: bool, monitor=monitor):
                 monitor.fault_stalled = on
                 monitor.wake()
-                monitor.seq_wake()
 
             windows.append(_Window(
                 spec["start"], spec["cycles"], apply_stall,
@@ -144,14 +144,15 @@ class FaultInjector:
         for window in windows:
             self.log.append(f"armed {window.label}")
 
-        def hook(cycle: int) -> None:
+        def sync(cycle: int) -> None:
             for window in windows:
                 active = window.start <= cycle < window.end
                 if active != window.active:
                     window.active = active
                     window.apply(active)
 
-        deployment.sim.add_cycle_hook(hook)
+        deployment.stop_at({edge for window in windows
+                            for edge in (window.start, window.end)}, sync)
 
     def corrupt_storage(self, data: bytearray) -> None:
         """Rot the drained storage image in place (called by ``flush()``).

@@ -46,8 +46,7 @@ JOB_PARAMS: Dict[str, Dict[str, type]] = {
     "divergence": _RECORDING,
     "salvage": {"trace_path": str, "save_to": str},
     "campaign": {"app": str, "n_faults": int, "seed": int, "crash_app": str,
-                 "scheduler": str, "batch_size": int,
-                 "flight_recorder": bool},
+                 "scheduler": str, "flight_recorder": bool},
 }
 JOB_KINDS = tuple(JOB_PARAMS)
 

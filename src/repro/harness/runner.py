@@ -60,14 +60,13 @@ def build_record_deployment(
         scale: Optional[float] = None,
         env_mode: EnvironmentMode = EnvironmentMode.HARDWARE,
         scheduler: Optional[str] = None,
+        time_warp: Optional[bool] = None,
 ) -> tuple:
     """Assemble one record-mode deployment; returns (deployment, result, config).
 
-    This is the construction half of :func:`record_run`, split out so the
-    batched runner can build N identical instances and drive them behind
-    one :class:`~repro.sim.batch.BatchKernel`. ``result`` is the dict the
-    host program fills in; ``config`` comes back with the app's declared
-    interface boundary applied.
+    This is the construction half of :func:`record_run`. ``result`` is the
+    dict the host program fills in; ``config`` comes back with the app's
+    declared interface boundary applied.
     """
     if config.mode is VidiMode.REPLAY:
         raise ConfigError("use replay_run() for replay configurations")
@@ -80,7 +79,7 @@ def build_record_deployment(
     acc_factory, host_factory = spec.make()
     deployment = F1Deployment(f"run_{spec.key}", acc_factory, config,
                               env_mode=env_mode, seed=seed,
-                              scheduler=scheduler)
+                              scheduler=scheduler, time_warp=time_warp)
     result: dict = {}
     use_scale = spec.default_scale if scale is None else scale
     if spec.stream_workload is not None:
@@ -90,11 +89,36 @@ def build_record_deployment(
     return deployment, result, config
 
 
-def finish_record_metrics(spec: AppSpec, config: VidiConfig,
-                          deployment: F1Deployment, result: dict,
-                          seed: int, cycles: int,
-                          check: bool = True) -> RunMetrics:
-    """Post-run half of :func:`record_run`: check, measure, attach the trace."""
+def record_run(spec: AppSpec, config: VidiConfig, seed: int,
+               scale: Optional[float] = None,
+               env_mode: EnvironmentMode = EnvironmentMode.HARDWARE,
+               max_cycles: int = 4_000_000,
+               check: bool = True,
+               profile: bool = False,
+               before_run: Optional[Callable[[F1Deployment], None]] = None,
+               scheduler: Optional[str] = None,
+               time_warp: Optional[bool] = None) -> RunMetrics:
+    """Run one application under R1 or R2 and collect metrics.
+
+    Under R2 the recorded trace is attached as ``metrics.result['trace']``.
+    With ``profile=True`` the simulation kernel collects per-module
+    comb/seq wall-clock shares, attached as ``result['kernel_profile']``.
+    ``before_run`` is called with the fully assembled deployment right
+    before it starts running — the hook point checkpoint collection uses.
+    ``scheduler`` picks the simulation kernel (``event``/``fixpoint``/
+    ``compiled``); ``None`` defers to ``REPRO_SIM_SCHEDULER`` and then the
+    :class:`~repro.sim.simulator.Simulator` class default. ``time_warp``
+    selects quiescent-gap skipping as in :func:`replay_run` (default on;
+    ``False`` steps every cycle — same cycles, same trace).
+    """
+    deployment, result, config = build_record_deployment(
+        spec, config, seed, scale=scale, env_mode=env_mode,
+        scheduler=scheduler, time_warp=time_warp)
+    if profile:
+        deployment.sim.enable_profiling()
+    if before_run is not None:
+        before_run(deployment)
+    cycles = deployment.run_to_completion(max_cycles=max_cycles)
     if check:
         spec.check(result)
     metrics = RunMetrics(app=spec.key, mode=config.mode.value, seed=seed,
@@ -115,38 +139,6 @@ def finish_record_metrics(spec: AppSpec, config: VidiConfig,
             metrics.result["flight"] = deployment.shim.flight_stats()
             metrics.result["flight_blob"] = deployment.shim.flight_blob(
                 {"app": spec.key, "seed": seed, "cycles": cycles})
-    return metrics
-
-
-def record_run(spec: AppSpec, config: VidiConfig, seed: int,
-               scale: Optional[float] = None,
-               env_mode: EnvironmentMode = EnvironmentMode.HARDWARE,
-               max_cycles: int = 4_000_000,
-               check: bool = True,
-               profile: bool = False,
-               before_run: Optional[Callable[[F1Deployment], None]] = None,
-               scheduler: Optional[str] = None) -> RunMetrics:
-    """Run one application under R1 or R2 and collect metrics.
-
-    Under R2 the recorded trace is attached as ``metrics.result['trace']``.
-    With ``profile=True`` the simulation kernel collects per-module
-    comb/seq wall-clock shares, attached as ``result['kernel_profile']``.
-    ``before_run`` is called with the fully assembled deployment right
-    before it starts running — the hook point checkpoint collection uses.
-    ``scheduler`` picks the simulation kernel (``event``/``fixpoint``/
-    ``compiled``); ``None`` defers to ``REPRO_SIM_SCHEDULER`` and then the
-    :class:`~repro.sim.simulator.Simulator` class default.
-    """
-    deployment, result, config = build_record_deployment(
-        spec, config, seed, scale=scale, env_mode=env_mode,
-        scheduler=scheduler)
-    if profile:
-        deployment.sim.enable_profiling()
-    if before_run is not None:
-        before_run(deployment)
-    cycles = deployment.run_to_completion(max_cycles=max_cycles)
-    metrics = finish_record_metrics(spec, config, deployment, result,
-                                    seed, cycles, check=check)
     if profile:
         sim = deployment.sim
         metrics.result["kernel_profile"] = sim.profile_report()

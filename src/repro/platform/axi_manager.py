@@ -93,7 +93,6 @@ class AxiManager(Module):
         if not beats:
             raise SimulationError(f"{self.name}: empty DMA write")
         self._write_queue.append(WriteDescriptor(addr, list(beats), on_complete))
-        self.seq_wake()   # promotion must happen this cycle
 
     def dma_write_bytes(self, addr: int, data: bytes,
                         on_complete: Optional[Callable[[], None]] = None) -> None:
@@ -111,7 +110,6 @@ class AxiManager(Module):
         if addr % 64:
             raise SimulationError(f"{self.name}: unaligned DMA read {addr:#x}")
         self._read_queue.append(ReadDescriptor(addr, n_words, on_complete))
-        self.seq_wake()   # promotion must happen this cycle
 
     @property
     def idle(self) -> bool:
@@ -255,14 +253,6 @@ class AxiManager(Module):
                 or (self._r_desc is None and self._read_queue):
             return cycle
         return None
-
-    def seq_burn(self, cycle):
-        # The next_wake derivation would park with a descriptor in flight —
-        # sound for warping (channel activity blocks a warp on its own) but
-        # not for burns, where other modules still execute the cycle and
-        # complete our handshakes. Stay per-cycle while anything is queued
-        # or in flight; dma_write()/dma_read() poke from idle.
-        return None if self.idle else 0
 
     def reset_state(self) -> None:
         super().reset_state()

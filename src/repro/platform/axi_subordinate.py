@@ -36,11 +36,6 @@ class AxiLiteSubordinate(Module):
     """
 
     comb_static = True
-    # The idle guard names the three request VALID wires (watched by the
-    # batched kernel); the remaining guard terms are own latched-request
-    # state, mutated only by our seq(). A request is latched the same cycle
-    # its VALID rises, so the watcher poke covers arrival exactly.
-    burn_idle = True
 
     def __init__(self, name: str, interface: AxiInterface,
                  reg_read: RegReader, reg_write: RegWriter,
@@ -182,9 +177,6 @@ class AxiSubordinate(Module):
     """
 
     comb_static = True
-    # Same shape as AxiLiteSubordinate: VALID wires are watched, burst
-    # bookkeeping is own state, and bursts latch on the cycle VALID rises.
-    burn_idle = True
 
     WORD_BYTES = 64
 

@@ -122,13 +122,9 @@ class MmioPort(Module):
         self._active: Optional[Tuple[Any, Callable[[Any], None], int]] = None
         self.seq_idle_when(("none", "_active"), ("falsy", "_queue"))
 
-    # Idle means no op active or queued; only submit() changes that.
-    burn_idle = True
-
     def submit(self, op, on_complete: Callable[[Any], None]) -> None:
         """Queue one MmioWrite/MmioRead for execution."""
         self._queue.append((op, on_complete))
-        self.seq_wake()
 
     @property
     def idle(self) -> bool:
@@ -214,14 +210,10 @@ class PcisDmaEngine(Module):
                            ("none", "_await_b"), ("none", "_await_r"),
                            ("none", "_callback"), ("falsy", "_queue"))
 
-    # Fully drained (the guard below) stays a no-op until submit() pokes.
-    burn_idle = True
-
     # ------------------------------------------------------------------
     def submit(self, op, on_complete: Callable[[Any], None]) -> None:
         """Queue one DmaWrite/DmaRead for execution."""
         self._queue.append((op, on_complete))
-        self.seq_wake()
 
     @property
     def idle(self) -> bool:
@@ -238,8 +230,11 @@ class PcisDmaEngine(Module):
         """Split a byte-accurate write into aligned bursts of (data, strobe).
 
         The data is zero-padded to whole words, so only the first and last
-        beat can carry a partial strobe.
+        beat can carry a partial strobe. An empty write issues no burst at
+        any address and completes without bus traffic.
         """
+        if not op.data:
+            return []
         word = self.WORD
         # Vendor-sim inaccuracy: without strobe modelling, addresses are
         # force-aligned and strobes are full, silently corrupting
@@ -319,8 +314,6 @@ class PcisDmaEngine(Module):
                 self.ar_src.send({"addr": burst_addr, "len": n_beats - 1,
                                   "size": 6, "id": 0})
                 self._await_r = (len(self.r_sink.received), n_beats)
-                # The read sink's idle guard reads _await_r; un-park it.
-                self.r_sink.seq_wake()
                 self._bursts_done_addr = burst_addr
             return
         # Finish the active op.
@@ -404,10 +397,6 @@ class CpuModel(Module):
         self._threads: List[dict] = []
         self._live = self._runnable = 0
         self.seq_idle_when(("falsy", "_runnable"))
-        # WaitHostWord threads park until the awaited flag could have
-        # changed — any host-memory mutation un-parks the CPU (a no-op
-        # outside the batched kernel).
-        host_memory.on_write(self.seq_wake)
 
     # ------------------------------------------------------------------
     def add_thread(self, program: HostProgram, name: str = "") -> None:
@@ -443,7 +432,6 @@ class CpuModel(Module):
             thread["state"] = "ready"
             thread["result"] = result
             self._runnable += 1
-            self.seq_wake()   # the blocked thread parked the CPU
 
         if isinstance(op, (MmioWrite, MmioRead)):
             port = self.mmio_ports.get(op.interface)
@@ -519,45 +507,55 @@ class CpuModel(Module):
                 self._dispatch(thread, op)
 
     # ------------------------------------------------------------------
-    # batched-backend burn declarations
+    # time-warp declarations
     # ------------------------------------------------------------------
-    def seq_burn(self, cycle: int) -> Optional[int]:
-        """Cycles seq() may skip: the tightest deadline over all threads.
+    def next_wake(self, cycle: int) -> Optional[int]:
+        """The first cycle a thread acts: the tightest deadline over all.
 
         A thinking thread only decrements ``think`` until it hits zero; a
         WaitCycles thread only decrements its countdown — both are pure
-        per-cycle bookkeeping that :meth:`on_burn` replays in one step, so
+        per-cycle bookkeeping that :meth:`on_warp` replays in one step, so
         the RNG (consulted only on dispatch cycles, which are never
         skipped) and every observable dispatch cycle stay bit-identical.
-        Engine-blocked threads park until the completion callback pokes;
-        WaitHostWord threads park until a host-memory write pokes.
+        Engine-blocked threads wait for the engine's completion callback;
+        a WaitHostWord thread acts now if its flag already holds, and
+        otherwise waits for the host-memory write that sets it.
         """
+        if not self._runnable:
+            return None   # every live thread waits on an engine
         best: Optional[int] = None
         for thread in self._threads:
             state = thread["state"]
-            if state == "done":
-                continue
             if state == "ready":
-                return 0
+                return cycle
             if state == "thinking":
-                grant = thread["think"] - 1
-            else:  # blocked
+                due = thread["think"] - 1
+            elif state == "blocked":
                 wait = thread["wait"]
-                if wait is None or wait[0] == "hostword":
-                    continue   # parked until poked
-                grant = wait[1] - 1
-            if grant <= 0:
-                return 0
-            if best is None or grant < best:
-                best = grant
-        return best
+                if wait is None:
+                    continue   # on an engine
+                if wait[0] == "hostword":
+                    op = wait[1]
+                    if op.predicate(int.from_bytes(
+                            self.host_memory.read_bytes(op.addr, 8),
+                            "little")):
+                        return cycle
+                    continue
+                due = wait[1] - 1
+            else:
+                continue   # done
+            if due <= 0:
+                return cycle
+            if best is None or due < best:
+                best = due
+        return None if best is None else cycle + best
 
-    def on_burn(self, elapsed: int) -> None:
+    def on_warp(self, gap: int) -> None:
         """Replay the per-cycle countdowns the skipped cycles would have run."""
         for thread in self._threads:
             if thread["state"] == "thinking":
-                thread["think"] -= elapsed
+                thread["think"] -= gap
             elif thread["state"] == "blocked":
                 wait = thread["wait"]
                 if wait is not None and wait[0] == "cycles":
-                    wait[1] -= elapsed
+                    wait[1] -= gap

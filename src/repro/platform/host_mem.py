@@ -28,10 +28,6 @@ class HostMemoryController(Module):
     """
 
     comb_static = True
-    # The idle guard names the three request VALID wires (watched by the
-    # batched kernel); all other guard state is mutated only by our own
-    # seq(), so a parked controller is woken by wire activity alone.
-    burn_idle = True
 
     WORD_BYTES = 64
 

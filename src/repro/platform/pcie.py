@@ -33,9 +33,6 @@ class PcieArbiter(Module):
     """
 
     has_comb = False
-    # Parked only while the link is idle and the credit sits at its cap;
-    # the sole external mutation is request_app(), which pokes.
-    burn_idle = True
 
     def __init__(self, name: str, capacity: float = PCIE_BYTES_PER_CYCLE):
         super().__init__(name)
@@ -66,7 +63,6 @@ class PcieArbiter(Module):
             self._credit -= nbytes
             self._app_used_this_cycle += nbytes
             self.total_app_bytes += nbytes
-            self.seq_wake()   # the ledger must roll again
             return True
         return False
 

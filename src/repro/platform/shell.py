@@ -12,7 +12,8 @@ property (§5.1).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from bisect import bisect_right
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.channels.axi import AxiInterface
 from repro.core.config import VidiConfig, VidiMode
@@ -139,9 +140,25 @@ class F1Deployment:
         # Elaboration is lazy (first step), so callers may still attach
         # taps/recorders to the deployment before running it.
 
+        # Cycle boundaries run_to_completion() stops at, each with the
+        # actions to call there (fault-window edges); see stop_at().
+        self._stops: Dict[int, List[Callable[[int], None]]] = {}
         self.flight_probe: Optional[Callable[[int], None]] = None
         if config.mode is VidiMode.RECORD and config.flight_recorder:
             self._install_flight_anchors()
+
+    def stop_at(self, cycles: Iterable[int],
+                action: Callable[[int], None]) -> None:
+        """Call ``action(cycle)`` at each of ``cycles`` in a record run.
+
+        :meth:`run_to_completion` runs up to each such cycle boundary and
+        calls the action there, after the cycle before it committed — what
+        a cycle hook would see, without a hook's per-cycle call or its
+        veto on warping. Boundary 0 is never reached that way (a hook
+        first runs at cycle 1), so a stop at cycle 0 acts at cycle 1.
+        """
+        for cycle in {max(1, cycle) for cycle in cycles}:
+            self._stops.setdefault(cycle, []).append(action)
 
     # ------------------------------------------------------------------
     def _install_flight_anchors(self) -> None:
@@ -171,10 +188,7 @@ class F1Deployment:
         quiet-gap warping. :meth:`run_to_completion` instead runs the sim
         in stride-aligned chunks and probes between them — the probed
         cycles (and hence the anchor placement) are identical to what a
-        per-cycle hook would see. Drivers that step the simulator
-        themselves (the batched kernel) register ``flight_probe`` as a
-        cycle hook instead; its internal guards make extra or repeated
-        calls at the same cycle harmless no-ops.
+        per-cycle hook would see.
         """
         from repro.core.checkpoint import checkpoint_to_dict, take_checkpoint
 
@@ -213,21 +227,30 @@ class F1Deployment:
 
     # ------------------------------------------------------------------
     def run_to_completion(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> int:
-        """Run until the host program finishes; returns elapsed cycles."""
+        """Run until the host program finishes; returns elapsed cycles.
+
+        The run stops at every :meth:`stop_at` cycle and, when flight
+        recording, at every anchor-stride boundary: it runs the chunk in
+        between with ``run_until`` (which warps quiet gaps but never past
+        the chunk's end) and acts at the boundary — zero per-cycle cost.
+        """
         if self.cpu is None:
             raise ConfigError("replay deployments use run_replay()")
         what = f"{self.name}: host program completion"
-        probe = self.flight_probe
-        if probe is None:
-            return self.sim.run_until(lambda: self.cpu.done, max_cycles, what)
-        # Flight recording: run in stride-aligned chunks and probe for a
-        # re-anchor opportunity at each boundary — zero per-cycle cost.
         sim, cpu = self.sim, self.cpu
+        probe, stops = self.flight_probe, self._stops
         stride = max(1, self.config.flight_anchor_stride)
+        edges = sorted(stops)
         start = sim.cycle
         end = start + max_cycles
         while not cpu.done:
-            chunk = min(stride - sim.cycle % stride, end - sim.cycle)
+            limit = end
+            if probe is not None:
+                limit = min(limit, sim.cycle + stride - sim.cycle % stride)
+            i = bisect_right(edges, sim.cycle)
+            if i < len(edges):
+                limit = min(limit, edges[i])
+            chunk = limit - sim.cycle
             if chunk <= 0:
                 raise WatchdogTimeout(
                     f"{sim.name}: {what} not reached within "
@@ -239,8 +262,11 @@ class F1Deployment:
                     raise WatchdogTimeout(
                         f"{sim.name}: {what} not reached within "
                         f"{max_cycles} cycles (cycle {sim.cycle})") from None
-            if sim.cycle % stride == 0:
-                probe(sim.cycle)
+            cycle = sim.cycle
+            for action in stops.get(cycle, ()):
+                action(cycle)
+            if probe is not None and cycle % stride == 0:
+                probe(cycle)
         return sim.cycle - start
 
     def run_replay(self, max_cycles: int = DEFAULT_MAX_CYCLES,

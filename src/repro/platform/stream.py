@@ -21,9 +21,6 @@ class StreamDriver(Module):
     """Feeds byte packets onto an ingress AXI-Stream port."""
 
     has_comb = False
-    # The idle guard is pure own-state (gap countdown, pending packets);
-    # the only external mutation is load_packets(), which pokes.
-    burn_idle = True
 
     def __init__(self, name: str, interface: AxisInterface,
                  gap: int = 2, gap_jitter: int = 4,
@@ -44,7 +41,6 @@ class StreamDriver(Module):
         """Queue byte packets for transmission (before or during the run)."""
         for packet in packets:
             self._pending.append(pack_packet(packet))
-        self.seq_wake()   # a parked (drained) driver must resume
 
     @property
     def idle(self) -> bool:

@@ -334,6 +334,47 @@ def _guard_expr(module: Module, mod_name: str,
     return " and ".join(parts)
 
 
+# Guard expression source → factory(module, *objects) returning the hint
+# closure; modules of one class share their guard's shape, so each shape
+# is exec'd once per process.
+_HINT_FACTORIES: Dict[str, object] = {}
+
+
+def _opaque_hint(cycle: int) -> int:
+    return cycle
+
+
+def guard_hint(module: Module):
+    """``next_wake(cycle)`` read off ``module``'s ``seq_idle_when`` guard.
+
+    The guard compiles to one Python expression, so a poll costs a call
+    and the guard's attribute reads: ``None`` while it holds, ``cycle``
+    otherwise. Without a guard the hint is always ``cycle`` (opaque).
+    """
+    objects: List[object] = []
+
+    def bind(obj) -> str:
+        for i, known in enumerate(objects):
+            if known is obj:
+                return f"_o{i}"
+        objects.append(obj)
+        return f"_o{len(objects) - 1}"
+
+    expr = _guard_expr(module, "_m", bind)
+    if expr is None:
+        return _opaque_hint
+    factory = _HINT_FACTORIES.get(expr)
+    if factory is None:
+        args = ", ".join(["_m"] + [f"_o{i}" for i in range(len(objects))])
+        ns: Dict[str, object] = {}
+        exec(f"def _factory({args}):\n"
+             f"    def next_wake(cycle):\n"
+             f"        return None if ({expr}) else cycle\n"
+             f"    return next_wake\n", ns)
+        factory = _HINT_FACTORIES[expr] = ns["_factory"]
+    return factory(module, *objects)
+
+
 # ----------------------------------------------------------------------
 # structural fingerprint (the cache key)
 # ----------------------------------------------------------------------
@@ -594,8 +635,8 @@ def _resolve(recipe: Dict[str, tuple], sim) -> Dict[str, object]:
             ns[name] = mods[addr[1]].seq
         elif kind == "modtuple":
             ns[name] = tuple(mods[o] for o in addr[1])
-        elif kind == "nws":
-            ns[name] = tuple(m.next_wake for m in sim._seq_modules)
+        elif kind == "hints":
+            ns[name] = sim._warp_hints()
         elif kind == "whooks":
             ns[name] = tuple(sim._warp_hooks)
         else:  # pragma: no cover - recipe writer and reader live together
@@ -669,8 +710,8 @@ def _assign_ranks(stage_shapes: tuple, modules: Sequence[Module]) -> None:
 
 
 def _emit_settle(emit, dyn: Optional[str], alw: Optional[str],
-                 n_always: int, count_ranks: bool) -> None:
-    """Emit the combinational settle shared by the scalar and batch kernels.
+                 n_always: int) -> None:
+    """Emit the combinational settle of the generated step.
 
     Re-schedules the dynamic modules (``dyn`` names their tuple), then
     opens ``if <work pending>:`` and fills it with the event kernel's delta
@@ -697,8 +738,7 @@ def _emit_settle(emit, dyn: Optional[str], alw: Optional[str],
     emit("            for m in batch:")
     emit("                m._comb_scheduled = False")
     emit("                m.comb()")
-    if count_ranks:
-        emit("                _revs[m._rank_stage] += 1")
+    emit("                _revs[m._rank_stage] += 1")
     emit("            evals += len(batch)")
     if alw is not None:
         emit(f"            for m in {alw}:")
@@ -787,8 +827,7 @@ def compile_kernel(sim) -> CompiledKernel:
         ns["_alw"] = tuple(lev.always)
         recipe["_alw"] = ("modtuple", tuple(m._order for m in lev.always))
     _emit_settle(emit, "_dyn" if has_dynamic else None,
-                 "_alw" if has_always else None, len(lev.always),
-                 count_ranks=True)
+                 "_alw" if has_always else None, len(lev.always))
     emit("        settled = True")
     emit("    else:")
     emit("        S.quiescent_cycles += 1")
@@ -796,33 +835,38 @@ def compile_kernel(sim) -> CompiledKernel:
 
     # --- time warp (only for warp-eligible designs) ---
     if sim._warp_ok:
-        ns["_nws"] = tuple(m.next_wake for m in sim._seq_modules)
-        recipe["_nws"] = ("nws",)
+        # The hint that vetoed the last warp is polled first: on a dense
+        # run the same busy module refuses cycle after cycle, and one
+        # call settles it.
+        ns["_hints"] = sim._warp_hints()
+        recipe["_hints"] = ("hints",)
         ns["_whooks"] = tuple(sim._warp_hooks)
         recipe["_whooks"] = ("whooks",)
         emit("        if S._quiet_streak and not _hooks:")
         emit("            cyc = S.cycle")
-        emit("            target = None")
-        emit("            for nw in _nws:")
-        emit("                hint = nw(cyc)")
-        emit("                if hint is None:")
-        emit("                    continue")
-        emit("                if hint <= cyc:")
-        emit("                    target = None")
-        emit("                    break")
-        emit("                if target is None or hint < target:")
-        emit("                    target = hint")
-        emit("            if target is not None:")
-        emit("                if warp_limit is not None and "
+        emit("            target = S._veto(cyc)")
+        emit("            if target is None or target > cyc:")
+        emit("                for nw in _hints:")
+        emit("                    hint = nw(cyc)")
+        emit("                    if hint is None:")
+        emit("                        continue")
+        emit("                    if hint <= cyc:")
+        emit("                        S._veto = nw")
+        emit("                        target = None")
+        emit("                        break")
+        emit("                    if target is None or hint < target:")
+        emit("                        target = hint")
+        emit("                if target is not None:")
+        emit("                    if warp_limit is not None and "
              "target > warp_limit - 1:")
-        emit("                    target = warp_limit - 1")
-        emit("                gap = target - cyc")
-        emit("                if gap > 0:")
-        emit("                    S.cycle = target")
-        emit("                    S.warped_cycles += gap")
-        emit("                    S.warp_jumps += 1")
-        emit("                    for wm in _whooks:")
-        emit("                        wm.on_warp(gap)")
+        emit("                        target = warp_limit - 1")
+        emit("                    gap = target - cyc")
+        emit("                    if gap > 0:")
+        emit("                        S.cycle = target")
+        emit("                        S.warped_cycles += gap")
+        emit("                        S.warp_jumps += 1")
+        emit("                        for wm in _whooks:")
+        emit("                            wm.on_warp(gap)")
 
     # --- sequential phase: straight line, elaboration order ---
     guarded = 0
@@ -873,10 +917,6 @@ def compile_kernel(sim) -> CompiledKernel:
     emit("            sig._next = None")
     emit("            if nxt != sig._value:")
     emit("                sig._value = nxt")
-    emit("                watchers = sig._seq_watchers")
-    emit("                if watchers is not None:")
-    emit("                    for w in watchers:")
-    emit("                        w()")
     emit("                for m in sig._fanout:")
     emit("                    if not m._comb_scheduled:")
     emit("                        m._comb_scheduled = True")
@@ -912,247 +952,3 @@ def compile_kernel(sim) -> CompiledKernel:
         _CACHE_STATS["uncacheable"] += 1
     return CompiledKernel(ns["_step"], source, lev, guarded,
                           len(sim._seq_modules))
-
-
-# ----------------------------------------------------------------------
-# batched code generation (instance-axis sweeps)
-# ----------------------------------------------------------------------
-#
-# A batch packs N structurally-identical simulators (equal
-# :func:`schedule_key`) and advances them through one shared set of
-# generated phase functions. Every bound object becomes a *plane*: a
-# per-instance list indexed by the instance axis ``_k``, so one code
-# object serves the whole batch. The sequential phase is not a straight
-# line here — the :class:`~repro.sim.batch.BatchKernel` drives the
-# per-slot functions from its due-cycle plane, executing only the
-# slots that are *due* on a given instance-cycle.
-
-
-class _BatchBinder:
-    """Same binding interface as :class:`_Binder`, instance-indexed names.
-
-    Wraps a plain binder (recording structural addresses against the
-    batch's reference instance); emitted references are ``name[_k]`` so
-    the generated code picks the current instance's object out of the
-    plane list built by :func:`_plane`.
-    """
-
-    def __init__(self, inner: _Binder):
-        self._inner = inner
-
-    def __call__(self, obj: object) -> str:
-        return f"{self._inner(obj)}[_k]"
-
-    def const(self, value) -> str:
-        return self._inner.const(value)
-
-
-class BatchProgram:
-    """The generated phase functions shared by one batch."""
-
-    __slots__ = ("settle", "slot_fns", "commit", "source", "n_slots",
-                 "slot_kinds", "can_jump")
-
-    def __init__(self, settle, slot_fns, commit, source, n_slots,
-                 slot_kinds, can_jump):
-        self.settle = settle          # _settle(k) -> bool (anything evaluated)
-        self.slot_fns = slot_fns      # tuple; slot_fns[si](k, cycle)
-        self.commit = commit          # _commit(k) -> bool (anything committed)
-        self.source = source
-        self.n_slots = n_slots
-        self.slot_kinds = slot_kinds  # 'burn' | 'guard' | 'always' per slot
-        self.can_jump = can_jump      # no always/dynamic comb fallback lists
-
-
-def slot_kind(module: Module) -> str:
-    """How the batch kernel schedules one sequential module.
-
-    * ``'burn'`` — the module declares its own burn grants
-      (``seq_burn``/``next_wake`` override): ask it after every execution.
-    * ``'guard'`` — ``burn_idle`` with a ``seq_idle_when`` guard: park
-      while the guard holds, rely on watchers/pokes to wake.
-    * ``'always'`` — no burn information: due every cycle.
-    """
-    t = type(module)
-    if t.seq_burn is not Module.seq_burn or t.next_wake is not Module.next_wake:
-        return "burn"
-    if module.burn_idle and module._seq_idle:
-        return "guard"
-    return "always"
-
-
-def _plane(addr: tuple, sims) -> object:
-    """Resolve one structural address against every instance (a plane)."""
-    kind = addr[0]
-    if kind == "const":
-        return addr[1]
-    if kind == "module":
-        return [s.modules[addr[1]] for s in sims]
-    if kind == "signal":
-        return [s.modules[addr[1]]._signals[addr[2]] for s in sims]
-    raise SimulationError(f"unsupported batch binding {addr!r}")
-
-
-def compile_batch(sims, D, E, inf: int) -> BatchProgram:
-    """Generate the shared phase functions for a batch of simulators.
-
-    ``sims`` must all be elaborated under an event-style scheduler and
-    have equal, non-``None`` :func:`schedule_key` (the caller checks —
-    mismatching instances are demoted to scalar stepping before packing).
-    ``D``/``E`` are the batch's ``(slots, N)`` int64 due-cycle and
-    last-executed planes; ``inf`` is the park sentinel. A slot function
-    regrants by writing its next absolute due cycle into ``D``; slots of
-    kind ``'always'`` never write their row (it stays at the packing
-    cycle, i.e. permanently due), so the plane is only touched where
-    skipping is actually possible.
-    """
-    sim0 = sims[0]
-    lev = levelize(sim0._event_comb, sim0._always_comb, sim0._dynamic_comb)
-    mod_addr, sig_addr = _structural_maps(sim0)
-    addr_of: Dict[int, tuple] = {}
-    addr_of.update(mod_addr)
-    addr_of.update(sig_addr)
-    inner = _Binder("g", addr_of)
-    bind = _BatchBinder(inner)
-
-    stage_shapes = _stage_shapes(lev)
-    for sim in sims:
-        _assign_ranks(stage_shapes, sim.modules)
-    ns: Dict[str, object] = {
-        "_S": list(sims),
-        "_CombLoop": CombinationalLoopError,
-        "_rk": _rank_key,
-        "_md": sim0.max_delta,
-        "_D": D,
-        "_E": E,
-        "_INF": inf,
-    }
-    src: List[str] = []
-    emit = src.append
-
-    # --- settle: the scalar kernel's, instance-indexed ---
-    has_always = bool(lev.always)
-    has_dynamic = bool(lev.dynamic)
-    if has_dynamic:
-        ns["_dyn"] = [tuple(s.modules[m._order] for m in lev.dynamic)
-                      for s in sims]
-    if has_always:
-        ns["_alw"] = [tuple(s.modules[m._order] for m in lev.always)
-                      for s in sims]
-    emit("def _settle(_k):")
-    emit("    S = _S[_k]")
-    _emit_settle(emit, "_dyn[_k]" if has_dynamic else None,
-                 "_alw[_k]" if has_always else None, len(lev.always),
-                 count_ranks=False)
-    emit("        return True")
-    emit("    S.quiescent_cycles += 1")
-    emit("    return False")
-    emit("")
-
-    # --- per-slot sequential functions ---
-    kinds: List[str] = []
-    for si, module in enumerate(sim0._seq_modules):
-        kind = slot_kind(module)
-        kinds.append(kind)
-        ns[f"_mods{si}"] = [s.modules[module._order] for s in sims]
-        ns[f"_q{si}"] = [s.modules[module._order].seq for s in sims]
-        guard = _guard_expr(module, "_m", bind)
-        t = type(module)
-        has_burn_hook = (t.on_burn is not Module.on_burn
-                         or t.on_warp is not Module.on_warp)
-        emit(f"def _s{si}(_k, _c):")
-        emit(f"    _m = _mods{si}[_k]")
-        if kind == "burn":
-            if has_burn_hook:
-                # Catch-up: elapsed quiet cycles since the last execution
-                # (identical to the granted burn, shrunk by any early
-                # poke). Wakes out of a park reset E so elapsed is 0.
-                emit(f"    _e = _c - _E[{si}, _k] - 1")
-                emit("    if _e > 0:")
-                emit("        _m.on_burn(_e)")
-                emit(f"    _E[{si}, _k] = _c")
-            if guard is None:
-                emit(f"    _q{si}[_k]()")
-            else:
-                emit(f"    if not ({guard}):")
-                emit(f"        _q{si}[_k]()")
-            emit("    _nb = _m.seq_burn(_c)")
-            emit("    if _nb is None:")
-            if guard is not None and module.burn_idle:
-                # A None grant may only park while the declared idle
-                # guard holds. A reactive module (next_wake -> None)
-                # with work visibly pending — a replayer holding VALID
-                # high into an already-ready consumer, say — assumed
-                # the scalar kernel's every-cycle polling; the batch
-                # keeps it due instead, which is exactly what the
-                # scalar sweep would do.
-                emit(f"        if {guard}:")
-                emit(f"            _D[{si}, _k] = _INF")
-                emit("        else:")
-                emit(f"            _D[{si}, _k] = _c + 1")
-            else:
-                emit(f"        _D[{si}, _k] = _INF")
-            emit("    else:")
-            emit(f"        _D[{si}, _k] = _c + _nb + 1")
-        elif kind == "guard":
-            # Run when the guard is live; re-evaluate afterwards to decide
-            # between parking and staying due. No catch-up for guard slots
-            # — skipped guard-idle cycles need none by definition.
-            emit(f"    if not ({guard}):")
-            emit(f"        _q{si}[_k]()")
-            emit(f"    if {guard}:")
-            emit(f"        _D[{si}, _k] = _INF")
-            emit("    else:")
-            emit(f"        _D[{si}, _k] = _c + 1")
-        else:
-            # 'always': the D row never moves off the packing cycle, so
-            # the slot is permanently due — no plane write needed.
-            if guard is None:
-                emit(f"    _q{si}[_k]()")
-            else:
-                emit(f"    if not ({guard}):")
-                emit(f"        _q{si}[_k]()")
-        emit("")
-
-    # --- commit: replicates Signal._commit, instance-indexed ---
-    emit("def _commit(_k):")
-    emit("    S = _S[_k]")
-    emit("    staged = S._staged")
-    emit("    if not staged:")
-    emit("        return False")
-    emit("    pend = S._pending")
-    emit("    for sig in staged:")
-    emit("        nxt = sig._next")
-    emit("        if nxt is None:")
-    emit("            continue")
-    emit("        sig._next = None")
-    emit("        if nxt != sig._value:")
-    emit("            sig._value = nxt")
-    emit("            watchers = sig._seq_watchers")
-    emit("            if watchers is not None:")
-    emit("                for w in watchers:")
-    emit("                    w()")
-    emit("            for m in sig._fanout:")
-    emit("                if not m._comb_scheduled:")
-    emit("                    m._comb_scheduled = True")
-    emit("                    pend.append(m)")
-    emit("    staged.clear()")
-    emit("    return True")
-
-    # Guard/extra-base objects interned by guard expressions become planes.
-    for name, addr in inner.recipe.items():
-        ns[name] = _plane(addr, sims)
-    if not inner.cacheable:
-        raise SimulationError(
-            "batch compile: a guard references an object without a "
-            "structural address; pack these instances scalar")
-
-    source = "\n".join(src) + "\n"
-    code = compile(source, "<batch-kernel>", "exec")
-    exec(code, ns)
-    n_slots = len(sim0._seq_modules)
-    return BatchProgram(
-        ns["_settle"],
-        tuple(ns[f"_s{si}"] for si in range(n_slots)),
-        ns["_commit"], source, n_slots, tuple(kinds),
-        can_jump=not has_always and not has_dynamic)

@@ -79,63 +79,34 @@ correct, they just get the conservative treatment:
 Time-warp declarations (quiescent-gap skipping)
 -----------------------------------------------
 
-On cycles where the comb work-list is empty the event kernel can go one
-step further than skipping settling: it can skip the cycle *entirely* —
-provided every sequential process agrees it has nothing to do. Modules
-with a ``seq()`` opt in by overriding :meth:`next_wake`:
+On cycles where the comb work-list is empty the event and compiled
+kernels can go one step further than skipping settling: they can skip
+the cycle *entirely* — provided every sequential process agrees it has
+nothing to do. Each sequential module answers through :meth:`next_wake`:
 
-* return ``None`` — "my ``seq()`` is a no-op until something external
+* ``None`` — "my ``seq()`` is a no-op until something external
   happens" (a signal change, a ``wake()``, a callback). Pure-reactive
   modules (replayers waiting on vector clocks, idle DMA engines) say this.
-* return a cycle number — the earliest future cycle the module's ``seq()``
-  must run (a kernel burning an N-cycle budget returns ``cycle + budget``).
+* a cycle number — the earliest future cycle the module's ``seq()`` must
+  run (a kernel burning an N-cycle budget returns ``cycle + budget``).
   Returning the current cycle means "run me now" and blocks warping.
 
-When *all* sequential modules override ``next_wake`` and the design has
-been fully quiet for a cycle, the kernel jumps the cycle counter straight
-to the earliest returned wake. Modules that maintain per-cycle Python
-counters additionally override :meth:`on_warp` to account for the skipped
-cycles in one step (busy-cycle counters, drain-credit accumulators).
+The base implementation derives the answer from the ``seq_idle_when``
+guard: ``None`` while the guard holds, ``cycle`` otherwise. A guard that
+holds at a quiet cycle keeps holding across the skipped ones (nothing
+executes inside them), so a guarded module needs no hint of its own.
+Modules with timed work override :meth:`next_wake`, and those that
+maintain per-cycle Python counters additionally override
+:meth:`on_warp` to account for the skipped cycles in one step
+(busy-cycle counters, drain-credit accumulators, countdowns).
 
-A single sequential module *without* a ``next_wake`` override makes the
-whole simulation opaque and disables warping — the safe default, and the
-reason recording runs (whose CPU model thinks in real cycles) are never
-warped while replay runs (whose modules are all reactive) are.
-
-Burn declarations (batched backend)
------------------------------------
-
-The batched kernel (:mod:`repro.sim.batch`) runs N structurally identical
-instances per step and cannot afford a Python-level guard evaluation per
-module per instance per cycle. Instead each sequential module grants a
-*burn*: the number of upcoming cycles for which its ``seq()`` is a
-guaranteed no-op. Grants live in one numpy matrix (seq-slots × instances)
-that a single vectorized subtraction advances, so idle modules cost
-nothing until they come due.
-
-* :meth:`seq_burn` — return how many upcoming cycles ``seq()`` may be
-  skipped (0 = run every cycle, the safe default; ``None`` = skip
-  indefinitely, until an explicit wake). The default derives the answer
-  from :meth:`next_wake`, so warp-aware modules get burning for free.
-* :meth:`on_burn` — account for ``elapsed`` skipped cycles, exactly like
-  :meth:`on_warp` (which is the default implementation).
-* ``burn_idle = True`` (class attribute) — assert that whenever the
-  declared ``seq_idle_when`` conjunction holds, ``seq()`` stays a no-op
-  *until an external event*: a watched signal changes (the batch kernel
-  auto-watches the signals named by ``("low", …)`` / ``("nofire", …)``
-  terms) or someone calls :meth:`seq_wake`. This is the burn analogue of
-  ``comb_static`` and carries the same contract: every cross-module
-  mutation that can invalidate the guard must be covered by a watcher or
-  an explicit ``seq_wake()`` poke.
-* :meth:`seq_wake` — demand that ``seq()`` runs again (idempotent, cheap,
-  always sound). Wire it into every cross-module entry point that hands
-  this module new work (``submit()``, ``send()``, completion callbacks).
-
-Modules that declare nothing run every cycle — always correct, merely
-slower. A granted burn that proves wrong (``seq()`` had work before the
-grant expired and nothing poked) is a correctness bug of the same class
-as a wrong ``seq_idle_when`` term; the batched-vs-scalar equivalence
-harness exists to catch exactly that.
+When the design has been fully quiet for a cycle, the kernel jumps the
+cycle counter straight to the earliest returned wake. A sequential
+module with neither a guard nor a :meth:`next_wake` override is
+*opaque* and disables warping for the whole simulation — the safe
+default. Record and replay deployments declare one or the other on
+every module, so both warp; a sink with an impure READY policy (the
+stream collector of ``packet_filter``) keeps its design stepping.
 """
 
 from __future__ import annotations
@@ -154,17 +125,12 @@ class Module:
     # watches changed (the quiescent fast path). Leave False for declared
     # modules that read cycle-start Python state the module cannot track.
     comb_static: bool = False
-    # True asserts that while the declared seq_idle_when conjunction holds,
-    # seq() stays a no-op until a watched guard signal changes or seq_wake()
-    # is called — letting the batched kernel park the module indefinitely
-    # instead of re-checking the guard every cycle.
-    burn_idle: bool = False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # A wake hint describes one seq(): a class that overrides seq()
         # under an inherited hint must state its own (the kernels that
-        # warp or burn would otherwise skip the new seq()'s work).
+        # warp would otherwise skip the new seq()'s work).
         if ("seq" in cls.__dict__ and "next_wake" not in cls.__dict__
                 and cls.next_wake is not Module.next_wake):
             raise TypeError(f"{cls.__qualname__} overrides seq() but "
@@ -184,10 +150,7 @@ class Module:
         # wake() and signal fanout stay no-ops for them.
         self._comb_scheduled = False
         self._order = 0   # elaboration index; stabilizes evaluation order
-        # Installed by the batched kernel: a zero-arg callback that marks
-        # this module's burn slot due. None outside a batch (seq_wake()
-        # is then a no-op), so scalar runs pay one attribute check.
-        self._burn_hook = None
+        self._guard_hint = None   # compiled from _seq_idle on first use
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -242,6 +205,7 @@ class Module:
         if self._seq_idle is None:
             self._seq_idle = []
         self._seq_idle.extend(terms)
+        self._guard_hint = None
 
     def wake(self) -> None:
         """Schedule a ``comb()`` re-evaluation (idempotent).
@@ -262,60 +226,25 @@ class Module:
 
         ``None`` means "not until something external wakes the design";
         returning ``cycle`` (or any past cycle) means "this cycle matters"
-        and blocks warping. The base implementation is never called — a
-        module that does not override it is *opaque* and disables
-        time-warping for the whole simulation.
+        and blocks warping. The base implementation reads the
+        ``seq_idle_when`` guard: ``None`` while it holds, ``cycle``
+        otherwise (always ``cycle`` without a guard — such a module is
+        *opaque* and the kernels do not warp the design at all).
         """
-        return cycle
+        hint = self._guard_hint
+        if hint is None:
+            from repro.sim.compile import guard_hint
+            hint = self._guard_hint = guard_hint(self)
+        return hint(cycle)
 
     def on_warp(self, gap: int) -> None:
         """Account for ``gap`` skipped quiescent cycles in one step.
 
-        Called on every sequential module when the kernel warps. Override
-        when ``seq()`` maintains per-cycle Python counters (busy-cycle
-        tallies, credit accumulators, countdowns) that the skipped cycles
-        would have advanced.
+        Called on every sequential module that overrides it when the
+        kernel warps. Override when ``seq()`` maintains per-cycle Python
+        counters (busy-cycle tallies, credit accumulators, countdowns)
+        that the skipped cycles would have advanced.
         """
-
-    # ------------------------------------------------------------------
-    # burn declarations (batched backend)
-    # ------------------------------------------------------------------
-    def seq_wake(self) -> None:
-        """Demand that ``seq()`` runs again (batched backend; idempotent).
-
-        Cross-module entry points that hand this module new work must call
-        this so a granted burn is cut short. A no-op outside a batch.
-        """
-        hook = self._burn_hook
-        if hook is not None:
-            hook()
-
-    def seq_burn(self, cycle: int) -> Optional[int]:
-        """How many upcoming cycles ``seq()`` may be skipped, from ``cycle``.
-
-        Returns 0 to run every cycle, a positive count to skip that many
-        cycles, or ``None`` to park indefinitely (requires ``burn_idle``
-        watchers or :meth:`seq_wake` pokes to come back). The default
-        derives the grant from :meth:`next_wake` — modules that already
-        declare warp hints burn identically; opaque modules (base
-        ``next_wake``) grant 0 and run every cycle.
-        """
-        if type(self).next_wake is Module.next_wake:
-            return 0
-        hint = self.next_wake(cycle)
-        if hint is None:
-            return None
-        gap = hint - cycle - 1
-        return gap if gap > 0 else 0
-
-    def on_burn(self, elapsed: int) -> None:
-        """Account for ``elapsed`` burned (skipped) cycles in one step.
-
-        The batched analogue of :meth:`on_warp`, and by default exactly
-        that — modules whose warp accounting is already correct need no
-        override. Called just before the module's ``seq()`` runs again.
-        """
-        self.on_warp(elapsed)
 
     # ------------------------------------------------------------------
     # compiled-kernel inlining hooks

@@ -33,7 +33,7 @@ class Signal:
     """A fixed-width hardware signal with combinational and registered updates."""
 
     __slots__ = ("name", "width", "reset", "_mask", "_value", "_next", "_sim",
-                 "_fanout", "_seq_watchers")
+                 "_fanout")
 
     def __init__(self, name: str, width: int = 1, reset: int = 0):
         if width < 1:
@@ -49,11 +49,6 @@ class Signal:
         # elaboration by the event-driven scheduler; empty under the legacy
         # fixpoint scheduler, which keeps drive() on its original fast path.
         self._fanout: list = []
-        # Sequential-wake callbacks (batched backend): fired on any visible
-        # value change so guard-idle modules watching this signal come due.
-        # None (not an empty list) keeps the no-watcher hot path to a single
-        # falsy check.
-        self._seq_watchers: Optional[list] = None
 
     # ------------------------------------------------------------------
     # binding and reset
@@ -85,30 +80,6 @@ class Signal:
         return (self._value >> index) & 1
 
     # ------------------------------------------------------------------
-    # sequential-wake watchers (batched backend)
-    # ------------------------------------------------------------------
-    def watch_seq(self, callback) -> None:
-        """Call ``callback()`` whenever this signal's visible value changes.
-
-        Used by the batched backend to wake guard-idle modules whose
-        ``seq_idle_when`` terms read this signal. Watchers fire on both
-        combinational drives and register commits.
-        """
-        if self._seq_watchers is None:
-            self._seq_watchers = []
-        self._seq_watchers.append(callback)
-
-    def unwatch_seq(self, callback) -> None:
-        """Remove a watcher installed by :meth:`watch_seq` (no-op if absent)."""
-        if self._seq_watchers is not None:
-            try:
-                self._seq_watchers.remove(callback)
-            except ValueError:
-                pass
-            if not self._seq_watchers:
-                self._seq_watchers = None
-
-    # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
     def drive(self, value: int) -> None:
@@ -121,9 +92,6 @@ class Signal:
         value &= self._mask
         if value != self._value:
             self._value = value
-            if self._seq_watchers is not None:
-                for w in self._seq_watchers:
-                    w()
             sim = self._sim
             if sim is not None:
                 sim._dirty = True
@@ -152,9 +120,6 @@ class Signal:
         self._next = None
         if nxt != self._value:
             self._value = nxt
-            if self._seq_watchers is not None:
-                for w in self._seq_watchers:
-                    w()
             sim = self._sim
             for module in self._fanout:
                 if not module._comb_scheduled:

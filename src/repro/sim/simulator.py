@@ -44,24 +44,29 @@ Time-warping (quiescent-gap skipping)
 -------------------------------------
 
 The event kernel's quiescent fast path still pays one Python iteration per
-simulated cycle. When every sequential module implements
-:meth:`~repro.sim.module.Module.next_wake` the kernel can do better:
-on a cycle that (a) has an empty work-list, (b) follows a *fully quiet*
-cycle — no settling, no register commits — and (c) has no cycle hooks
-registered, it polls every sequential module for the earliest cycle its
-``seq()`` could matter. If the earliest finite answer lies in the future,
-the cycle counter jumps straight there (``warped_cycles``/``warp_jumps``
-count the savings) after giving each module an
+simulated cycle. When every sequential module declares when its ``seq()``
+matters — a :meth:`~repro.sim.module.Module.next_wake` override or a
+``seq_idle_when`` guard, which the base ``next_wake`` reads — the kernel
+can do better: on a cycle that (a) has an empty work-list, (b) follows a
+*fully quiet* cycle — no settling, no register commits — and (c) has no
+cycle hooks registered, it polls every sequential module for the
+earliest cycle its ``seq()`` could matter. The hint that refused the
+last warp is polled first, so a busy stretch costs one call per quiet
+cycle. If the earliest finite answer lies in the future, the cycle
+counter jumps straight there (``warped_cycles``/``warp_jumps`` count the
+savings) after giving each module an
 :meth:`~repro.sim.module.Module.on_warp` catch-up call. The skipped
 cycles are provably no-ops: nothing combinational was pending, nothing
 was committed the cycle before, and every sequential process declared
-itself idle until the warp target.
+itself idle until the warp target. Record runs (host CPU model, host
+memory, trace store) and replay runs warp alike.
 
 If *no* module reports a finite wake the kernel ticks normally — a fully
 idle design still advances one cycle per step, so the
 :class:`~repro.errors.WatchdogTimeout` deadlock detector keeps working.
 Disable warping with ``time_warp=False`` or ``REPRO_SIM_TIMEWARP=0``
-(the differential tests replay both ways and compare bit-for-bit).
+(the differential tests record and replay both ways and compare
+bit-for-bit).
 
 The simulator intentionally supports only a single clock domain: the paper's
 prototype likewise requires all recorded/replayed interfaces to share one
@@ -117,10 +122,14 @@ class Simulator:
         self._cycle_hooks: List[Callable[[int], None]] = []
         self._profile: Optional[Dict[str, list]] = None
         # Time-warp state: _warp_ok is frozen at elaboration (every seq
-        # module must override next_wake); _quiet_streak records that the
-        # previous executed cycle neither settled nor committed anything,
-        # which makes the *current* empty work-list trustworthy for warping.
+        # module must declare a hint or a guard); _hints holds one
+        # next_wake callable per seq module and _veto the one that refused
+        # the last warp; _quiet_streak records that the previous executed
+        # cycle neither settled nor committed anything, which makes the
+        # *current* empty work-list trustworthy for warping.
         self._warp_ok = False
+        self._hints: Optional[tuple] = None
+        self._veto: Callable[[int], Optional[int]] = _no_hint
         self._warp_hooks: List[Module] = []
         self._quiet_streak = False
         # Kernel counters (cheap; useful for the throughput bench and the
@@ -204,10 +213,10 @@ class Simulator:
         # Everything evaluates on the first cycle.
         self._pending = list(self._event_comb)
         # Time-warp eligibility: every sequential module must declare its
-        # wake schedule; one opaque module disables warping for the whole
-        # design (safe default — recording runs never warp).
+        # wake schedule, by a next_wake override or an idle guard; one
+        # opaque module disables warping for the whole design.
         self._warp_ok = self.time_warp and all(
-            type(m).next_wake is not Module.next_wake
+            type(m).next_wake is not Module.next_wake or m._seq_idle
             for m in self._seq_modules)
         self._warp_hooks = [m for m in self._seq_modules
                             if type(m).on_warp is not Module.on_warp]
@@ -256,26 +265,28 @@ class Simulator:
             # bumps, queue appends) the hints cannot see.
             if self._warp_ok and self._quiet_streak and not self._cycle_hooks:
                 cycle = self.cycle
-                target: Optional[int] = None
-                for module in self._seq_modules:
-                    hint = module.next_wake(cycle)
-                    if hint is None:
-                        continue
-                    if hint <= cycle:
-                        target = None
-                        break
-                    if target is None or hint < target:
-                        target = hint
-                if target is not None:
-                    if warp_limit is not None and target > warp_limit - 1:
-                        target = warp_limit - 1
-                    gap = target - cycle
-                    if gap > 0:
-                        self.cycle = target
-                        self.warped_cycles += gap
-                        self.warp_jumps += 1
-                        for module in self._warp_hooks:
-                            module.on_warp(gap)
+                target = self._veto(cycle)
+                if target is None or target > cycle:
+                    for hint_of in self._hints or self._warp_hints():
+                        hint = hint_of(cycle)
+                        if hint is None:
+                            continue
+                        if hint <= cycle:
+                            self._veto = hint_of
+                            target = None
+                            break
+                        if target is None or hint < target:
+                            target = hint
+                    if target is not None:
+                        if warp_limit is not None and target > warp_limit - 1:
+                            target = warp_limit - 1
+                        gap = target - cycle
+                        if gap > 0:
+                            self.cycle = target
+                            self.warped_cycles += gap
+                            self.warp_jumps += 1
+                            for module in self._warp_hooks:
+                                module.on_warp(gap)
         # --- sequential phase ---
         for module in self._seq_modules:
             module.seq()
@@ -292,6 +303,20 @@ class Simulator:
         self.cycle += 1
         for hook in self._cycle_hooks:
             hook(self.cycle)
+
+    def _warp_hints(self) -> tuple:
+        """One ``next_wake(cycle)`` callable per sequential module.
+
+        An overriding module's own method, else its compiled guard (built
+        at the first step, so a malformed guard fails there, like the
+        compiled kernel's inlined guards do).
+        """
+        if self._hints is None:
+            from repro.sim.compile import guard_hint
+            self._hints = tuple(
+                m.next_wake if type(m).next_wake is not Module.next_wake
+                else guard_hint(m) for m in self._seq_modules)
+        return self._hints
 
     def _settle(self) -> None:
         """Run delta passes until the work-list drains and always-modules
@@ -493,6 +518,11 @@ class Simulator:
             })
         rows.sort(key=lambda r: r["total_s"], reverse=True)
         return rows
+
+
+def _no_hint(cycle: int) -> None:
+    """The initial veto: no hint has refused a warp yet."""
+    return None
 
 
 def _order_key(module: Module) -> int:

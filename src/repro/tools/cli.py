@@ -500,9 +500,6 @@ def _campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--faults", type=int, dest="n_faults",
                         help="fault count (default 200)")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--batch-size", type=int, metavar="N",
-                        help="run the faulted record legs N at a time on "
-                        "one batch kernel (bit-identical verdicts)")
     parser.add_argument("--flight-recorder", action="store_true",
                         help="record legs through the flight recorder "
                         "(the default)")

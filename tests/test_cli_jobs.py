@@ -82,10 +82,10 @@ ARGV = {
     "salvage": (["bad.trace", "-o", "good.trace"],
                 {"trace_path": "bad.trace", "save_to": "good.trace"}),
     "campaign": (["--app", "sha256", "--crash-app", "sha256", "--faults",
-                  "5", "--seed", "2", "--batch-size", "4",
+                  "5", "--seed", "2",
                   "--no-flight-recorder", "--scheduler", "fixpoint"],
                  {"app": "sha256", "crash_app": "sha256", "n_faults": 5,
-                  "seed": 2, "batch_size": 4, "flight_recorder": False,
+                  "seed": 2, "flight_recorder": False,
                   "scheduler": "fixpoint"}),
 }
 
@@ -135,8 +135,7 @@ INVALID = [
      "unknown record job param"),
     ("record", {"app": "sha256", "flight_recorder": True,
                 "checkpoints": "c"}, "unknown record job param"),
-    ("record", {"app": "sha256", "checkpoints": "c"},
-     "unknown record job param"),
+    ("campaign", {"batch_size": 4}, "unknown campaign job param"),
     ("replay", {"app": "sha256", "trace_path": "t", "jobs": 2,
                 "checkpoints": "c"}, "unknown replay job param"),
     ("replay", {"app": "sha256", "trace_path": "t",

@@ -52,6 +52,8 @@ class TestWritePlanning:
 
         def lane_loop(addr, data):
             """Per-byte reference: every lane of every word tested."""
+            if not data:
+                return []   # an empty write issues no burst at any address
             first_word = addr & ~63
             last_word = (addr + len(data) - 1) & ~63
             beats = []

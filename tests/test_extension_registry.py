@@ -5,7 +5,6 @@ import pytest
 from repro.apps.registry import EXTRA_APPS, get_app
 from repro.core import VidiConfig, compare_traces
 from repro.errors import ConfigError
-from repro.harness.batch_runner import record_batch
 from repro.harness.runner import (
     bench_config,
     record_run,
@@ -33,25 +32,21 @@ class TestExtraRegistry:
 class TestRunnerWithExtras:
     @pytest.mark.parametrize("key", ["dram_dma_axi", "packet_filter"])
     def test_record_and_replay_via_runner(self, key):
-        """The process-default kernel, compiled and batched record and
-        replay each extension app to the same bytes. Compiled and batched
-        skip a module's seq() on its guard or burn grant; event, the
-        tier-1 default, runs every one."""
+        """The process-default kernel and compiled, with warp on and off,
+        record and replay each extension app to the same bytes. Compiled
+        skips a module's seq() on its guard and warp skips quiet cycles;
+        event with warp off, the per-cycle reference, runs every one."""
         spec = get_app(key)
         config = bench_config(VidiConfig.r2)
         digests = set()
-        for kernel in (None, "compiled", "batched"):
-            if kernel == "batched":
-                metrics, = record_batch(spec, config, [12], scale=0.6,
-                                        scheduler="compiled")
-            else:
-                metrics = record_run(spec, config, seed=12, scale=0.6,
-                                     scheduler=kernel)
+        for kernel, warp in ((None, None), ("compiled", None),
+                             ("event", False)):
+            metrics = record_run(spec, config, seed=12, scale=0.6,
+                                 scheduler=kernel, time_warp=warp)
             trace = metrics.result["trace"]
             # The runner widened the boundary to the spec's interfaces.
             assert set(trace_interfaces(trace)) == set(spec.interfaces)
-            replay = replay_run(spec, trace, scheduler=kernel
-                                if kernel != "batched" else "compiled")
+            replay = replay_run(spec, trace, scheduler=kernel)
             validation = replay.result["validation"]
             report = compare_traces(trace, validation)
             assert report.clean, (kernel, report.summary())
