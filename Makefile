@@ -1,9 +1,9 @@
 # Development entry points. `make check` is the pre-merge gate: the full
 # tier-1 test suite, the throughput benches (which enforce the
-# event-scheduler, compiled-kernel, record-warp, replay time-warp,
-# flight-recorder, warm-pool/compile-cache and trace-service floors and
-# refresh BENCH_kernel.json / BENCH_compiled.json / BENCH_record_warp.json /
-# BENCH_replay.json / BENCH_flightrec.json / BENCH_warm.json /
+# compiled-kernel, record-warp, replay time-warp, flight-recorder,
+# warm-pool/compile-cache and trace-service floors and refresh
+# BENCH_compiled.json / BENCH_record_warp.json / BENCH_replay.json /
+# BENCH_flightrec.json / BENCH_warm.json /
 # BENCH_service.json — every refreshed snapshot is also appended to the
 # bench-history table in benchmarks/results/results.vrs), and the fault
 # campaign (200 seeded faults across every kind; fails on any silent
@@ -12,11 +12,11 @@
 PYTHON ?= python
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest
 
-.PHONY: check test test-schedulers bench-kernel bench-compiled \
+.PHONY: check test test-schedulers bench-compiled \
         bench-record-warp bench-replay bench-flightrec bench-warm \
         bench-service bench artifacts faults faults-warm serve-smoke
 
-check: test bench-kernel bench-compiled bench-record-warp bench-replay \
+check: test bench-compiled bench-record-warp bench-replay \
        bench-flightrec bench-warm bench-service faults
 
 faults:          ## seeded 200-fault injection campaign (containment gate)
@@ -31,15 +31,12 @@ faults-warm:     ## compiled-kernel campaign smoke over the persistent cache
 test:            ## tier-1: the full unit/integration suite
 	$(PYTEST) -x -q
 
-test-schedulers: ## differential, levelization, replayer, sharded-replay, extension-app, record-warp + host/store/DMA unit suites (CI matrix)
+test-schedulers: ## declaration audit + differential, levelization, replayer, sharded-replay, extension-app, record-warp + host/store/DMA unit suites (CI matrix)
 	$(PYTEST) tests/test_scheduler_equivalence.py tests/test_compile.py \
 	  tests/test_replayer_unit.py tests/test_sharded_replay.py \
 	  tests/test_extension_registry.py tests/test_record_warp.py \
 	  tests/test_platform.py tests/test_store.py \
 	  tests/test_dma_engine_units.py -q
-
-bench-kernel:    ## kernel throughput + BENCH_kernel.json (speedup gate)
-	$(PYTEST) benchmarks/test_simulator_throughput.py -q -s
 
 bench-compiled:  ## compiled kernel + BENCH_compiled.json (per-leg gates)
 	$(PYTEST) benchmarks/test_compiled_kernel.py -q -s

@@ -46,7 +46,7 @@ def emit(capsys):
 def _persist_bench_history():
     """Append every BENCH_*.json this session refreshed to the history store.
 
-    ``BENCH_kernel.json`` and friends are point-in-time snapshots — each
+    ``BENCH_compiled.json`` and friends are point-in-time snapshots — each
     ``make check`` overwrites the last run's numbers. The results store's
     bench-history table (``benchmarks/results/results.vrs``, same
     CRC-framed store the trace-service daemon uses) accretes instead, so

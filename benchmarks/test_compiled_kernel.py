@@ -22,9 +22,10 @@ compiled guards and the replay-datapath inlining target.
 Results land in ``benchmarks/results/BENCH_compiled.json``; the floors
 are part of ``make check``.
 
-The three-way differential harness (``tests/test_scheduler_equivalence.py``)
-proves the kernels bit-identical, so the speedup is free; this bench also
-cross-checks that the two recorded traces match byte for byte.
+The differential harness (``tests/test_scheduler_equivalence.py``) proves
+the audited event kernel and the compiled kernel bit-identical, so the
+speedup is free; this bench also cross-checks that the two recorded
+traces match byte for byte.
 """
 
 import json

@@ -152,11 +152,6 @@ class ChannelSource(Module):
             self.sent_count += 1
             self.wake()   # comb must drop VALID (or present the next item)
 
-    def next_wake(self, cycle):
-        # Conservative: stay awake whenever anything is queued or in flight
-        # (the in-flight handshake itself also blocks warping via VALID).
-        return cycle if self._current is not None or self.queue else None
-
     def reset_state(self) -> None:
         super().reset_state()
         self.queue.clear()
@@ -181,14 +176,12 @@ class ChannelSink(Module):
         self.policy = policy
         self.received: List[int] = []
         self._ready_now = 0
-        self._cycle = 0
         self.sensitive_to()   # comb reads only the registered _ready_now
         self.drives(channel.ready)
         # An arbitrary READY policy must be consulted every cycle (it may
         # be impure), so seq() is normally unskippable. The trivial
         # always-ready policy is pure and ignores its arguments: once
-        # READY is up and no handshake is completing, seq() only advances
-        # the private _cycle counter the policy never reads.
+        # READY is up and no handshake is completing, seq() does nothing.
         if policy is always_ready:
             self.seq_idle_when(("nofire", channel), ("truthy", "_ready_now"))
 
@@ -198,8 +191,9 @@ class ChannelSink(Module):
     def seq(self) -> None:
         if self.channel.fired:
             self.received.append(self.channel.payload.value)
-        self._cycle += 1
-        ready = 1 if self.policy(self._cycle, len(self.received)) else 0
+        # The policy decides READY for the next cycle and gets its number.
+        ready = 1 if self.policy(self._sim.cycle + 1,
+                                 len(self.received)) else 0
         if ready != self._ready_now:
             self._ready_now = ready
             self.wake()
@@ -212,4 +206,3 @@ class ChannelSink(Module):
         super().reset_state()
         self.received.clear()
         self._ready_now = 0
-        self._cycle = 0

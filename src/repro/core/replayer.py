@@ -293,13 +293,6 @@ class ChannelReplayer(Module):
         # nothing to do until a release.
         self._gated = True
 
-    def next_wake(self, cycle: int) -> Optional[int]:
-        # Purely reactive: everything seq() does is triggered by channel
-        # activity (fired) or a release by another replayer's completion —
-        # and a completion is always made on a cycle with channel activity,
-        # which blocks warping until the cycle after we have observed it.
-        return None
-
     # ------------------------------------------------------------------
     # compiled-kernel inlining (the replay datapath)
     # ------------------------------------------------------------------

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.sim.simulator import SCHEDULERS
 
 __all__ = ["execute_job", "check_job", "job_affinity", "JobParamError",
            "JOB_KINDS", "JOB_PARAMS"]
@@ -76,6 +77,10 @@ def check_job(kind: str, params: Dict[str, Any]) -> None:
     for name in _REQUIRED.get(kind, ()):
         if name not in params:
             raise JobParamError(f"{kind} job needs {name!r}")
+    if "scheduler" in params and params["scheduler"] not in SCHEDULERS:
+        raise JobParamError(f"{kind} job param 'scheduler' must be one of "
+                            f"{', '.join(SCHEDULERS)}, got "
+                            f"{params['scheduler']!r}")
     if (kind == "replay" and params.get("inject")
             and params.get("jobs", 0) <= 1):
         raise JobParamError("inject on replay arms worker-crash faults, "

@@ -105,8 +105,8 @@ def record_run(spec: AppSpec, config: VidiConfig, seed: int,
     comb/seq wall-clock shares, attached as ``result['kernel_profile']``.
     ``before_run`` is called with the fully assembled deployment right
     before it starts running — the hook point checkpoint collection uses.
-    ``scheduler`` picks the simulation kernel (``event``/``fixpoint``/
-    ``compiled``); ``None`` defers to ``REPRO_SIM_SCHEDULER`` and then the
+    ``scheduler`` picks the simulation kernel (``event``/``compiled``);
+    ``None`` defers to ``REPRO_SIM_SCHEDULER`` and then the
     :class:`~repro.sim.simulator.Simulator` class default. ``time_warp``
     selects quiescent-gap skipping as in :func:`replay_run` (default on;
     ``False`` steps every cycle — same cycles, same trace).

@@ -245,15 +245,6 @@ class AxiManager(Module):
                         self._ar_issued = False  # issue the next burst's AR
                     self.wake()
 
-    def next_wake(self, cycle):
-        # Only descriptor *promotion* is spontaneous sequential work; every
-        # in-flight burst advances on handshake fires, and a fire requires
-        # channel activity — which blocks warping on its own.
-        if (self._w_desc is None and self._write_queue) \
-                or (self._r_desc is None and self._read_queue):
-            return cycle
-        return None
-
     def reset_state(self) -> None:
         super().reset_state()
         self._write_queue.clear()

@@ -141,15 +141,6 @@ class AxiLiteSubordinate(Module):
                 self.reads_served += 1
                 self.wake()
 
-    def next_wake(self, cycle):
-        # Latency countdowns and commits only happen while a request is
-        # latched; an idle register file sleeps until an MMIO handshake
-        # (channel activity, which blocks warping) arrives.
-        if (self._aw is None and self._w is None and not self._b_pending
-                and self._ar is None and self._r_pending is None):
-            return None
-        return cycle
-
     def reset_state(self) -> None:
         super().reset_state()
         self._aw = None
@@ -282,14 +273,6 @@ class AxiSubordinate(Module):
                     self._read_burst = (addr + self.WORD_BYTES, remaining - 1,
                                         burst_id)
                 self.wake()
-
-    def next_wake(self, cycle):
-        # All sequential work is burst bookkeeping; with no burst queued or
-        # in flight the module is purely reactive to channel activity.
-        if (not self._pending_aw and not self._pending_w
-                and not self._b_queue and self._read_burst is None):
-            return None
-        return cycle
 
     def reset_state(self) -> None:
         super().reset_state()

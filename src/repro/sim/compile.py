@@ -44,10 +44,10 @@ elaboration*, the way Verilator levelizes a netlist:
    recipe* and ``exec``\\ s it — microseconds instead of milliseconds.
 
 Correctness story: ``comb()`` processes are required to be idempotent and
-confluent (the contract the event/fixpoint differential tests already
-enforce), so evaluation *order* only affects how many delta passes are
-needed, never the fixpoint reached. The generated settle iterates until
-the work-list drains, so even a wrong rank assignment (missing
+confluent (the contract the tests' declaration audit checks on the event
+kernel), so evaluation *order* only affects how many delta passes are
+needed, never the settled values reached. The generated settle iterates
+until the work-list drains, so even a wrong rank assignment (missing
 ``drives()`` declarations, say) costs extra passes, not wrong values.
 Sequential order, commit order and hook order are preserved exactly.
 

@@ -7,7 +7,7 @@ A module groups signals and behaviour. Subclasses override:
   for a given set of input values and must drive *all* combinational outputs
   unconditionally.
 * ``seq()`` — clocked behaviour. Called exactly once per cycle, after the
-  combinational fixpoint, with all signals stable. State updates that other
+  combinational settle, with all signals stable. State updates that other
   modules observe must go through ``Signal.set_next``; private Python state
   may be mutated directly (it plays the role of registers that never feed
   combinational paths of other modules).
@@ -20,9 +20,9 @@ Scheduling declarations (event-driven kernel)
 ---------------------------------------------
 
 By default a module's ``comb()`` is assumed to depend on *anything* — the
-simulator's safe fallback re-runs it on every delta pass of every cycle,
-exactly like the original fixpoint kernel. Modules opt in to event-driven
-scheduling by declaring what their combinational process reads:
+simulator's safe fallback re-runs it on every delta pass of every cycle.
+Modules opt in to event-driven scheduling by declaring what their
+combinational process reads:
 
 * ``self.sensitive_to(sig, ...)`` — register the input signals ``comb()``
   reads. Whenever one of them changes value (combinational drive or register
@@ -39,8 +39,10 @@ scheduling by declaring what their combinational process reads:
   comb reads cycle-start Python state that is hard to track precisely).
 
 A module that declares sensitivity but reads an undeclared signal in
-``comb()`` will compute stale outputs — the differential harness in
-``tests/test_scheduler_equivalence.py`` exists to catch exactly that.
+``comb()`` will compute stale outputs. The tests' declaration audit
+(``tests/declaration_audit.py``) catches exactly that: on every executed
+cycle of the event kernel it re-runs each ``comb()`` on the settled
+design and fails if anything moves.
 
 Static-scheduling declarations (compiled kernel)
 ------------------------------------------------
@@ -55,7 +57,7 @@ correct, they just get the conservative treatment:
   drives. Together with ``sensitive_to`` this yields the module-level
   dependency edges the levelizer ranks; a module without ``drives()``
   simply contributes no out-edges (its readers may settle one delta pass
-  later, which the outer fixpoint loop absorbs).
+  later, which the settle's work-list loop absorbs).
 * ``self.seq_idle_when(term, ...)`` — a conjunction of conditions under
   which this module's ``seq()`` is provably a no-op, letting the compiled
   kernel skip the call entirely on idle cycles. Terms:
@@ -70,11 +72,12 @@ correct, they just get the conservative treatment:
     (a credit counter sitting at its cap, say).
 
   Declaring a condition that can be true while ``seq()`` still has work
-  is a correctness bug — exactly the class of error the 3-way
-  differential harness exists to catch. A guard describes the ``seq()``
-  of the class that declares it, so a subclass that overrides ``seq()``
-  declares its own guard or none; the same holds for :meth:`next_wake`,
-  which class creation enforces.
+  is a correctness bug. The declaration audit catches it: around every
+  ``seq()`` call whose guard holds, the call must stage no signal, wake
+  no module and leave the module's attributes as they were. A guard
+  describes the ``seq()`` of the class that declares it, so a subclass
+  that overrides ``seq()`` declares its own guard or none; the same
+  holds for :meth:`next_wake`, which class creation enforces.
 
 Time-warp declarations (quiescent-gap skipping)
 -----------------------------------------------
@@ -145,9 +148,9 @@ class Module:
         self._seq_idle: Optional[List[tuple]] = None
         self._sim = None
         # True while the module sits on the simulator's comb work-list.
-        # The event scheduler clears it as it evaluates; the fixpoint
-        # scheduler (and undeclared/always modules) pin it True so that
-        # wake() and signal fanout stay no-ops for them.
+        # The scheduler clears it as it evaluates; undeclared (always)
+        # modules keep it pinned True so that wake() stays a no-op for
+        # them.
         self._comb_scheduled = False
         self._order = 0   # elaboration index; stabilizes evaluation order
         self._guard_hint = None   # compiled from _seq_idle on first use

@@ -16,10 +16,9 @@ via :class:`~repro.sim.module.Module`) before the first ``step``.
 
 Scheduling: every signal carries a *fanout* list — the modules that declared
 combinational sensitivity to it via
-:meth:`~repro.sim.module.Module.sensitive_to`. Under the event-driven
-scheduler a value change enqueues exactly those modules onto the
-simulator's work-list; under the legacy fixpoint scheduler the fanout lists
-stay empty and only the global dirty flag is raised.
+:meth:`~repro.sim.module.Module.sensitive_to`. A value change enqueues
+exactly those modules onto the simulator's work-list and raises its dirty
+flag (which settles the modules that declared no sensitivity).
 """
 
 from __future__ import annotations
@@ -45,9 +44,8 @@ class Signal:
         self._value = self.reset
         self._next: Optional[int] = None
         self._sim = None
-        # Modules combinationally sensitive to this signal. Populated at
-        # elaboration by the event-driven scheduler; empty under the legacy
-        # fixpoint scheduler, which keeps drive() on its original fast path.
+        # Modules combinationally sensitive to this signal, populated at
+        # elaboration.
         self._fanout: list = []
 
     # ------------------------------------------------------------------
@@ -85,9 +83,8 @@ class Signal:
     def drive(self, value: int) -> None:
         """Combinational drive: the value becomes visible immediately.
 
-        On a value change the simulator is marked dirty (legacy scheduler)
-        and every module in this signal's fanout is enqueued for
-        re-evaluation (event-driven scheduler).
+        On a value change the simulator is marked dirty and every module
+        in this signal's fanout is enqueued for re-evaluation.
         """
         value &= self._mask
         if value != self._value:

@@ -10,7 +10,7 @@ Each call to :meth:`Simulator.step` simulates one clock cycle:
 3. **Commit.** All values staged with ``Signal.set_next`` become visible
    simultaneously, emulating a single rising clock edge.
 
-Two interchangeable settling schedulers implement phase 1:
+Two interchangeable kernels (:data:`SCHEDULERS`) implement a cycle:
 
 * ``"event"`` (the default) — sensitivity-driven. At elaboration every
   signal gets a fanout list of the modules that declared
@@ -21,10 +21,11 @@ Two interchangeable settling schedulers implement phase 1:
   work-list is empty — no external input, no changed register commit, no
   ``wake()`` from a host-side event — skip settling entirely (the
   *quiescent-cycle fast path*, common in polling-host applications).
-* ``"fixpoint"`` — the original kernel: every ``comb()`` on every pass
-  until a pass changes nothing. Kept as the reference implementation; the
-  differential harness in ``tests/test_scheduler_equivalence.py`` checks
-  the schedulers produce bit-identical per-cycle signal histories.
+  Every ``seq()`` runs every cycle, so this kernel trusts only the comb
+  declarations; it is the reference the tests audit
+  (``tests/declaration_audit.py``: a settled design must not move when
+  every ``comb()`` re-runs, and a ``seq()`` whose idle guard holds must
+  do nothing).
 * ``"compiled"`` — static scheduling. At the first ``step()`` the declared
   sensitivity graph is levelized (:mod:`repro.sim.compile`) — comb modules
   topologically ranked by their ``drives()`` → ``sensitive_to()`` edges,
@@ -33,8 +34,10 @@ Two interchangeable settling schedulers implement phase 1:
   the event kernel's work-list settle with each pass sorted by rank,
   sequential calls inlined straight-line with
   ``seq_idle_when`` guards, inlined commit, and the same quiescent /
-  time-warp fast paths. Bit-identical to the other two kernels, faster on
-  designs with declared scheduling.
+  time-warp fast paths. Bit-identical to the event kernel (the
+  differential tests in ``tests/test_scheduler_equivalence.py`` compare
+  per-cycle signal histories over every app), faster on designs with
+  declared scheduling.
 
 Select with the ``scheduler=`` argument, the ``REPRO_SIM_SCHEDULER``
 environment variable, or the ``Simulator.DEFAULT_SCHEDULER`` class
@@ -83,7 +86,7 @@ from repro.errors import CombinationalLoopError, SimulationError, WatchdogTimeou
 from repro.sim.module import Module
 from repro.sim.signal import Signal
 
-_SCHEDULERS = ("event", "fixpoint", "compiled")
+SCHEDULERS = ("event", "compiled")
 
 
 class Simulator:
@@ -97,9 +100,9 @@ class Simulator:
         if scheduler is None:
             scheduler = os.environ.get("REPRO_SIM_SCHEDULER") \
                 or self.DEFAULT_SCHEDULER
-        if scheduler not in _SCHEDULERS:
+        if scheduler not in SCHEDULERS:
             raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of {_SCHEDULERS}")
+                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
         if time_warp is None:
             time_warp = os.environ.get("REPRO_SIM_TIMEWARP", "1") != "0"
         self.name = name
@@ -117,7 +120,6 @@ class Simulator:
         self._staged: List[Signal] = []
         self._dirty = False
         self._elaborated = False
-        self._event_mode = scheduler == "event"
         self._compiled = None   # CompiledKernel, built lazily at first step
         self._cycle_hooks: List[Callable[[int], None]] = []
         self._profile: Optional[Dict[str, list]] = None
@@ -180,17 +182,8 @@ class Simulator:
             module.bind(self)
         self._seq_modules = [m for m in self.modules
                              if type(m).seq is not Module.seq]
-        if self.scheduler == "fixpoint":
-            # Reference kernel: identical to the seed — every has_comb module
-            # runs on every pass. Pin the scheduled flag so wake() and signal
-            # fanout (which is never built here) stay no-ops.
-            self._comb_modules = [m for m in self.modules if m.has_comb]
-            for module in self.modules:
-                module._comb_scheduled = True
-            self._elaborated = True
-            return
-        # Event-driven kernel. Default-comb (no-op) modules never need
-        # evaluation; undeclared real-comb modules go to the always list.
+        # Default-comb (no-op) modules never need evaluation; undeclared
+        # real-comb modules go to the always list.
         self._comb_modules = [
             m for m in self.modules
             if m.has_comb and type(m).comb is not Module.comb
@@ -236,14 +229,11 @@ class Simulator:
         """
         if not self._elaborated:
             self.elaborate()
-        if not self._event_mode:
-            if self.scheduler == "compiled":
-                kernel = self._compiled
-                if kernel is None:
-                    kernel = self._compile()
-                kernel.step(warp_limit)
-            else:
-                self._step_fixpoint()
+        if self.scheduler == "compiled":
+            kernel = self._compiled
+            if kernel is None:
+                kernel = self._compile()
+            kernel.step(warp_limit)
             return
         # --- combinational settling (event-driven) ---
         pending = self._pending
@@ -328,7 +318,7 @@ class Simulator:
             self._dirty = False
             if batch:
                 if len(batch) > 1:
-                    # Evaluate in elaboration order, like the fixpoint loop.
+                    # Evaluate in elaboration order.
                     batch.sort(key=_order_key)
                 for module in batch:
                     module._comb_scheduled = False
@@ -343,32 +333,6 @@ class Simulator:
             f"{self.name}: combinational logic did not settle in "
             f"{self.max_delta} delta passes at cycle {self.cycle}"
         )
-
-    def _step_fixpoint(self) -> None:
-        """The original blanket fixpoint kernel (reference implementation)."""
-        comb_modules = self._comb_modules
-        for _ in range(self.max_delta):
-            self._dirty = False
-            for module in comb_modules:
-                module.comb()
-            self.comb_evals += len(comb_modules)
-            if not self._dirty:
-                break
-        else:
-            raise CombinationalLoopError(
-                f"{self.name}: combinational logic did not settle in "
-                f"{self.max_delta} delta passes at cycle {self.cycle}"
-            )
-        for module in self.modules:
-            module.seq()
-        staged = self._staged
-        if staged:
-            for sig in staged:
-                sig._commit()
-            staged.clear()
-        self.cycle += 1
-        for hook in self._cycle_hooks:
-            hook(self.cycle)
 
     def _compile(self):
         """Build the compiled kernel (lazily, at the first step).
@@ -455,7 +419,7 @@ class Simulator:
         self._staged.clear()
         self._dirty = False
         self._quiet_streak = False
-        if self._elaborated and self.scheduler != "fixpoint":
+        if self._elaborated:
             for module in self._event_comb:
                 module._comb_scheduled = True
             self._pending = list(self._event_comb)
@@ -484,11 +448,7 @@ class Simulator:
         for module in self._comb_modules:
             cell = self._profile.setdefault(module.name, [0.0, 0, 0.0, 0])
             module.comb = _timed(module.comb, cell, 0)
-        seq_targets = (self.modules if self.scheduler == "fixpoint"
-                       else self._seq_modules)
-        for module in seq_targets:
-            if type(module).seq is Module.seq:
-                continue
+        for module in self._seq_modules:
             cell = self._profile.setdefault(module.name, [0.0, 0, 0.0, 0])
             module.seq = _timed(module.seq, cell, 2)
         # The compiled kernel bakes bound seq methods into its generated

@@ -39,6 +39,7 @@ from repro.core.mutation import EventRef, TraceMutator
 from repro.core.trace_file import TraceFile
 from repro.errors import ReproError
 from repro.harness import jobs as harness_jobs
+from repro.sim.simulator import SCHEDULERS
 
 
 def _parse_event(text: str, kind: str) -> EventRef:
@@ -428,7 +429,7 @@ def _add_positional(parser: argparse.ArgumentParser, dest: str,
 
 def _add_scheduler(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scheduler", choices=("event", "fixpoint", "compiled"),
+        "--scheduler", choices=SCHEDULERS,
         help="simulation kernel (beats REPRO_SIM_SCHEDULER, which beats "
         "the simulator default)")
 

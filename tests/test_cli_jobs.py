@@ -83,10 +83,10 @@ ARGV = {
                 {"trace_path": "bad.trace", "save_to": "good.trace"}),
     "campaign": (["--app", "sha256", "--crash-app", "sha256", "--faults",
                   "5", "--seed", "2",
-                  "--no-flight-recorder", "--scheduler", "fixpoint"],
+                  "--no-flight-recorder", "--scheduler", "compiled"],
                  {"app": "sha256", "crash_app": "sha256", "n_faults": 5,
                   "seed": 2, "flight_recorder": False,
-                  "scheduler": "fixpoint"}),
+                  "scheduler": "compiled"}),
 }
 
 
@@ -133,8 +133,8 @@ INVALID = [
      "unknown replay job param"),
     ("record", {"app": "sha256", "compress": True},
      "unknown record job param"),
-    ("record", {"app": "sha256", "flight_recorder": True,
-                "checkpoints": "c"}, "unknown record job param"),
+    ("record", {"app": "sha256", "scheduler": "speculative"},
+     "must be one of event, compiled"),
     ("campaign", {"batch_size": 4}, "unknown campaign job param"),
     ("replay", {"app": "sha256", "trace_path": "t", "jobs": 2,
                 "checkpoints": "c"}, "unknown replay job param"),

@@ -30,6 +30,8 @@ from repro.core.trace_file import (
 from repro.core.trace_ring import RingTraceStore
 from repro.errors import ConfigError, TraceFormatError, TraceIntegrityError
 
+from tests.declaration_audit import audit_event_sims
+
 
 def small_table() -> ChannelTable:
     return ChannelTable([
@@ -413,14 +415,18 @@ class TestFlightRecorderEndToEnd:
             small.result["trace"].metadata["ring"]["ordinal"]
         assert ring["checkpoint"]
 
-    @pytest.mark.parametrize("scheduler", ["event", "fixpoint", "compiled"])
+    @pytest.mark.parametrize("scheduler", ["event", "audit", "compiled"])
     def test_suffix_replay_matches_carved_window_replay(self, recordings,
-                                                        scheduler):
+                                                        scheduler,
+                                                        monkeypatch):
         """The acceptance property: replaying the ring suffix is
         bit-identical to replaying the same window of the full trace,
-        under every scheduler."""
+        under every scheduler and under the declaration audit."""
         from repro.harness.runner import replay_run
 
+        if scheduler == "audit":
+            audit_event_sims(monkeypatch)
+            scheduler = "event"
         spec, full, small = recordings
         full_trace = full.result["trace"]
         small_trace = small.result["trace"]

@@ -5,9 +5,9 @@ the modules already make: ``next_wake`` overrides where a module has timed
 work (host think and wait countdowns, trace-store idle credit) and the
 ``seq_idle_when`` guards everywhere else. Warping is a pure wall-clock
 optimisation, so a warped record must be bit-identical to per-cycle
-stepping and to the fixpoint reference kernel — cycles, stall cycles,
-stored bytes, trace body and flight blob — while the sparse apps skip
-most of their cycles.
+stepping on every kernel and under the declaration audit — cycles, stall
+cycles, stored bytes, trace body and flight blob — while the sparse apps
+skip most of their cycles.
 """
 
 import functools
@@ -24,15 +24,27 @@ from repro.platform.pcie import PcieArbiter
 from repro.sim import Module, Simulator
 from repro.sim.memory import WordMemory
 
+from tests.declaration_audit import audit
+
 
 @functools.lru_cache(maxsize=None)
 def _record(app, scheduler, time_warp, flight):
-    """``(facts, warped_cycles, cycles)`` of one seed-5 record of ``app``."""
+    """``(facts, warped_cycles, cycles)`` of one seed-5 record of ``app``.
+
+    ``scheduler="audit"`` records on the event kernel under the
+    declaration audit.
+    """
     deployments = []
+
+    def before_run(deployment):
+        deployments.append(deployment)
+        if scheduler == "audit":
+            audit(deployment.sim)
+
     metrics = record_run(
         get_app(app), bench_config(VidiConfig.r2, flight_recorder=flight),
-        seed=5, scheduler=scheduler, time_warp=time_warp,
-        before_run=deployments.append)
+        seed=5, scheduler="event" if scheduler == "audit" else scheduler,
+        time_warp=time_warp, before_run=before_run)
     facts = (metrics.cycles, metrics.store_stall_cycles,
              metrics.stored_bytes, bytes(metrics.result["trace"].body),
              metrics.result.get("flight_blob"))
@@ -40,19 +52,17 @@ def _record(app, scheduler, time_warp, flight):
     return facts, sim.warped_cycles, sim.cycle
 
 
-@pytest.mark.parametrize("scheduler", ["event", "fixpoint", "compiled"])
+@pytest.mark.parametrize("scheduler", ["event", "audit", "compiled"])
 @pytest.mark.parametrize("app", ["sha256", "mobilenet", "bnn"])
 def test_record_warp_matches_per_cycle(app, scheduler):
-    """Warp on == warp off == fixpoint, flat and flight; most cycles skip."""
+    """Warp on == warp off, flat and flight, on each kernel and with the
+    audit checking every executed cycle; most cycles skip."""
     for flight in (False, True):
         reference, unwarped, _ = _record(app, "event", False, flight)
         assert unwarped == 0
         facts, warped, cycles = _record(app, scheduler, True, flight)
         assert facts == reference, (app, scheduler, flight)
-        if scheduler == "fixpoint":
-            assert warped == 0   # the reference kernel steps every cycle
-        else:
-            assert warped > cycles // 2, (warped, cycles)
+        assert warped > cycles // 2, (warped, cycles)
 
 
 def test_campaign_verdicts_match_without_warp(monkeypatch):

@@ -20,7 +20,7 @@ from repro.sim.compile import (
 from repro.sim.module import Module
 from repro.sim.simulator import Simulator
 
-from tests.test_scheduler_equivalence import SEEDS, _run_with_history
+from tests.test_scheduler_equivalence import _run_with_history
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ def test_disabled_tier_stays_cold(store_dir):
 
 
 # ----------------------------------------------------------------------
-# bit-identity: cold vs disk-hit kernels under the 3-way matrix
+# bit-identity: cold vs disk-hit kernels against the audited event kernel
 # ----------------------------------------------------------------------
 
 
@@ -150,29 +150,26 @@ def test_disabled_tier_stays_cold(store_dir):
 def test_disk_hit_kernel_bit_identical_across_schedulers(store_dir, app_key):
     """The equivalence matrix, with the compiled kernel bound from disk.
 
-    Fixpoint is the reference semantics; event and a *cold* compiled run
-    establish the baseline, then the in-process cache is wiped so the
-    second compiled run must bind from the disk entry the first one
-    wrote. All four runs must agree on every per-cycle signal hash, the
-    serialized trace bytes, and the app result.
+    The audited event kernel is the reference; a *cold* compiled run
+    writes the disk entry, then the in-process cache is wiped so the
+    second compiled run must bind from it. All three runs must agree on
+    every per-cycle signal hash, the serialized trace bytes, and the app
+    result.
     """
-    seed = SEEDS[0]
-    fixpoint = _run_with_history(app_key, "fixpoint", seed)
-    event = _run_with_history(app_key, "event", seed)
-    cold = _run_with_history(app_key, "compiled", seed)
+    event = _run_with_history(app_key, "event")
+    cold = _run_with_history(app_key, "compiled")
     assert schedule_cache_stats()["disk_writes"] >= 1
 
     clear_schedule_cache()
-    warm = _run_with_history(app_key, "compiled", seed)
+    warm = _run_with_history(app_key, "compiled")
     assert schedule_cache_stats()["disk_hits"] >= 1, (
         "second compiled run did not bind from the disk tier")
 
-    for name, run in (("event", event), ("compiled-cold", cold),
-                      ("compiled-disk", warm)):
-        assert run["cycles"] == fixpoint["cycles"], name
-        assert run["history"] == fixpoint["history"], name
-        assert run["trace_bytes"] == fixpoint["trace_bytes"], name
-        assert run["result"] == fixpoint["result"], name
+    for name, run in (("compiled-cold", cold), ("compiled-disk", warm)):
+        assert run["cycles"] == event["cycles"], name
+        assert run["history"] == event["history"], name
+        assert run["trace_bytes"] == event["trace_bytes"], name
+        assert run["result"] == event["result"], name
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,9 @@ from repro.errors import CombinationalLoopError, SimulationError, WatchdogTimeou
 from repro.sim import Module, Signal, Simulator
 
 
-@pytest.fixture(params=["event", "fixpoint"])
+@pytest.fixture(params=["event", "compiled"])
 def scheduler(request):
-    """Run kernel-semantics tests under both settling schedulers."""
+    """Run kernel-semantics tests under both kernels."""
     return request.param
 
 
@@ -242,11 +242,11 @@ class TestSchedulerSelection:
         assert Simulator().scheduler == "event"
 
     def test_environment_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "fixpoint")
-        assert Simulator().scheduler == "fixpoint"
+        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "compiled")
+        assert Simulator().scheduler == "compiled"
 
     def test_argument_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "fixpoint")
+        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "compiled")
         assert Simulator(scheduler="event").scheduler == "event"
 
     def test_unknown_scheduler_rejected(self):
