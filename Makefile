@@ -31,11 +31,11 @@ faults-warm:     ## compiled-kernel campaign smoke over the persistent cache
 test:            ## tier-1: the full unit/integration suite
 	$(PYTEST) -x -q
 
-test-schedulers: ## declaration audit + differential, levelization, replayer, sharded-replay, extension-app, record-warp + host/store/DMA unit suites (CI matrix)
+test-schedulers: ## declaration audit + differential, levelization, replayer, sharded-replay, extension-app, time-warp, record-warp + host/store/DMA unit suites (CI matrix)
 	$(PYTEST) tests/test_scheduler_equivalence.py tests/test_compile.py \
 	  tests/test_replayer_unit.py tests/test_sharded_replay.py \
-	  tests/test_extension_registry.py tests/test_record_warp.py \
-	  tests/test_platform.py tests/test_store.py \
+	  tests/test_extension_registry.py tests/test_time_warp.py \
+	  tests/test_record_warp.py tests/test_platform.py tests/test_store.py \
 	  tests/test_dma_engine_units.py -q
 
 bench-compiled:  ## compiled kernel + BENCH_compiled.json (per-leg gates)

@@ -17,7 +17,7 @@ executes only a few hundred busy steps and measures the warp machinery
 (benchmarked separately in ``BENCH_replay.json`` and
 ``BENCH_record_warp.json``), not the per-cycle kernel. Disabling it
 makes each leg a pure stepping-rate comparison — the regime the
-compiled guards and the replay-datapath inlining target.
+compiled settle, guards and inlined commit target.
 
 Results land in ``benchmarks/results/BENCH_compiled.json``; the floors
 are part of ``make check``.
@@ -178,10 +178,10 @@ def test_compiled_record_leg(legs):
 
 
 def test_compiled_replay_leg(legs):
-    """R3 stepping (warp off) must clear its own floor. The inlined
-    replay datapath (``ChannelReplayer.seq_inline_source``) and the
-    delta-need vector-clock walk pay off exactly here, where every
-    trace cycle executes."""
+    """R3 stepping (warp off) must clear its own floor. The replayers'
+    compiled idle guards, which skip ``ChannelReplayer.seq`` while its
+    channel is idle and its walk is gated, pay off exactly here, where
+    every trace cycle executes."""
     replay_leg = legs["ev_rep"] / legs["cp_rep"]
     assert replay_leg >= REPLAY_LEG_FLOOR, (
         f"replay-leg speedup regressed: {replay_leg:.2f}x")

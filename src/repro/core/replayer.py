@@ -197,8 +197,8 @@ class ChannelReplayer(Module):
         # Set when the action walk stops: blocked on an unmet prerequisite
         # (and registered as a waiter on it) or out of actions. While set,
         # seq() skips the walk; only a release by the coordinator clears
-        # it, so with our channel idle seq() is a no-op — the guard the
-        # compiled kernel inlines below.
+        # it, so with our channel idle seq() is a no-op — the idle guard
+        # declared below.
         self._gated = False
         self.sensitive_to()
         if direction == "in":
@@ -292,68 +292,6 @@ class ChannelReplayer(Module):
         # Blocked (and waiting) or out of actions: either way the walk has
         # nothing to do until a release.
         self._gated = True
-
-    # ------------------------------------------------------------------
-    # compiled-kernel inlining (the replay datapath)
-    # ------------------------------------------------------------------
-    def seq_inline_key(self):
-        return self.direction
-
-    def seq_inline_source(self, ctx) -> List[str]:
-        """Direction-specialised :meth:`seq` body for the compiled kernel.
-
-        The fired observation and the vector-clock action walk are spliced
-        straight into the fused step function: no bound-method frame, no
-        ``fired`` property dispatch, and the delta-prerequisite check runs
-        directly over the raw count lists. Every state transition matches
-        :meth:`seq` line for line; the scheduler differential tests hold
-        the two bit-identical.
-        """
-        m = ctx.mod_name
-        valid = ctx.bind(self.channel.valid)
-        ready = ctx.bind(self.channel.ready)
-        lines = [f"if {valid}._value and {ready}._value:"]
-        if self.direction == "in":
-            lines += [
-                f"    {m}._current = None",
-                f"    _ridle = not {m}._pending_contents",
-            ]
-            consume = f"{m}._pending_contents.append({m}.actions[_rpos].word)"
-        else:
-            lines += [
-                f"    {m}._ready_credits -= 1",
-                f"    if {m}._ready_credits < 0:",
-                f"        {m}._credit_underflow()",
-                f"    {m}.validation_contents.append("
-                f"{m}.channel.payload_bytes())",
-                f"    _ridle = not {m}._ready_credits",
-            ]
-            consume = f"{m}._ready_credits += 1"
-        lines += [
-            f"    {m}.replayed_transactions += 1",
-            f"    {m}.coordinator.complete({m}.index, S.cycle)",
-            f"    {m}.wake()",
-            f"    if _ridle and {m}._action_pos == len({m}.actions):",
-            f"        {m}.coordinator.live -= 1",
-            f"if not {m}._gated:",
-            f"    _rneeds = {m}._needs",
-            f"    _rpos = {m}._action_pos",
-            f"    _rcur = {m}.coordinator.current.counts",
-            "    while _rpos < len(_rneeds):",
-            "        for _ri, _rc in _rneeds[_rpos]:",
-            "            if _rcur[_ri] < _rc:",
-            f"                {m}.coordinator.waiters[_ri].append((_rc, {m}))",
-            "                break",
-            "        else:",
-            f"            {consume}",
-            f"            {m}.wake()",
-            "            _rpos += 1",
-            "            continue",
-            "        break",
-            f"    {m}._action_pos = _rpos",
-            f"    {m}._gated = True",
-        ]
-        return lines
 
     # ------------------------------------------------------------------
     def pending_report(self, channel_names: Optional[Sequence[str]] = None

@@ -24,14 +24,14 @@ elaboration*, the way Verilator levelizes a netlist:
    straight line: the settle — the event kernel's work-list delta loop,
    each pass sorted by rank so that it evaluates drivers before their
    readers, and a demoted SCC iterating across passes under the same
-   ``max_delta`` bound — the sequential calls in elaboration order —
+   ``max_delta`` bound — the bound ``seq()`` calls in elaboration order,
    each wrapped in its module's inlined ``seq_idle_when`` guard when one
-   was declared, or replaced outright by the module's own generated body
-   when it implements :meth:`~repro.sim.module.Module.seq_inline_source`
-   (the replay-datapath inlining) — an inlined register commit
-   replicating ``Signal._commit``, and the quiescent / time-warp fast
-   paths of the event kernel (the warp block is emitted only for
-   warp-eligible designs).
+   was declared, and an inlined register commit replicating
+   ``Signal._commit``. Like the event kernel, a quiescent cycle skips
+   the settle, and on a warp-eligible design a quiet one calls the
+   event kernel's time-warp poll, ``Simulator._warp``. The generated
+   code is only what the schedule decides; every module behaviour it
+   runs is that module's own method.
 
 3. **Schedule caching**. Campaigns and sweeps build many structurally
    identical deployments that differ only by seed or fault plan. The
@@ -52,9 +52,10 @@ until the work-list drains, so even a wrong rank assignment (missing
 Sequential order, commit order and hook order are preserved exactly.
 
 The compile is lazy — it happens on the first ``step()`` — so profiling
-wrappers installed by ``enable_profiling()`` are captured (the binding
-recipe resolves ``module.seq`` per instance, so cache hits pick the
-wrappers up too); enabling profiling after stepping invalidates the
+wrappers installed by ``enable_profiling()`` are captured. The binding
+recipe resolves ``module.seq`` per instance, so a profiled simulator
+binds the same cached schedule and runs the same source as an
+unprofiled one; enabling profiling after stepping invalidates the
 kernel and forces a rebind.
 """
 
@@ -248,30 +249,6 @@ class _Binder:
                 self.recipe[name] = addr
         return name
 
-    def const(self, value) -> str:
-        """Intern an immutable value (baked per-topology, not per-instance)."""
-        name = f"_{self.prefix}c{len(self.namespace)}"
-        self.namespace[name] = value
-        self.recipe[name] = ("const", value)
-        return name
-
-
-class InlineContext:
-    """What a module's :meth:`seq_inline_source` hook gets to work with."""
-
-    def __init__(self, binder: _Binder, module: Module, mod_name: str):
-        self._binder = binder
-        self.module = module
-        self.mod_name = mod_name   # namespace slot holding the module itself
-
-    def bind(self, obj) -> str:
-        """Intern a Module or Signal; returns its namespace name."""
-        return self._binder(obj)
-
-    def const(self, value) -> str:
-        """Intern an immutable per-topology constant."""
-        return self._binder.const(value)
-
 
 # ----------------------------------------------------------------------
 # seq-idle guard expressions
@@ -420,34 +397,10 @@ def _term_key(term: tuple, mod_addr, sig_addr) -> Optional[tuple]:
     return None
 
 
-# Class → (seq_inline_source function, qualified name, comb overridden,
-# seq overridden, digest of the overriding seq_inline_source or None),
-# computed once per class and hook: the key is taken for every simulator
-# of a sweep, so the per-module work matters.
+# Class → (qualified name, comb overridden, seq overridden), computed once
+# per class: the key is taken for every simulator of a sweep, so the
+# per-module work matters.
 _CLASS_FACTS: Dict[type, tuple] = {}
-
-
-def _code_digest(code) -> str:
-    """SHA-256 over a code object's bytecode, names and constants.
-
-    Nested code objects (comprehensions, inner functions) are folded in;
-    file names and line numbers are not, so the digest is the same in
-    every checkout of the same code.
-    """
-    import hashlib
-
-    digest = hashlib.sha256()
-    stack = [code]
-    while stack:
-        code = stack.pop()
-        digest.update(code.co_code)
-        digest.update(repr(code.co_names).encode())
-        for const in code.co_consts:
-            if hasattr(const, "co_code"):
-                stack.append(const)
-            else:
-                digest.update(repr(const).encode())
-    return digest.hexdigest()
 
 
 def schedule_key(sim) -> Optional[tuple]:
@@ -465,7 +418,10 @@ def schedule_key(sim) -> Optional[tuple]:
     # ("signal", order, idx) tuples — the key is hashed and compared,
     # never resolved, so the cheaper encoding is free speed on the
     # disk-hit path. Module addresses (only consulted by seq_idle guard
-    # terms) are built lazily for the same reason.
+    # terms) are built lazily for the same reason. Nothing here reads a
+    # module's ``__dict__``: on CPython 3.11 that materializes the
+    # instance dict, which slows every attribute access on the module
+    # for the rest of its run.
     modules = sim.modules
     sig_addr: Dict[int, int] = {}
     sig_put = sig_addr.setdefault
@@ -483,18 +439,12 @@ def schedule_key(sim) -> Optional[tuple]:
     for module in modules:
         cls = type(module)
         facts = class_facts.get(cls)
-        inline_fn = cls.seq_inline_source
-        if facts is None or facts[0] is not inline_fn:
-            # The hook's code is spliced into the generated step, so it
-            # keys the cache like the codegen's own source does.
-            facts = (inline_fn,
-                     f"{cls.__module__}.{cls.__qualname__}",
-                     cls.comb is not Module.comb,
-                     cls.seq is not Module.seq,
-                     None if inline_fn is Module.seq_inline_source
-                     else _code_digest(inline_fn.__code__))
-            class_facts[cls] = facts
-        _fn, cls_name, comb_overridden, seq_overridden, inline_digest = facts
+        if facts is None:
+            facts = class_facts[cls] = (
+                f"{cls.__module__}.{cls.__qualname__}",
+                cls.comb is not Module.comb,
+                cls.seq is not Module.seq)
+        cls_name, comb_overridden, seq_overridden = facts
         sens: Optional[tuple]
         if module._sensitivity is None:
             sens = None
@@ -521,24 +471,14 @@ def schedule_key(sim) -> Optional[tuple]:
             if any(k is None for k in keyed):
                 return None
             terms = tuple(keyed)
-        # An instance-level ``seq`` (a profiling wrapper) suppresses
-        # inlining, so it must split the cache key too.
-        seq_wrapped = "seq" in module.__dict__
-        inline_key = None
-        if not seq_wrapped and inline_digest is not None:
-            inline_key = module.seq_inline_key()
-            if inline_key is False:
-                return None
-            inline_key = (inline_digest, inline_key)
         emit((
             cls_name,
             module.has_comb,
             module.comb_static,
             comb_overridden,
             seq_overridden,
-            seq_wrapped,
             len(module._signals),
-            sens, drv, terms, inline_key,
+            sens, drv, terms,
         ))
     return (sim.max_delta, sim._warp_ok, tuple(entries))
 
@@ -635,10 +575,6 @@ def _resolve(recipe: Dict[str, tuple], sim) -> Dict[str, object]:
             ns[name] = mods[addr[1]].seq
         elif kind == "modtuple":
             ns[name] = tuple(mods[o] for o in addr[1])
-        elif kind == "hints":
-            ns[name] = sim._warp_hints()
-        elif kind == "whooks":
-            ns[name] = tuple(sim._warp_hooks)
         else:  # pragma: no cover - recipe writer and reader live together
             raise SimulationError(f"unknown binding recipe {addr!r}")
     return ns
@@ -832,67 +768,16 @@ def compile_kernel(sim) -> CompiledKernel:
     emit("    else:")
     emit("        S.quiescent_cycles += 1")
     emit("        settled = False")
-
-    # --- time warp (only for warp-eligible designs) ---
     if sim._warp_ok:
-        # The hint that vetoed the last warp is polled first: on a dense
-        # run the same busy module refuses cycle after cycle, and one
-        # call settles it.
-        ns["_hints"] = sim._warp_hints()
-        recipe["_hints"] = ("hints",)
-        ns["_whooks"] = tuple(sim._warp_hooks)
-        recipe["_whooks"] = ("whooks",)
+        # The same test as the event kernel's, so a busy cycle pays no call.
         emit("        if S._quiet_streak and not _hooks:")
-        emit("            cyc = S.cycle")
-        emit("            target = S._veto(cyc)")
-        emit("            if target is None or target > cyc:")
-        emit("                for nw in _hints:")
-        emit("                    hint = nw(cyc)")
-        emit("                    if hint is None:")
-        emit("                        continue")
-        emit("                    if hint <= cyc:")
-        emit("                        S._veto = nw")
-        emit("                        target = None")
-        emit("                        break")
-        emit("                    if target is None or hint < target:")
-        emit("                        target = hint")
-        emit("                if target is not None:")
-        emit("                    if warp_limit is not None and "
-             "target > warp_limit - 1:")
-        emit("                        target = warp_limit - 1")
-        emit("                    gap = target - cyc")
-        emit("                    if gap > 0:")
-        emit("                        S.cycle = target")
-        emit("                        S.warped_cycles += gap")
-        emit("                        S.warp_jumps += 1")
-        emit("                        for wm in _whooks:")
-        emit("                            wm.on_warp(gap)")
+        emit("            S._warp(warp_limit)")
 
     # --- sequential phase: straight line, elaboration order ---
     guarded = 0
     for mi, module in enumerate(sim._seq_modules):
         mod_name = f"_m{mi}"
         guard = _guard_expr(module, mod_name, sigbind)
-        inline: Optional[List[str]] = None
-        # A profiling wrapper (instance-level ``seq``) must stay a call —
-        # inlining would bypass its timing instrumentation.
-        if ("seq" not in module.__dict__
-                and type(module).seq_inline_source
-                is not Module.seq_inline_source):
-            ns[mod_name] = module
-            recipe[mod_name] = ("module", module._order)
-            ctx = InlineContext(sigbind, module, mod_name)
-            inline = module.seq_inline_source(ctx)
-        if inline is not None:
-            guarded += 1 if guard is not None else 0
-            if guard is None:
-                for line in inline:
-                    emit(f"    {line}")
-            else:
-                emit(f"    if not ({guard}):")
-                for line in inline:
-                    emit(f"        {line}")
-            continue
         seq_name = f"_q{mi}"
         ns[seq_name] = module.seq
         recipe[seq_name] = ("seq", module._order)

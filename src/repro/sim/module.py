@@ -250,34 +250,6 @@ class Module:
         """
 
     # ------------------------------------------------------------------
-    # compiled-kernel inlining hooks
-    # ------------------------------------------------------------------
-    def seq_inline_source(self, ctx) -> Optional[List[str]]:
-        """Generated source lines replacing the ``seq()`` call, or ``None``.
-
-        The compiled kernel consults this per sequential module; a module
-        returning a list of statements (unindented — the generator nests
-        them under its idle guard) gets them spliced into the fused step
-        function instead of a bound-method call, eliminating interpreter
-        dispatch. ``ctx`` is an :class:`repro.sim.compile.InlineContext`
-        offering ``bind(obj)``/``const(value)`` for namespace interning.
-        The emitted code must be *topology-pure*: reference per-instance
-        objects only through ``ctx.bind`` and bake only values shared by
-        every structurally identical instance through ``ctx.const``.
-        """
-        return None
-
-    def seq_inline_key(self):
-        """Cache-key contribution for :meth:`seq_inline_source` variants.
-
-        Modules whose inline source depends on per-instance structure
-        (direction flags, policy modes) must return a hashable capturing
-        it; return ``False`` to declare the module uncacheable. Only
-        consulted when ``seq_inline_source`` is overridden.
-        """
-        return None
-
-    # ------------------------------------------------------------------
     # elaboration
     # ------------------------------------------------------------------
     def bind(self, sim) -> None:

@@ -26,16 +26,14 @@ This module persists the compiled artifact so the work is paid once per
   changes every key: an old cached step function can never be bound by a
   newer codegen (it is simply never found). The structural
   ``schedule_key`` part is the same fingerprint the in-process cache
-  trusts; it carries a digest of the code of every overridden
-  ``seq_inline_source`` hook, so editing the source a module splices into
-  the step misses both tiers too.
+  trusts.
 
 * **Write discipline.** Entries are written crash-safely: payload
-  framed as ``magic + crc32 + length + pickle``, written to a ``.part``
+  framed as ``magic + crc32 + length + marshal``, written to a ``.part``
   sibling, fsynced, then atomically renamed into place. Concurrent
   writers of the same key race benignly — they write identical bytes.
 
-* **Corruption policy.** A missing, truncated, CRC-failing, unpicklable
+* **Corruption policy.** A missing, truncated, CRC-failing, unreadable
   or version-stale entry is *silently* discarded (and best-effort
   deleted): the caller falls back to a cold compile. The cache can make
   a compile slower, never a kernel wrong.
@@ -50,7 +48,6 @@ from __future__ import annotations
 
 import marshal
 import os
-import pickle
 import zlib
 from pathlib import Path
 from typing import Dict, Optional
@@ -158,9 +155,8 @@ def store_key(schedule_key: tuple) -> str:
     and nested tuples; hashing its marshalled form is the cheapest stable
     serialization available (marshal bytes only vary across interpreter
     builds, and the interpreter cache tag is already part of the hashed
-    material). Exotic inline-key constants marshal rejects fall back to
-    a pinned-protocol pickle — the key derivation is on the disk-hit
-    path, so the common case has to stay cheap.
+    material). The key derivation is on the disk-hit path, so it has to
+    stay cheap.
     """
     import hashlib
     import sys
@@ -171,11 +167,7 @@ def store_key(schedule_key: tuple) -> str:
         sys.implementation.cache_tag or sys.version,
         _codegen_fingerprint(),
     )).encode())
-    try:
-        blob = marshal.dumps(schedule_key)
-    except ValueError:
-        blob = pickle.dumps(schedule_key, protocol=4)
-    digest.update(blob)
+    digest.update(marshal.dumps(schedule_key))
     return digest.hexdigest()
 
 
@@ -191,20 +183,11 @@ def _source_sha(source: str) -> str:
 
 
 def _encode(payload: dict) -> bytes:
-    # The payload is plain data (str/bytes/int/bool/None/tuple/dict), so
-    # marshal — several times faster than pickle to deserialize, and
-    # deserialization is the disk-hit hot path — handles it natively.
-    # Exotic recipe constants from custom inline hooks fall back to
-    # pickle; a serializer tag byte leads the framed body.
-    try:
-        body = b"M" + marshal.dumps(payload)
-    except ValueError:
-        # pickle cannot serialize code objects, so the fallback frame
-        # carries the marshal-dumped bytes instead of the raw code.
-        fallback = dict(payload)
-        if hasattr(fallback.get("code"), "co_code"):
-            fallback["code"] = marshal.dumps(fallback["code"])
-        body = b"P" + pickle.dumps(fallback, protocol=pickle.HIGHEST_PROTOCOL)
+    # The payload is plain data (str/int/bool/None/tuple/dict) and one code
+    # object, so marshal — several times faster than pickle to
+    # deserialize, and deserialization is the disk-hit hot path — handles
+    # it natively. A serializer tag byte leads the framed body.
+    body = b"M" + marshal.dumps(payload)
     return (_MAGIC
             + zlib.crc32(body).to_bytes(4, "little")
             + len(body).to_bytes(8, "little")
@@ -222,12 +205,9 @@ def _decode(blob: bytes) -> dict:
         raise ValueError("schedule-store entry truncated")
     if zlib.crc32(body) != crc:
         raise ValueError("schedule-store CRC32 mismatch")
-    if body[:1] == b"M":
-        payload = marshal.loads(body[1:])
-    elif body[:1] == b"P":
-        payload = pickle.loads(body[1:])
-    else:
+    if body[:1] != b"M":
         raise ValueError("unknown schedule-store serializer tag")
+    payload = marshal.loads(body[1:])
     if not isinstance(payload, dict):
         raise ValueError("schedule-store payload is not a dict")
     return payload
@@ -244,10 +224,9 @@ def save(schedule_key: tuple, source: str, code, recipe: dict,
          demoted_sccs: int) -> Optional[Path]:
     """Persist one compiled artifact; returns the path, or ``None``.
 
-    Failures (read-only dir, full disk, unpicklable recipe from an exotic
-    inline hook) are swallowed — a cache write must never break a
-    compile. Uses atomic rename so a crash mid-write leaves either the
-    previous entry or none, never a torn file.
+    Failures (read-only dir, full disk) are swallowed — a cache write
+    must never break a compile. Uses atomic rename so a crash mid-write
+    leaves either the previous entry or none, never a torn file.
     """
     directory = cache_dir()
     if directory is None:
@@ -260,8 +239,7 @@ def save(schedule_key: tuple, source: str, code, recipe: dict,
         "key": key,
         "source": source,
         "source_sha": _source_sha(source),
-        # Raw code object: the marshal frame serializes it natively in
-        # one pass (the pickle fallback re-dumps it, see _encode).
+        # Raw code object: the marshal frame serializes it natively.
         "code": code,
         "recipe": recipe,
         "stage_shapes": stage_shapes,
@@ -310,14 +288,16 @@ def _validate(payload: dict, key: str) -> dict:
         raise ValueError("schedule-store key mismatch")
     if payload["source_sha"] != _source_sha(payload["source"]):
         raise ValueError("schedule-store generated-source hash mismatch")
+    if not hasattr(payload["code"], "co_code"):
+        raise ValueError("schedule-store entry holds no code object")
     return payload
 
 
 def load(schedule_key: tuple) -> Optional[dict]:
     """Look one fingerprint up in the disk tier.
 
-    Returns the validated payload dict with ``payload['code']`` already
-    un-marshalled back into a code object, or ``None`` (cold compile).
+    Returns the validated payload dict, whose ``payload['code']`` is a
+    code object, or ``None`` (cold compile).
     Every failure mode — absent file, torn bytes, stale versions — lands
     on the ``None`` path; damaged files are unlinked best-effort so they
     are not re-parsed forever.
@@ -343,23 +323,8 @@ def load(schedule_key: tuple) -> Optional[dict]:
             except OSError:
                 pass
             return None
-    try:
-        code = payload["code"]
-        if not hasattr(code, "co_code"):
-            try:
-                code = marshal.loads(code)
-            except Exception:
-                # marshal is interpreter-build specific; the source is
-                # authoritative, so recompiling it is always safe.
-                code = compile(payload["source"], "<compiled-kernel>", "exec")
-        out = dict(payload)
-        out["code"] = code
-    except Exception:
-        _STATS["disk_invalidations"] += 1
-        _PRELOADED.pop(key, None)
-        return None
     _STATS["disk_hits"] += 1
-    return out
+    return payload
 
 
 def preload() -> int:

@@ -32,9 +32,10 @@ Two interchangeable kernels (:data:`SCHEDULERS`) implement a cycle:
   true combinational cycles demoted to stages of their own — and a fused
   per-cycle step function is generated (``exec`` of assembled source):
   the event kernel's work-list settle with each pass sorted by rank,
-  sequential calls inlined straight-line with
-  ``seq_idle_when`` guards, inlined commit, and the same quiescent /
-  time-warp fast paths. Bit-identical to the event kernel (the
+  straight-line ``seq()`` calls, each skipped while its module's
+  ``seq_idle_when`` guard holds, an inlined commit, the same quiescent
+  fast path, and a call to the same time-warp poll
+  (:meth:`Simulator._warp`). Bit-identical to the event kernel (the
   differential tests in ``tests/test_scheduler_equivalence.py`` compare
   per-cycle signal histories over every app), faster on designs with
   declared scheduling.
@@ -53,7 +54,8 @@ matters — a :meth:`~repro.sim.module.Module.next_wake` override or a
 can do better: on a cycle that (a) has an empty work-list, (b) follows a
 *fully quiet* cycle — no settling, no register commits — and (c) has no
 cycle hooks registered, it polls every sequential module for the
-earliest cycle its ``seq()`` could matter. The hint that refused the
+earliest cycle its ``seq()`` could matter. Both kernels run that poll
+as one method, :meth:`Simulator._warp`. The hint that refused the
 last warp is polled first, so a busy stretch costs one call per quiet
 cycle. If the earliest finite answer lies in the future, the cycle
 counter jumps straight there (``warped_cycles``/``warp_jumps`` count the
@@ -248,35 +250,8 @@ class Simulator:
         else:
             self.quiescent_cycles += 1
             settled = False
-            # --- time warp ---
-            # Only when the previous executed cycle was fully quiet: that
-            # one executed cycle gives polling seq() processes a chance to
-            # observe commits and shared-Python-state changes (coordinator
-            # bumps, queue appends) the hints cannot see.
             if self._warp_ok and self._quiet_streak and not self._cycle_hooks:
-                cycle = self.cycle
-                target = self._veto(cycle)
-                if target is None or target > cycle:
-                    for hint_of in self._hints or self._warp_hints():
-                        hint = hint_of(cycle)
-                        if hint is None:
-                            continue
-                        if hint <= cycle:
-                            self._veto = hint_of
-                            target = None
-                            break
-                        if target is None or hint < target:
-                            target = hint
-                    if target is not None:
-                        if warp_limit is not None and target > warp_limit - 1:
-                            target = warp_limit - 1
-                        gap = target - cycle
-                        if gap > 0:
-                            self.cycle = target
-                            self.warped_cycles += gap
-                            self.warp_jumps += 1
-                            for module in self._warp_hooks:
-                                module.on_warp(gap)
+                self._warp(warp_limit)
         # --- sequential phase ---
         for module in self._seq_modules:
             module.seq()
@@ -294,12 +269,49 @@ class Simulator:
         for hook in self._cycle_hooks:
             hook(self.cycle)
 
+    def _warp(self, warp_limit: Optional[int]) -> None:
+        """Jump the cycle counter to the earliest ``next_wake`` hint.
+
+        Both kernels call this on a cycle that starts with an empty
+        work-list, follows a fully quiet cycle and has no cycle hooks. The
+        quiet cycle before matters: it gave polling ``seq()`` processes a
+        chance to observe commits and shared-Python-state changes
+        (coordinator bumps, queue appends) the hints cannot see. The hint
+        that refused the last warp is polled first, so a busy stretch
+        costs one call per quiet cycle. The jump stops below
+        ``warp_limit``.
+        """
+        cycle = self.cycle
+        target = self._veto(cycle)
+        if target is not None and target <= cycle:
+            return
+        for hint_of in self._hints or self._warp_hints():
+            hint = hint_of(cycle)
+            if hint is None:
+                continue
+            if hint <= cycle:
+                self._veto = hint_of
+                return
+            if target is None or hint < target:
+                target = hint
+        if target is None:
+            return
+        if warp_limit is not None and target > warp_limit - 1:
+            target = warp_limit - 1
+        gap = target - cycle
+        if gap > 0:
+            self.cycle = target
+            self.warped_cycles += gap
+            self.warp_jumps += 1
+            for module in self._warp_hooks:
+                module.on_warp(gap)
+
     def _warp_hints(self) -> tuple:
         """One ``next_wake(cycle)`` callable per sequential module.
 
-        An overriding module's own method, else its compiled guard (built
-        at the first step, so a malformed guard fails there, like the
-        compiled kernel's inlined guards do).
+        An overriding module's own method, else its compiled guard. The
+        compiled kernel builds them at its first step and the event kernel
+        at its first warp poll, so a malformed guard fails there.
         """
         if self._hints is None:
             from repro.sim.compile import guard_hint
@@ -338,11 +350,14 @@ class Simulator:
         """Build the compiled kernel (lazily, at the first step).
 
         Lazy so that ``enable_profiling`` wrappers installed before the run
-        are baked into the generated sequential calls; enabling profiling
-        after stepping invalidates the kernel and forces a recompile.
+        are the ``seq`` methods the generated step binds; enabling
+        profiling after stepping invalidates the kernel and forces a
+        rebind.
         """
         from repro.sim.compile import compile_kernel
         t0 = perf_counter()
+        if self._warp_ok:
+            self._warp_hints()
         kernel = compile_kernel(self)
         self.compile_s += perf_counter() - t0
         self._compiled = kernel

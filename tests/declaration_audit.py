@@ -28,8 +28,8 @@ against the compiled one cycle by cycle.
 Install it after building the simulator and before the first step; the
 audit elaborates the simulator and wraps the ``seq`` of its sequential
 modules, so the kernel itself runs unchanged. It is never installed on a
-compiled simulator: that kernel treats an instance-level ``seq`` as a
-profiling wrapper and stops inlining.
+compiled simulator: that kernel skips a guarded ``seq()`` whose guard
+holds, so the idle check would have no call to watch.
 """
 
 from __future__ import annotations

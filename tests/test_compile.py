@@ -289,8 +289,8 @@ class TestResetAndCampaign:
         assert not report.silent_accepts
 
 
-class TestReplayDatapathInlining:
-    """The replayer's seq() is spliced into the generated step function."""
+class TestReplayDatapath:
+    """The compiled kernel calls the replayer's own seq() behind its guard."""
 
     @staticmethod
     def _record_trace():
@@ -318,30 +318,44 @@ class TestReplayDatapathInlining:
             VidiConfig.r3(interfaces=trace_interfaces(trace)),
             replay_trace=trace, scheduler="compiled")
 
-    def test_replay_step_function_contains_inlined_walk(self):
-        spec, trace = self._record_trace()
+    def _replay(self, spec, trace, profiled=False):
         replaying = self._replay_deployment(spec, trace)
-        replaying.sim._step_callable()
-        # The generated source carries the replayer's action walk (its
-        # temporaries are the `_r...` family), not a bound seq() call
-        # per channel replayer.
-        source = replaying.sim._compiled.source
-        assert "_rpos" in source and "_rneeds" in source
+        if profiled:
+            replaying.sim.enable_profiling()
+        cycles = replaying.run_replay()
+        return replaying, cycles, replaying.recorded_trace().to_bytes()
 
-    def test_profiling_suppresses_inlining_and_stays_exact(self):
+    def test_class_seq_wrapper_sees_replayer_calls(self, monkeypatch):
+        """A class-level wrapper, the benchmark tracer's kind, sees every
+        replayer call the compiled step makes."""
+        from repro.core.replayer import ChannelReplayer
+
         spec, trace = self._record_trace()
-        reference = self._replay_deployment(spec, trace)
-        cycles = reference.run_replay()
+        _, cycles, validation = self._replay(spec, trace)
+        calls = []
+        seq = ChannelReplayer.seq
 
-        profiled = self._replay_deployment(spec, trace)
-        profiled.sim.enable_profiling()
-        profiled.sim._step_callable()
-        # The per-instance profiling wrapper must stay a call — inlining
-        # would bypass its timers — and the schedule cache must not leak
-        # an inlined kernel into the profiled simulator.
-        source = profiled.sim._compiled.source
-        assert "_rpos" not in source
-        assert profiled.run_replay() == cycles
-        profile = profiled.sim.profile_report()
-        assert any("rep." in row["module"] and row["seq_s"] >= 0
-                   for row in profile)
+        def counted(replayer):
+            calls.append(replayer)
+            seq(replayer)
+
+        monkeypatch.setattr(ChannelReplayer, "seq", counted)
+        _, wrapped_cycles, wrapped_validation = self._replay(spec, trace)
+        assert len(calls) > 0
+        assert wrapped_cycles == cycles
+        assert wrapped_validation == validation
+
+    def test_profiled_replay_binds_unprofiled_schedule(self):
+        """Profiling wraps seq() per instance; the recipe binds the
+        wrappers, so the cache key and the generated source do not split."""
+        spec, trace = self._record_trace()
+        reference, cycles, validation = self._replay(spec, trace)
+        profiled, profiled_cycles, profiled_validation = self._replay(
+            spec, trace, profiled=True)
+        assert profiled.sim.schedule_cache_tier == "memory"
+        assert profiled.sim._compiled.source == reference.sim._compiled.source
+        assert profiled_cycles == cycles
+        assert profiled_validation == validation
+        rows = [row for row in profiled.sim.profile_report()
+                if "rep." in row["module"]]
+        assert rows and any(row["seq_calls"] > 0 for row in rows)

@@ -8,6 +8,10 @@ back to the cold path. The cache may make a compile slower; it must
 never make a kernel wrong.
 """
 
+import marshal
+import pickle
+import zlib
+
 import pytest
 
 from repro.sim import schedule_store
@@ -204,10 +208,26 @@ def test_truncated_entry_falls_back_cold(store_dir):
 
 
 def test_garbage_entry_falls_back_cold(store_dir):
-    sim = _damage_and_recompile(
-        store_dir, lambda p: p.write_bytes(b"\xde\xad" * 512))
-    assert sim.schedule_cache_tier == "cold"
-    assert schedule_cache_stats()["disk_invalidations"] == 1
+    """Garbage, and well-framed entries the marshal-only store does not
+    write: a pickle (``P``) body, a code field that is not code."""
+    def pickled(path):
+        payload = schedule_store._decode(path.read_bytes())
+        payload["code"] = marshal.dumps(payload["code"])
+        body = b"P" + pickle.dumps(payload)
+        path.write_bytes(schedule_store._MAGIC
+                         + zlib.crc32(body).to_bytes(4, "little")
+                         + len(body).to_bytes(8, "little") + body)
+
+    def codeless(path):
+        payload = schedule_store._decode(path.read_bytes())
+        payload["code"] = marshal.dumps(payload["code"])
+        path.write_bytes(schedule_store._encode(payload))
+
+    for damage in (lambda p: p.write_bytes(b"\xde\xad" * 512), pickled,
+                   codeless):
+        sim = _damage_and_recompile(store_dir, damage)
+        assert sim.schedule_cache_tier == "cold"
+        assert schedule_cache_stats()["disk_invalidations"] == 1
 
 
 def test_crc_flip_falls_back_cold(store_dir):
@@ -258,45 +278,20 @@ def test_store_key_depends_on_package_version(monkeypatch):
     assert schedule_store.store_key(key) != before
 
 
-class Tick(Module):
-    """A seq-only module whose seq() the compiled kernel inlines."""
-
-    has_comb = False
-
-    def __init__(self, name):
-        super().__init__(name)
-        self.n = 0
-
-    def seq(self):
-        self.n += 1
-
-    def seq_inline_source(self, ctx):
-        return [f"{ctx.mod_name}.n += 1"]
-
-
 def test_store_key_depends_on_codegen_source(store_dir, monkeypatch):
-    """The key follows the code spliced into the step: the codegen's own
-    source, and every ``seq_inline_source`` hook — editing a hook misses
-    both tiers."""
+    """The key follows the codegen's own source: an entry another
+    ``sim/compile.py`` wrote is never found."""
     sim, _ = _chain_sim()
     key = schedule_key(sim)
     before = schedule_store.store_key(key)
+    sim.run(1)
     monkeypatch.setattr(schedule_store, "_CODEGEN_SHA", "f" * 64)
     assert schedule_store.store_key(key) != before
-
-    def run():
-        sim = Simulator("tick", scheduler="compiled")
-        tick = sim.add(Tick("t"))
-        sim.run(2)
-        return sim, tick
-
-    run()
-    monkeypatch.setattr(Tick, "seq_inline_source",
-                        lambda self, ctx: [f"{ctx.mod_name}.n += 10"])
-    sim, tick = run()
+    clear_schedule_cache()
+    sim, _ = _chain_sim()
+    sim.run(1)
     assert sim.schedule_cache_tier == "cold"
-    assert schedule_cache_stats()["disk_misses"] == 2
-    assert tick.n == 20
+    assert schedule_cache_stats()["disk_misses"] == 1
 
 
 def test_version_skewed_entry_never_loads(store_dir, monkeypatch):

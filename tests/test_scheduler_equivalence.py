@@ -189,7 +189,7 @@ def test_audit_catches_a_missing_sensitivity():
 
 def test_audit_catches_a_lying_guard():
     """A seq() that acts while its idle guard holds fails at once; the
-    audit refuses the compiled kernel, whose inlining it would stop."""
+    audit refuses the compiled kernel, which skips such calls unseen."""
     for honest in (True, False):
         sim = Simulator("count", scheduler="event")
         sim.add(_Counter(honest))
