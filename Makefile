@@ -1,7 +1,7 @@
 # Development entry points. `make check` is the pre-merge gate: the full
 # tier-1 test suite, the throughput benches (which enforce the
 # compiled-kernel, record-warp, replay time-warp, flight-recorder,
-# warm-pool/compile-cache and trace-service floors and refresh
+# warm-pool campaign and trace-service floors and refresh
 # BENCH_compiled.json / BENCH_record_warp.json / BENCH_replay.json /
 # BENCH_flightrec.json / BENCH_warm.json /
 # BENCH_service.json — every refreshed snapshot is also appended to the
@@ -31,7 +31,7 @@ faults-warm:     ## compiled-kernel campaign smoke over the persistent cache
 test:            ## tier-1: the full unit/integration suite
 	$(PYTEST) -x -q
 
-test-schedulers: ## declaration audit + differential, levelization, replayer, sharded-replay, extension-app, time-warp, record-warp + host/store/DMA unit suites (CI matrix)
+test-schedulers: ## declaration audit + differential, rank walk, replayer, sharded-replay, extension-app, time-warp, record-warp + host/store/DMA unit suites (CI matrix)
 	$(PYTEST) tests/test_scheduler_equivalence.py tests/test_compile.py \
 	  tests/test_replayer_unit.py tests/test_sharded_replay.py \
 	  tests/test_extension_registry.py tests/test_time_warp.py \
@@ -50,7 +50,7 @@ bench-replay:    ## replay throughput + BENCH_replay.json (time-warp gate)
 bench-flightrec: ## flight recorder + BENCH_flightrec.json (ratio/overhead)
 	$(PYTEST) benchmarks/test_flight_recorder.py -q -s
 
-bench-warm:      ## compile cache + warm pool + BENCH_warm.json (floors)
+bench-warm:      ## warm-pool campaign + BENCH_warm.json (1.3x floor)
 	$(PYTEST) benchmarks/test_warm_pool.py -q -s
 
 bench-service:   ## trace-service daemon + BENCH_service.json (batch/ingest)

@@ -1,6 +1,6 @@
 """Infrastructure bench — compiled-kernel throughput over the event kernel.
 
-Not a paper artefact: documents the payoff of the levelized,
+Not a paper artefact: documents the payoff of the ranked,
 code-generated scheduler (``repro.sim.compile``) on the configuration
 that matters — a full five-interface deployment doing real work. The
 pipeline is record (R2) **plus** replay (R3) of the recorded trace,
@@ -50,7 +50,7 @@ def _measure_scheduler(scheduler):
     """Best-of-N wall-clock for each leg (sha256, R2 record / R3 replay).
 
     Construction and elaboration — including the compiled kernel's one-off
-    levelize+codegen, which ``_step_callable`` triggers — happen outside
+    rank walk + codegen, which ``_step_callable`` triggers — happen outside
     the timed regions: the bench measures per-cycle stepping, not setup.
     Each leg takes its own best across rounds so one noisy leg cannot
     poison an otherwise clean round.
@@ -77,8 +77,6 @@ def _measure_scheduler(scheduler):
             "record_cycles": record_cycles,
             "trace_bytes": trace.to_bytes(),
             "compile_s": recording.sim.compile_s,
-            "rank_count": recording.sim.rank_count,
-            "demoted_sccs": recording.sim.demoted_sccs,
         }
     for _ in range(ROUNDS):
         acc2_factory, _host = spec.make()
@@ -141,8 +139,6 @@ def test_compiled_kernel_report(legs, emit):
         },
         "compiled_schedule": {
             "compile_s": round(compiled_stats["compile_s"], 4),
-            "rank_count": compiled_stats["rank_count"],
-            "demoted_sccs": compiled_stats["demoted_sccs"],
         },
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -158,9 +154,7 @@ def test_compiled_kernel_report(legs, emit):
         f"(floor {RECORD_LEG_FLOOR}x)",
         f"  replay leg (R3, no warp): {replay_leg:.2f}x  "
         f"(floor {REPLAY_LEG_FLOOR}x)",
-        f"  schedule: {compiled_stats['rank_count']} rank(s), "
-        f"{compiled_stats['demoted_sccs']} demoted SCC(s), "
-        f"compile {compiled_stats['compile_s'] * 1e3:.1f} ms",
+        f"  compile {compiled_stats['compile_s'] * 1e3:.1f} ms",
         "[also saved to benchmarks/results/BENCH_compiled.json]",
     ]))
 

@@ -1,30 +1,20 @@
-"""Infrastructure bench — persistent compile cache + warm worker pool.
+"""Infrastructure bench — warm worker pool + persistent compile cache.
 
-Not a paper artefact: documents the payoff of the two amortization
-layers added for fleet-scale campaigns, on the workloads they were
-built for.
+Not a paper artefact: documents the payoff of the warm pool, on the
+workload it was built for.
 
-* **Disk-tier compile speedup.** A structurally large design (a deep
-  combinational chain, where levelization + codegen dominate) is
-  compiled cold, then re-bound from the persistent schedule store the
-  way a warm worker does it: entries preloaded once at startup
-  (``schedule_store.preload``), every later compile a validated
-  disk-tier hit. The gate is the steady-state ratio; the colder
-  file-read hit (no preload, every byte re-read and re-validated) is
-  reported alongside with its own regression floor.
-
-* **Warm-pool campaign speedup.** An 8-cell campaign over two distinct
-  topologies, dispatched with ``run_cells``: the cold baseline starts a
+* **Warm-pool campaign speedup.** An 8-cell campaign over two chain
+  depths, dispatched with ``run_cells``: the cold baseline starts a
   fresh pool before every call (``shutdown_pool()``, an empty RAM tier,
   no disk tier), so each call pays worker fork, import and a compile in
   every worker; the warm side keeps the module-level pool and a disk
-  tier, so steady-state cells bind already-compiled schedules in
+  tier, so steady-state cells run already-compiled steps in
   already-started workers.
 
-Both measurements cross-check results bit-for-bit against the cold
-path — a speedup bought with divergence is a failure, not a win.
-Results land in ``benchmarks/results/BENCH_warm.json``; the floors are
-part of ``make check``.
+The measurement cross-checks results bit-for-bit against the cold path
+— a speedup bought with divergence is a failure, not a win. Results land
+in ``benchmarks/results/BENCH_warm.json``; the floor is part of ``make
+check``.
 """
 
 import json
@@ -35,13 +25,10 @@ from conftest import RESULTS_DIR
 from repro.harness import worker_pool
 from repro.harness.runner import SweepCell, run_cells
 from repro.sim import schedule_store
-from repro.sim.compile import _SCHEDULE_CACHE, clear_schedule_cache, compile_kernel
+from repro.sim.compile import clear_schedule_cache
 from repro.sim.module import Module
 from repro.sim.simulator import Simulator
 
-CHAIN_DEPTH = 2000        # deep enough that levelization+codegen dominate
-DISK_HIT_FLOOR = 10.0     # preloaded steady state (the warm-worker path)
-FILE_HIT_FLOOR = 4.0      # cold-file hit: read + CRC + validate every time
 CAMPAIGN_CELLS = 8
 CAMPAIGN_JOBS = 4
 WARM_POOL_FLOOR = 1.3
@@ -80,105 +67,11 @@ def _chain(depth):
 
 def _chain_cell(cell):
     """Campaign worker: compile-then-run one chain cell (fork-inherited)."""
-    depth = 700 + (cell.seed % 2)   # two distinct topologies across the sweep
+    depth = 700 + (cell.seed % 2)   # two chain depths across the sweep
     sim, tail = _chain(depth)
     sim.run(3)
     return {"seed": cell.seed, "tail": tail.out.value,
             "tier": sim.schedule_cache_tier}
-
-
-def _merge_report(section, payload):
-    """BENCH_warm.json carries both gates; update one section in place."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_warm.json"
-    report = {}
-    if path.exists():
-        try:
-            report = json.loads(path.read_text())
-        except ValueError:
-            report = {}
-    report[section] = payload
-    path.write_text(json.dumps(report, indent=2) + "\n")
-
-
-def test_disk_hit_compile_speedup(emit, tmp_path):
-    prev = schedule_store.cache_dir()
-    try:
-        # Cold: full levelization + codegen + compile, no disk tier.
-        schedule_store.configure(None)
-        colds = []
-        for _ in range(3):
-            clear_schedule_cache()
-            sim, _ = _chain(CHAIN_DEPTH)
-            t0 = perf_counter()
-            compile_kernel(sim)
-            colds.append(perf_counter() - t0)
-        assert sim.schedule_cache_tier == "cold"
-        sim.run(3)
-        cold_tail = sim.modules[-1].out.value
-
-        # Seed the store, then measure the two disk-hit flavours.
-        schedule_store.configure(tmp_path / "sched")
-        clear_schedule_cache()
-        compile_kernel(_chain(CHAIN_DEPTH)[0])
-
-        file_hits = []
-        for _ in range(5):
-            clear_schedule_cache()   # wipes RAM tier + preload mirror
-            sim, _ = _chain(CHAIN_DEPTH)
-            t0 = perf_counter()
-            compile_kernel(sim)
-            file_hits.append(perf_counter() - t0)
-            assert sim.schedule_cache_tier == "disk"
-
-        t0 = perf_counter()
-        preloaded = schedule_store.preload()
-        t_preload = perf_counter() - t0
-        assert preloaded == 1
-        warm_hits = []
-        for _ in range(5):
-            _SCHEDULE_CACHE.clear()   # keep the preload mirror warm
-            sim, _ = _chain(CHAIN_DEPTH)
-            t0 = perf_counter()
-            compile_kernel(sim)
-            warm_hits.append(perf_counter() - t0)
-            assert sim.schedule_cache_tier == "disk"
-        sim.run(3)
-        assert sim.modules[-1].out.value == cold_tail
-
-        t_cold = min(colds)
-        t_file = min(file_hits)
-        t_warm = min(warm_hits)
-        warm_speedup = t_cold / t_warm
-        file_speedup = t_cold / t_file
-        _merge_report("disk_hit_compile", {
-            "chain_depth": CHAIN_DEPTH,
-            "cold_compile_ms": round(t_cold * 1e3, 2),
-            "preload_ms": round(t_preload * 1e3, 2),
-            "disk_hit_preloaded_ms": round(t_warm * 1e3, 2),
-            "disk_hit_preloaded_speedup": round(warm_speedup, 1),
-            "disk_hit_preloaded_floor": DISK_HIT_FLOOR,
-            "disk_hit_file_ms": round(t_file * 1e3, 2),
-            "disk_hit_file_speedup": round(file_speedup, 1),
-            "disk_hit_file_floor": FILE_HIT_FLOOR,
-        })
-        emit("warm_disk_hit", "\n".join([
-            f"Disk-tier compile speedup ({CHAIN_DEPTH}-module chain)",
-            f"  cold levelize+codegen: {t_cold * 1e3:7.1f}ms",
-            f"  disk hit (preloaded):  {t_warm * 1e3:7.1f}ms  "
-            f"{warm_speedup:5.1f}x  (floor {DISK_HIT_FLOOR}x)",
-            f"  disk hit (cold file):  {t_file * 1e3:7.1f}ms  "
-            f"{file_speedup:5.1f}x  (floor {FILE_HIT_FLOOR}x)",
-            f"  one-time preload:      {t_preload * 1e3:7.1f}ms",
-            "[also saved to benchmarks/results/BENCH_warm.json]",
-        ]))
-        assert warm_speedup >= DISK_HIT_FLOOR, (
-            f"preloaded disk-hit speedup regressed: {warm_speedup:.1f}x")
-        assert file_speedup >= FILE_HIT_FLOOR, (
-            f"cold-file disk-hit speedup regressed: {file_speedup:.1f}x")
-    finally:
-        clear_schedule_cache()
-        schedule_store.configure(str(prev) if prev is not None else None)
 
 
 def test_warm_pool_campaign_speedup(emit, tmp_path):
@@ -187,7 +80,7 @@ def test_warm_pool_campaign_speedup(emit, tmp_path):
              for s in range(CAMPAIGN_CELLS)]
     try:
         # Cold baseline: no disk tier and a fresh pool per call, so every
-        # worker starts, imports and levelizes its topologies from scratch
+        # worker starts, imports and compiles its kernels from scratch
         # (the parent cache is cleared first so forked children cannot
         # inherit a warm one).
         schedule_store.configure(None)
@@ -219,23 +112,22 @@ def test_warm_pool_campaign_speedup(emit, tmp_path):
         t_cold = min(colds)
         t_warm = min(warms)
         speedup = t_cold / t_warm
-        stats = worker_pool.pool_stats()
-        _merge_report("warm_pool_campaign", {
-            "cells": CAMPAIGN_CELLS,
-            "jobs": CAMPAIGN_JOBS,
-            "cold_pool_s": round(t_cold, 3),
-            "warm_pool_s": round(t_warm, 3),
-            "speedup": round(speedup, 2),
-            "speedup_floor": WARM_POOL_FLOOR,
-            "affinity_hit_rate": stats.get("affinity_hit_rate", 0.0),
-        })
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / "BENCH_warm.json").write_text(json.dumps({
+            "warm_pool_campaign": {
+                "cells": CAMPAIGN_CELLS,
+                "jobs": CAMPAIGN_JOBS,
+                "cold_pool_s": round(t_cold, 3),
+                "warm_pool_s": round(t_warm, 3),
+                "speedup": round(speedup, 2),
+                "speedup_floor": WARM_POOL_FLOOR,
+            }}, indent=2) + "\n")
         emit("warm_pool_campaign", "\n".join([
             f"Warm-pool campaign speedup ({CAMPAIGN_CELLS} cells, "
             f"{CAMPAIGN_JOBS} jobs)",
             f"  cold pools: {t_cold * 1e3:7.0f}ms per campaign",
             f"  warm pool:  {t_warm * 1e3:7.0f}ms per campaign   "
             f"{speedup:.2f}x  (floor {WARM_POOL_FLOOR}x)",
-            f"  affinity hit rate: {stats.get('affinity_hit_rate', 0.0):.2f}",
             "[also saved to benchmarks/results/BENCH_warm.json]",
         ]))
         assert speedup >= WARM_POOL_FLOOR, (

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ConfigError
 from repro.sim.simulator import SCHEDULERS
 
-__all__ = ["execute_job", "check_job", "job_affinity", "JobParamError",
-           "JOB_KINDS", "JOB_PARAMS"]
+__all__ = ["execute_job", "check_job", "JobParamError", "JOB_KINDS",
+           "JOB_PARAMS"]
 
 _RECORDING = {
     "app": str, "seed": int, "scale": float, "scheduler": str,
@@ -276,25 +276,10 @@ def execute_job(kind: str, params: Dict[str, Any],
 
     Top-level and picklable by construction: the warm pool ships
     ``(execute_job, kind, params)`` to a worker whose ``_warm_init`` has
-    already pre-imported the harness and pre-bound the disk schedules.
+    already pre-imported the harness and preloaded the disk schedules.
     ``progress`` receives a campaign's progress lines.
     """
     params = dict(params or {})
     check_job(kind, params)
     return _HANDLERS[kind](params, progress)
 
-
-def job_affinity(kind: str, params: Dict[str, Any]) -> Optional[Tuple]:
-    """Topology-affinity key for the daemon's warm-pool routing.
-
-    Everything that feeds the compiled-schedule key — app, scale,
-    scheduler, flight mode — without per-job noise like seeds, so jobs
-    that share a kernel land on a worker that has already bound it.
-    """
-    params = params or {}
-    if kind == "salvage":
-        return None    # pure parsing, no kernel to share
-    return ("job", kind if kind != "divergence" else "record",
-            params.get("app", "sha256"), params.get("scale"),
-            params.get("scheduler"),
-            bool(params.get("flight_recorder")))

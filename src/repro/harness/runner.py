@@ -147,10 +147,7 @@ def record_run(spec: AppSpec, config: VidiConfig, seed: int,
             "comb_evals": sim.comb_evals,
             "quiescent_cycles": sim.quiescent_cycles,
             "compile_s": sim.compile_s,
-            "rank_count": sim.rank_count,
-            "demoted_sccs": sim.demoted_sccs,
-            "rank_evals": list(sim.rank_evals),
-            "schedule_cache_hit": sim.schedule_cache_hit,
+            "schedule_cache_tier": sim.schedule_cache_tier,
             "schedule_cache": schedule_cache_stats(),
         }
     return metrics

@@ -9,59 +9,51 @@ paid once per worker rather than once per call.
 Design:
 
 * The pool is ``size`` independent single-worker executors ("slots")
-  rather than one N-worker executor. That buys two things a monolithic
-  pool cannot provide: **routing** (a task can be sent to a specific
-  slot) and **surgical recycling** (a crashed worker poisons only its
-  own slot; the other N-1 warm workers keep their caches).
-* Submissions without an affinity key round-robin over the slots, so
-  the cells of one sweep or sharded replay run side by side. The
-  daemon's jobs carry a topology-affinity key instead:
-  ``crc32(repr(key))`` picks the slot, so equal keys share a worker —
-  and its in-process schedule cache — within a run *and* across runs
-  (no dependence on ``PYTHONHASHSEED``).
+  rather than one N-worker executor, which buys **surgical recycling**:
+  a crashed worker poisons only its own slot, and the other N-1 warm
+  workers keep their caches.
+* One dispatch rule: :meth:`WarmPool.submit` takes the slot with the
+  fewest unfinished tasks, the lowest index on a tie. The cells of one
+  sweep or sharded replay therefore run side by side, and under the
+  daemon's in-flight cap a job always starts on an idle worker. Any
+  worker serves any job: equal generated step source shares one code
+  object in every worker that has compiled it once, and the disk tier
+  shares it across workers.
 * Each worker runs :func:`_warm_init` once at start: it pre-imports the
-  heavy ``repro`` modules and pre-binds every compiled schedule from the
+  heavy ``repro`` modules and preloads every compiled step from the
   on-disk cache (:mod:`repro.sim.schedule_store`) into RAM, so the first
-  real cell dispatched to it binds in microseconds instead of
-  levelizing. The cache directory is whatever
+  real cell dispatched to it skips ``compile()`` for every source already
+  stored. The cache directory is whatever
   :func:`~repro.sim.schedule_store.configure` last set; :func:`get_pool`
   restarts a pool whose workers started under another one.
-
-The pool registers its affinity counters with
-:func:`repro.sim.compile.register_cache_stats_provider`, so
-``schedule_cache_stats()`` — and therefore ``--profile`` output — shows
-the worker-affinity hit rate without the sim layer ever importing the
-harness.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing.util
-import zlib
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.sim import schedule_store
 
 __all__ = ["WarmPool", "get_pool", "shutdown_pool", "pool_stats"]
 
 _STATS = {
-    "affinity_dispatches": 0,   # submits that carried an affinity key
-    "affinity_hits": 0,         # ... whose slot had already seen that key
     "workers_recycled": 0,      # slots replaced after a hard crash
     "warm_submits": 0,          # total cells dispatched through the pool
 }
 
 
 def _warm_init() -> None:
-    """Worker initializer: pre-import repro and pre-bind disk schedules.
+    """Worker initializer: pre-import repro and preload disk entries.
 
     Runs once per worker process. After it returns, the worker holds the
     full ``repro`` import graph and a RAM mirror of every valid on-disk
-    schedule entry, so its first cell skips both import cost and cold
-    levelization.
+    compiled step, so its first cell skips both import cost and
+    ``compile()`` for every stored source.
 
     A forked worker also inherits its parent's ``_POOL``, whose executors
     belong to the parent; a task that parallelises inside the worker
@@ -81,13 +73,8 @@ def _warm_init() -> None:
     schedule_store.preload()
 
 
-def _stable_slot(affinity: object, size: int) -> int:
-    """Deterministic slot for an affinity key (PYTHONHASHSEED-proof)."""
-    return zlib.crc32(repr(affinity).encode("utf-8", "replace")) % size
-
-
 class WarmPool:
-    """N warm single-worker executors: round-robin or affinity dispatch."""
+    """N warm single-worker executors; a task goes to the least-busy slot."""
 
     def __init__(self, size: int):
         if size < 1:
@@ -96,65 +83,65 @@ class WarmPool:
         # The schedule-cache directory the workers inherit and preload.
         self.cache_dir = schedule_store.cache_dir()
         self._slots: List[Optional[ProcessPoolExecutor]] = [None] * size
-        # Affinity keys each slot's worker has already compiled/bound.
-        self._seen: List[Set[object]] = [set() for _ in range(size)]
-        self._rr = 0
+        # Unfinished tasks per slot, released by each future's callback.
+        self._unfinished = [0] * size
+        self._lock = threading.Lock()
 
     # -- slot management ------------------------------------------------
 
     def _executor(self, slot: int) -> ProcessPoolExecutor:
-        ex = self._slots[slot]
-        if ex is None:
-            ex = ProcessPoolExecutor(max_workers=1, initializer=_warm_init)
-            self._slots[slot] = ex
+        with self._lock:
+            ex = self._slots[slot]
+            if ex is None:
+                ex = ProcessPoolExecutor(max_workers=1, initializer=_warm_init)
+                self._slots[slot] = ex
         return ex
 
-    def slot_for(self, affinity: object) -> int:
-        """Pick a slot: by affinity key when given, else round-robin."""
-        if affinity is None:
-            self._rr = (self._rr + 1) % self.size
-            return self._rr
-        _STATS["affinity_dispatches"] += 1
-        slot = _stable_slot(affinity, self.size)
-        if affinity in self._seen[slot]:
-            _STATS["affinity_hits"] += 1
-        else:
-            self._seen[slot].add(affinity)
-        return slot
+    def submit(self, fn, *args):
+        """Submit ``fn(*args)`` to the slot with the fewest unfinished tasks.
 
-    def submit(self, fn, *args, affinity: object = None):
-        """Submit ``fn(*args)`` to the slot :meth:`slot_for` picks.
-
-        A slot whose worker died earlier raises ``BrokenProcessPool``
-        straight from ``submit``; that slot is recycled and the call
-        retried once on the fresh worker, so callers only ever see
-        breakage through a future's ``result()``.
+        Ties go to the lowest slot index. A slot whose worker died earlier
+        raises ``BrokenProcessPool`` straight from ``submit``; that slot is
+        recycled and the call retried once on the fresh worker, so callers
+        only ever see breakage through a future's ``result()``. The
+        future's ``warm_slot`` names the slot it ran on.
         """
-        slot = self.slot_for(affinity)
-        _STATS["warm_submits"] += 1
+        with self._lock:
+            slot = min(range(self.size), key=self._unfinished.__getitem__)
+            self._unfinished[slot] += 1
+            _STATS["warm_submits"] += 1
         try:
-            future = self._executor(slot).submit(fn, *args)
-        except (BrokenProcessPool, RuntimeError):
-            self.recycle(slot)
-            future = self._executor(slot).submit(fn, *args)
+            try:
+                future = self._executor(slot).submit(fn, *args)
+            except (BrokenProcessPool, RuntimeError):
+                self.recycle(slot)
+                future = self._executor(slot).submit(fn, *args)
+        except BaseException:
+            self._release(slot)
+            raise
         future.warm_slot = slot
+        future.add_done_callback(lambda _f: self._release(slot))
         return future
+
+    def _release(self, slot: int) -> None:
+        with self._lock:
+            self._unfinished[slot] -= 1
 
     def recycle(self, slot: int) -> None:
         """Replace one broken slot; the other workers stay warm."""
-        ex = self._slots[slot]
-        self._slots[slot] = None
-        self._seen[slot] = set()
-        _STATS["workers_recycled"] += 1
+        with self._lock:
+            ex, self._slots[slot] = self._slots[slot], None
+            _STATS["workers_recycled"] += 1
         if ex is not None:
             ex.shutdown(wait=False, cancel_futures=True)
 
     def grow(self, size: int) -> None:
         """Widen the pool in place (never shrinks: warm slots are assets)."""
         if size > self.size:
-            self._slots.extend([None] * (size - self.size))
-            self._seen.extend(set() for _ in range(size - self.size))
-            self.size = size
+            with self._lock:
+                self._slots.extend([None] * (size - self.size))
+                self._unfinished.extend([0] * (size - self.size))
+                self.size = size
 
     def live_workers(self) -> int:
         return sum(1 for ex in self._slots if ex is not None)
@@ -182,7 +169,6 @@ class WarmPool:
             self._slots[slot] = None
             if ex is not None:
                 ex.shutdown(wait=wait, cancel_futures=True)
-        self._seen = [set() for _ in range(self.size)]
 
 
 # ----------------------------------------------------------------------
@@ -226,17 +212,8 @@ def reset_stats() -> None:
 
 
 def pool_stats() -> Dict[str, object]:
-    """Affinity/recycle counters, merged into ``schedule_cache_stats()``."""
+    """Recycle/submit counters and the pool's width and live workers."""
     stats: Dict[str, object] = dict(_STATS)
-    dispatches = _STATS["affinity_dispatches"]
-    stats["affinity_hit_rate"] = (
-        _STATS["affinity_hits"] / dispatches if dispatches else 0.0)
     stats["warm_pool_size"] = _POOL.size if _POOL is not None else 0
     stats["warm_pool_live"] = _POOL.live_workers() if _POOL is not None else 0
     return stats
-
-
-# Publish affinity counters through the sim layer's stats hook.
-from repro.sim.compile import register_cache_stats_provider  # noqa: E402
-
-register_cache_stats_provider(pool_stats)

@@ -7,13 +7,13 @@ deterministic from the submission order:
 * a binary heap orders jobs by ``(priority, sequence)`` — lower priority
   number first, FIFO within a priority level;
 * a single scheduler thread pops ready jobs and submits
-  :func:`repro.harness.jobs.execute_job` to the warm pool with the job's
-  topology-affinity key (:func:`repro.harness.jobs.job_affinity`), so
-  jobs sharing a compiled kernel land on workers that already hold it;
+  :func:`repro.harness.jobs.execute_job` to the warm pool, which hands
+  each to its least-busy worker;
 * in-flight work is capped at the pool width — the heap, not the pool's
   internal queues, holds the backlog, which keeps priorities honest
   (a queued high-priority job overtakes queued low-priority ones, never
-  stuck behind them inside an executor).
+  stuck behind them inside an executor), and a dispatched job always
+  starts on an idle worker.
 
 Every finished job's result (or error) is appended to the persistent
 results store, so verdicts survive the daemon.
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.harness import worker_pool
-from repro.harness.jobs import check_job, execute_job, job_affinity
+from repro.harness.jobs import check_job, execute_job
 from repro.service.results import ResultsStore
 
 __all__ = ["Job", "JobQueue"]
@@ -138,8 +138,7 @@ class JobQueue:
     def _dispatch(self, job: Job) -> None:
         pool = worker_pool.get_pool(self.jobs)
         try:
-            future = pool.submit(execute_job, job.kind, job.params,
-                                 affinity=job_affinity(job.kind, job.params))
+            future = pool.submit(execute_job, job.kind, job.params)
         except Exception as exc:             # pool hard-down: fail the job
             self._finish(job, None, f"dispatch failed: {exc}")
             return

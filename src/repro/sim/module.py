@@ -47,17 +47,18 @@ design and fails if anything moves.
 Static-scheduling declarations (compiled kernel)
 ------------------------------------------------
 
-The ``"compiled"`` scheduler levelizes the declared sensitivity graph at
-elaboration time and generates a fused per-cycle step function
-(:mod:`repro.sim.compile`). Two further declarations feed that pass; both
-are optional and purely performance hints — undeclared modules stay
+The ``"compiled"`` scheduler ranks the declared sensitivity graph at its
+first step and generates a fused per-cycle step function
+(:mod:`repro.sim.compile`). Two further declarations feed it; both are
+optional and purely performance hints — undeclared modules stay
 correct, they just get the conservative treatment:
 
 * ``self.drives(sig, ...)`` — the signals ``comb()`` combinationally
   drives. Together with ``sensitive_to`` this yields the module-level
-  dependency edges the levelizer ranks; a module without ``drives()``
-  simply contributes no out-edges (its readers may settle one delta pass
-  later, which the settle's work-list loop absorbs).
+  dependency edges whose walk orders the settle (drivers rank before
+  their readers); a module without ``drives()`` simply contributes no
+  out-edges (its readers may settle one delta pass later, which the
+  settle's work-list loop absorbs).
 * ``self.seq_idle_when(term, ...)`` — a conjunction of conditions under
   which this module's ``seq()`` is provably a no-op, letting the compiled
   kernel skip the call entirely on idle cycles. Terms:
@@ -191,8 +192,8 @@ class Module:
     def drives(self, *signals: Signal) -> None:
         """Declare the signals this module's ``comb()`` drives.
 
-        Consumed by the compiled scheduler's levelization pass; see the
-        module docstring. May be called several times (each call appends).
+        Only orders the compiled scheduler's rank walk; see the module
+        docstring. May be called several times (each call appends).
         """
         if self._drives is None:
             self._drives = []

@@ -1,42 +1,37 @@
-"""On-disk tier of the compiled-schedule cache.
+"""On-disk tier of the compiled-step cache.
 
-:mod:`repro.sim.compile` caches compiled kernels *in-process*: the first
-simulator of a topology pays levelization + codegen + ``compile()``, every
-later one re-binds the cached code object in microseconds. That cache dies
-with the process — and campaigns, sweeps and sharded replays are built out
-of many short-lived worker processes that each re-pay the full cold
-compile for a topology some earlier worker (or an earlier invocation of
-the whole harness) already compiled.
+:mod:`repro.sim.compile` caches compiled kernels *in-process*: every
+simulator generates its step source, and only the first one to generate
+a given source pays ``compile()`` for it. That cache dies with the
+process — and campaigns, sweeps and sharded replays are built out of
+many short-lived worker processes that each re-pay ``compile()`` for a
+source some earlier worker (or an earlier invocation of the whole
+harness) already compiled.
 
-This module persists the compiled artifact so the work is paid once per
-*deployment topology*, not once per process:
+This module persists the code object so ``compile()`` is paid once per
+generated source, not once per process:
 
-* **What is stored.** Everything ``_CacheEntry`` holds that survives
-  serialization: the generated step source, the ``marshal``-ed code
-  object, the binding recipe (structural addresses only — the recipe of a
-  cacheable kernel never references live objects), the stage shapes,
-  fallback-list orders and the schedule statistics. A disk hit re-binds
-  via ``exec`` exactly like an in-process hit; it never re-levelizes.
+* **What is stored.** The pair ``(source, code)``: the generated step
+  source and its ``marshal``-ed code object. Nothing else — ranks and the
+  namespace the code runs in are rebuilt for every simulator.
 
 * **Key derivation.** The file name is a SHA-256 over (store format
-  version, ``repro.__version__``, the Python implementation cache tag,
-  a fingerprint of the *codegen source itself* — the bytes of
-  ``sim/compile.py`` — and ``repr(schedule_key(sim))``). Upgrading the
-  package, changing the codegen, or switching interpreters therefore
-  changes every key: an old cached step function can never be bound by a
-  newer codegen (it is simply never found). The structural
-  ``schedule_key`` part is the same fingerprint the in-process cache
-  trusts.
+  version, the Python implementation cache tag, the source). A codegen
+  change that alters the emitted source, or another interpreter, looks
+  up another key, so an entry is only ever found by the source it was
+  compiled from. Equal source compiles to equal code, so a hit can never
+  bind code a cold compile would not have made.
 
 * **Write discipline.** Entries are written crash-safely: payload
   framed as ``magic + crc32 + length + marshal``, written to a ``.part``
   sibling, fsynced, then atomically renamed into place. Concurrent
   writers of the same key race benignly — they write identical bytes.
 
-* **Corruption policy.** A missing, truncated, CRC-failing, unreadable
-  or version-stale entry is *silently* discarded (and best-effort
-  deleted): the caller falls back to a cold compile. The cache can make
-  a compile slower, never a kernel wrong.
+* **Corruption policy.** A truncated, CRC-failing, unreadable or stale
+  entry — one whose stored source does not hash to its file name — is
+  *silently* discarded (and best-effort deleted): the caller falls back
+  to a cold compile. The cache can make a compile slower, never a kernel
+  wrong.
 
 The store is off unless configured — by :func:`configure`, or by the
 ``REPRO_SCHEDULE_CACHE`` environment variable (which is how warm pool
@@ -46,16 +41,17 @@ worker processes inherit it under the ``spawn`` start method; under
 
 from __future__ import annotations
 
+import hashlib
 import marshal
 import os
+import sys
 import zlib
 from pathlib import Path
 from typing import Dict, Optional
 
-import repro
-
-#: Bump when the payload layout changes; stale-format entries never load.
-FORMAT_VERSION = 1
+#: Bump when the key derivation or payload layout changes; entries of
+#: another format never validate.
+FORMAT_VERSION = 2
 
 _MAGIC = b"RSC1"
 _SUFFIX = ".sched"
@@ -66,8 +62,8 @@ _DIR: Optional[Path] = None
 _ENV_CHECKED = False
 
 #: RAM mirror of disk entries (filled by :func:`preload` in warm workers)
-#: so a pre-bound worker's first compile needs no file I/O at all.
-_PRELOADED: Dict[str, dict] = {}
+#: so a warm worker's first compile needs no file I/O at all.
+_PRELOADED: Dict[str, tuple] = {}
 
 _STATS = {
     "disk_hits": 0,
@@ -75,14 +71,6 @@ _STATS = {
     "disk_invalidations": 0,
     "disk_writes": 0,
 }
-
-# The payload fields a valid entry must carry (everything _CacheEntry
-# needs plus the self-describing version/identity fields).
-_REQUIRED = (
-    "format", "repro_version", "python_tag", "key", "source", "source_sha",
-    "code", "recipe", "stage_shapes", "always_orders", "dynamic_orders",
-    "guarded_seq", "total_seq", "rank_count", "demoted_sccs",
-)
 
 
 # ----------------------------------------------------------------------
@@ -128,53 +116,16 @@ def cache_dir() -> Optional[Path]:
 # key derivation
 # ----------------------------------------------------------------------
 
-_CODEGEN_SHA: Optional[str] = None
+
+def _python_tag() -> str:
+    return sys.implementation.cache_tag or sys.version
 
 
-def _codegen_fingerprint() -> str:
-    """SHA-256 of the codegen implementation (``sim/compile.py``) itself.
-
-    Folding the generator's own source into every key means a future PR
-    that changes what the generated step function looks like invalidates
-    the whole store implicitly — an old entry can never be bound against
-    a newer codegen's expectations.
-    """
-    global _CODEGEN_SHA
-    if _CODEGEN_SHA is None:
-        import hashlib
-
-        src = (Path(__file__).parent / "compile.py").read_bytes()
-        _CODEGEN_SHA = hashlib.sha256(src).hexdigest()
-    return _CODEGEN_SHA
-
-
-def store_key(schedule_key: tuple) -> str:
-    """The disk key (file stem) for one structural fingerprint.
-
-    ``schedule_key`` is built from class qualnames, ints, bools, ``None``
-    and nested tuples; hashing its marshalled form is the cheapest stable
-    serialization available (marshal bytes only vary across interpreter
-    builds, and the interpreter cache tag is already part of the hashed
-    material). The key derivation is on the disk-hit path, so it has to
-    stay cheap.
-    """
-    import hashlib
-    import sys
-
-    digest = hashlib.sha256("\x00".join((
-        str(FORMAT_VERSION),
-        repro.__version__,
-        sys.implementation.cache_tag or sys.version,
-        _codegen_fingerprint(),
-    )).encode())
-    digest.update(marshal.dumps(schedule_key))
+def store_key(source: str) -> str:
+    """The disk key (file stem) for one generated step source."""
+    digest = hashlib.sha256(f"{FORMAT_VERSION}\x00{_python_tag()}\x00".encode())
+    digest.update(source.encode())
     return digest.hexdigest()
-
-
-def _source_sha(source: str) -> str:
-    import hashlib
-
-    return hashlib.sha256(source.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -182,11 +133,11 @@ def _source_sha(source: str) -> str:
 # ----------------------------------------------------------------------
 
 
-def _encode(payload: dict) -> bytes:
-    # The payload is plain data (str/int/bool/None/tuple/dict) and one code
-    # object, so marshal — several times faster than pickle to
-    # deserialize, and deserialization is the disk-hit hot path — handles
-    # it natively. A serializer tag byte leads the framed body.
+def _encode(payload) -> bytes:
+    # The payload is a source string and one code object, so marshal —
+    # several times faster than pickle to deserialize, and
+    # deserialization is the disk-hit hot path — handles it natively. A
+    # serializer tag byte leads the framed body.
     body = b"M" + marshal.dumps(payload)
     return (_MAGIC
             + zlib.crc32(body).to_bytes(4, "little")
@@ -194,7 +145,7 @@ def _encode(payload: dict) -> bytes:
             + body)
 
 
-def _decode(blob: bytes) -> dict:
+def _decode(blob: bytes):
     """Parse a framed entry; raises on any damage (caller treats as stale)."""
     if len(blob) < 16 or blob[:4] != _MAGIC:
         raise ValueError("bad schedule-store magic")
@@ -207,10 +158,7 @@ def _decode(blob: bytes) -> dict:
         raise ValueError("schedule-store CRC32 mismatch")
     if body[:1] != b"M":
         raise ValueError("unknown schedule-store serializer tag")
-    payload = marshal.loads(body[1:])
-    if not isinstance(payload, dict):
-        raise ValueError("schedule-store payload is not a dict")
-    return payload
+    return marshal.loads(body[1:])
 
 
 # ----------------------------------------------------------------------
@@ -218,11 +166,8 @@ def _decode(blob: bytes) -> dict:
 # ----------------------------------------------------------------------
 
 
-def save(schedule_key: tuple, source: str, code, recipe: dict,
-         stage_shapes: tuple, always_orders: tuple, dynamic_orders: tuple,
-         guarded_seq: int, total_seq: int, rank_count: int,
-         demoted_sccs: int) -> Optional[Path]:
-    """Persist one compiled artifact; returns the path, or ``None``.
+def save(source: str, code) -> Optional[Path]:
+    """Persist one compiled step; returns the path, or ``None``.
 
     Failures (read-only dir, full disk) are swallowed — a cache write
     must never break a compile. Uses atomic rename so a crash mid-write
@@ -231,25 +176,8 @@ def save(schedule_key: tuple, source: str, code, recipe: dict,
     directory = cache_dir()
     if directory is None:
         return None
-    key = store_key(schedule_key)
-    payload = {
-        "format": FORMAT_VERSION,
-        "repro_version": repro.__version__,
-        "python_tag": _python_tag(),
-        "key": key,
-        "source": source,
-        "source_sha": _source_sha(source),
-        # Raw code object: the marshal frame serializes it natively.
-        "code": code,
-        "recipe": recipe,
-        "stage_shapes": stage_shapes,
-        "always_orders": always_orders,
-        "dynamic_orders": dynamic_orders,
-        "guarded_seq": guarded_seq,
-        "total_seq": total_seq,
-        "rank_count": rank_count,
-        "demoted_sccs": demoted_sccs,
-    }
+    key = store_key(source)
+    payload = (source, code)
     try:
         framed = _encode(payload)
         directory.mkdir(parents=True, exist_ok=True)
@@ -267,48 +195,41 @@ def save(schedule_key: tuple, source: str, code, recipe: dict,
     return final
 
 
-def _python_tag() -> str:
-    import sys
-
-    return sys.implementation.cache_tag or sys.version
-
-
-def _validate(payload: dict, key: str) -> dict:
-    """Reject entries written by a different package/codegen/interpreter."""
-    for field in _REQUIRED:
-        if field not in payload:
-            raise ValueError(f"schedule-store entry missing {field!r}")
-    if payload["format"] != FORMAT_VERSION:
-        raise ValueError("schedule-store format version mismatch")
-    if payload["repro_version"] != repro.__version__:
-        raise ValueError("schedule-store repro version mismatch")
-    if payload["python_tag"] != _python_tag():
-        raise ValueError("schedule-store python tag mismatch")
-    if payload["key"] != key:
-        raise ValueError("schedule-store key mismatch")
-    if payload["source_sha"] != _source_sha(payload["source"]):
-        raise ValueError("schedule-store generated-source hash mismatch")
-    if not hasattr(payload["code"], "co_code"):
+def _validate(payload, key: str) -> tuple:
+    """Reject anything but a ``(source, code)`` pair stored under its key."""
+    if not (isinstance(payload, tuple) and len(payload) == 2
+            and isinstance(payload[0], str)):
+        raise ValueError("schedule-store payload is not (source, code)")
+    if store_key(payload[0]) != key:
+        raise ValueError("schedule-store source does not match its key")
+    if not hasattr(payload[1], "co_code"):
         raise ValueError("schedule-store entry holds no code object")
     return payload
 
 
-def load(schedule_key: tuple) -> Optional[dict]:
-    """Look one fingerprint up in the disk tier.
+def _discard(path: Path) -> None:
+    _STATS["disk_invalidations"] += 1
+    try:
+        path.unlink()
+    except OSError:
+        pass
 
-    Returns the validated payload dict, whose ``payload['code']`` is a
-    code object, or ``None`` (cold compile).
-    Every failure mode — absent file, torn bytes, stale versions — lands
+
+def load(source: str):
+    """Look one generated source up in the disk tier.
+
+    Returns its code object, or ``None`` (cold compile). Every failure
+    mode — absent file, torn bytes, a stale or mismatched entry — lands
     on the ``None`` path; damaged files are unlinked best-effort so they
     are not re-parsed forever.
     """
     directory = cache_dir()
     if directory is None:
         return None
-    key = store_key(schedule_key)
+    key = store_key(source)
     payload = _PRELOADED.get(key)
-    path = directory / (key + _SUFFIX)
     if payload is None:
+        path = directory / (key + _SUFFIX)
         try:
             blob = path.read_bytes()
         except OSError:
@@ -317,22 +238,18 @@ def load(schedule_key: tuple) -> Optional[dict]:
         try:
             payload = _validate(_decode(blob), key)
         except Exception:
-            _STATS["disk_invalidations"] += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            _discard(path)
             return None
     _STATS["disk_hits"] += 1
-    return payload
+    return payload[1]
 
 
 def preload() -> int:
     """Read every valid entry into the RAM mirror; returns the count.
 
     Warm pool workers call this from their initializer so the first
-    ``compile_kernel`` of a known topology binds without touching the
-    filesystem.
+    ``compile_kernel`` of a known source finds its code without touching
+    the filesystem.
     """
     directory = cache_dir()
     if directory is None:
@@ -350,11 +267,7 @@ def preload() -> int:
         try:
             payload = _validate(_decode(path.read_bytes()), key)
         except Exception:
-            _STATS["disk_invalidations"] += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            _discard(path)
             continue
         _PRELOADED[key] = payload
         loaded += 1

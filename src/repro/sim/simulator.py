@@ -27,10 +27,11 @@ Two interchangeable kernels (:data:`SCHEDULERS`) implement a cycle:
   every ``comb()`` re-runs, and a ``seq()`` whose idle guard holds must
   do nothing).
 * ``"compiled"`` — static scheduling. At the first ``step()`` the declared
-  sensitivity graph is levelized (:mod:`repro.sim.compile`) — comb modules
-  topologically ranked by their ``drives()`` → ``sensitive_to()`` edges,
-  true combinational cycles demoted to stages of their own — and a fused
-  per-cycle step function is generated (``exec`` of assembled source):
+  comb modules are ranked (:mod:`repro.sim.compile`) — one walk over their
+  ``drives()`` → ``sensitive_to()`` edges puts every module after the
+  modules upstream of it — and a fused per-cycle step function is
+  generated (``exec`` of assembled source, its code shared by every
+  simulator that generates the same source):
   the event kernel's work-list settle with each pass sorted by rank,
   straight-line ``seq()`` calls, each skipped while its module's
   ``seq_idle_when`` guard holds, an inlined commit, the same quiescent
@@ -142,15 +143,9 @@ class Simulator:
         self.quiescent_cycles = 0
         self.warped_cycles = 0
         self.warp_jumps = 0
-        # Compiled-kernel stats (populated by the levelization pass).
+        # Compiled-kernel stats: time spent building the kernel, and which
+        # cache tier served its code ("memory"/"disk"/"cold").
         self.compile_s = 0.0
-        self.rank_count = 0
-        self.demoted_sccs = 0
-        self.rank_evals: List[int] = []
-        # True when this sim's compiled kernel was re-bound from the
-        # in-process schedule cache instead of freshly generated; the
-        # tier records which level served it ("memory"/"disk"/"cold").
-        self.schedule_cache_hit = False
         self.schedule_cache_tier = "none"
 
     # ------------------------------------------------------------------
@@ -443,8 +438,6 @@ class Simulator:
         self.quiescent_cycles = 0
         self.warped_cycles = 0
         self.warp_jumps = 0
-        for i in range(len(self.rank_evals)):
-            self.rank_evals[i] = 0
 
     # ------------------------------------------------------------------
     # profiling

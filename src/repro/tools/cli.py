@@ -379,43 +379,27 @@ def _render_kernel_stats(stats: dict) -> str:
         f"quiescent cycles: {stats['quiescent_cycles']}",
     ]
     if stats["scheduler"] == "compiled":
-        lines.append(
-            f"compile time: {stats['compile_s'] * 1e3:.2f} ms, "
-            f"{stats['rank_count']} rank(s), "
-            f"{stats['demoted_sccs']} SCC(s) demoted to iterative settling")
-        evals = ", ".join(f"r{i}={n}" for i, n in
-                          enumerate(stats["rank_evals"]))
-        lines.append(f"per-rank comb evals: {evals or '(none)'}")
+        lines.append(f"compile time: {stats['compile_s'] * 1e3:.2f} ms")
         cache = stats.get("schedule_cache")
         if cache is not None:
-            hit = "hit" if stats.get("schedule_cache_hit") else "miss"
             lines.append(
-                f"schedule cache: {hit} for this run "
-                f"({cache['hits']} hit(s), {cache['misses']} miss(es), "
-                f"{cache['entries']} cached schedule(s) in-process)")
-            lines.extend(_render_cache_tiers(cache))
+                f"schedule cache: {stats['schedule_cache_tier']} for this "
+                f"run ({cache['hits']} hit(s), {cache['misses']} miss(es), "
+                f"{cache['entries']} cached step(s) in-process)")
+            lines.extend(_render_disk_tier(cache))
     return "\n".join(lines)
 
 
-def _render_cache_tiers(cache: dict) -> List[str]:
-    """Disk-tier and warm-pool lines of a schedule_cache_stats() dict."""
-    lines = []
-    if cache.get("disk_dir"):
-        lines.append(
-            f"disk tier: {cache['disk_hits']} hit(s), "
+def _render_disk_tier(cache: dict) -> List[str]:
+    """The disk-tier line of a schedule_cache_stats() dict, if configured."""
+    if not cache.get("disk_dir"):
+        return []
+    return [f"disk tier: {cache['disk_hits']} hit(s), "
             f"{cache['disk_misses']} miss(es), "
             f"{cache['disk_invalidations']} invalidation(s), "
             f"{cache['disk_writes']} write(s); {cache['disk_entries']} "
             f"entr{'y' if cache['disk_entries'] == 1 else 'ies'} "
-            f"({cache['disk_bytes']} bytes) in {cache['disk_dir']}")
-    if cache.get("affinity_dispatches"):
-        lines.append(
-            f"warm pool: {cache['warm_pool_live']}/{cache['warm_pool_size']} "
-            f"worker(s) live, affinity hit rate "
-            f"{cache['affinity_hit_rate']:.0%} over "
-            f"{cache['affinity_dispatches']} dispatch(es), "
-            f"{cache['workers_recycled']} recycled")
-    return lines
+            f"({cache['disk_bytes']} bytes) in {cache['disk_dir']}"]
 
 
 def _add_positional(parser: argparse.ArgumentParser, dest: str,
@@ -584,10 +568,9 @@ def cmd_cache(args) -> int:
         return 0
     stats = schedule_cache_stats()
     print(f"schedule cache: {stats['hits']} hit(s), "
-          f"{stats['misses']} miss(es), {stats['uncacheable']} "
-          f"uncacheable, {stats['entries']} in-process entr"
+          f"{stats['misses']} miss(es), {stats['entries']} in-process entr"
           f"{'y' if stats['entries'] == 1 else 'ies'}")
-    for line in _render_cache_tiers(stats):
+    for line in _render_disk_tier(stats):
         print(line)
     return 0
 
@@ -597,8 +580,8 @@ def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", default=None, metavar="DIR",
         help="two-level compiled-schedule cache directory (also set by "
              "the REPRO_SCHEDULE_CACHE environment variable): cold "
-             "compiles persist kernels there, later runs and warm "
-             "workers re-bind them without re-levelizing")
+             "compiles persist their code there, later runs and warm "
+             "workers that generate the same step source skip compile()")
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,17 @@
-"""Unit tests for the compiled scheduler's levelization and code generation.
+"""Unit tests for the compiled scheduler's rank walk and code generation.
 
 The app-level differential harness (``tests/test_scheduler_equivalence.py``)
 proves the compiled kernel bit-identical on whole deployments; these tests
 pin down the pieces on purpose-built micro-designs: topological rank
-ordering, SCC demotion to iterative settling, the undeclared-sensitivity
-fallback, seq-idle guard inlining, guard-term validation, and counter
-hygiene across ``reset()``.
+ordering, combinational cycles settling across passes, the
+undeclared-sensitivity fallback, seq-idle guard inlining, guard-term
+validation, and counter hygiene across ``reset()``.
 """
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.faults import run_campaign
-from repro.sim.compile import levelize
 from repro.sim.module import Module
 from repro.sim.simulator import Simulator
 
@@ -97,6 +96,22 @@ class SelfRamp(Module):
             self.out.drive(self.out.value + 1)
 
 
+class Sum(Module):
+    """out = a + b, combinationally (the join of a diamond)."""
+
+    comb_static = True
+
+    def __init__(self, name, a, b):
+        super().__init__(name)
+        self.a, self.b = a, b
+        self.out = self.signal("out", width=32)
+        self.sensitive_to(a, b)
+        self.drives(self.out)
+
+    def comb(self):
+        self.out.drive(self.a.value + self.b.value)
+
+
 class Undeclared(Module):
     """Real comb process with no sensitivity declaration at all — must get
     the conservative every-pass treatment under every scheduler."""
@@ -135,10 +150,10 @@ def _compiled_sim(*modules, name="t"):
 
 
 # ----------------------------------------------------------------------
-# levelization
+# rank walk
 # ----------------------------------------------------------------------
 
-class TestLevelize:
+class TestRankWalk:
     def test_chain_ranks_follow_the_graph_not_elaboration_order(self):
         a = Const("a", value=10)
         b = Inc("b", a.out)
@@ -146,36 +161,26 @@ class TestLevelize:
         # Added in reverse: ranks must come from drives→sensitivity edges.
         sim = _compiled_sim(c, b, a)
         sim.step()
-        lev = sim._compiled.levelization
-        assert [s.modules for s in lev.stages] == [(a,), (b,), (c,)]
-        assert [s.level for s in lev.stages] == [0, 1, 2]
-        assert not any(s.iterative for s in lev.stages)
-        assert sim.rank_count == 3
-        assert sim.demoted_sccs == 0
+        assert a._rank < b._rank < c._rank
+        # Drivers evaluate before their readers: one pass settles it.
+        assert sim.comb_evals == 3
         assert c.out.value == 12
 
-    def test_independent_modules_share_a_rank(self):
-        a, b = Const("a"), Const("b")
-        sim = _compiled_sim(a, b)
+    def test_independent_modules_keep_order(self):
+        a, b, c = Const("a"), Const("b"), Const("c")
+        sim = _compiled_sim(a, b, c)
         sim.step()
-        lev = sim._compiled.levelization
-        assert len(lev.stages) == 1
-        assert lev.stages[0].modules == (a, b)
+        assert a._rank < b._rank < c._rank
 
-    def test_cross_coupled_scc_is_demoted_to_iterative(self):
+    def test_cross_coupled_cycle_settles_before_reader(self):
         a, b = MaxOf("a"), MaxOf("b")
         a.couple(b)
         b.couple(a)
         tail = Inc("tail", a.out)
-        sim = _compiled_sim(a, b, tail)
+        sim = _compiled_sim(tail, a, b)
         sim.step()
-        lev = sim._compiled.levelization
-        assert sim.demoted_sccs == 1
-        scc = next(s for s in lev.stages if s.iterative)
-        assert set(scc.modules) == {a, b}
-        # The downstream reader ranks strictly after the cycle.
-        tail_stage = next(s for s in lev.stages if tail in s.modules)
-        assert tail_stage.level > scc.level
+        # The downstream reader ranks after every cycle member.
+        assert tail._rank > max(a._rank, b._rank)
         # The cycle actually settles: raising one floor lifts both outputs.
         a.set_floor(5)
         sim.step()
@@ -183,22 +188,23 @@ class TestLevelize:
         assert b.out.value == 5
         assert tail.out.value == 6
 
-    def test_self_loop_is_demoted_to_iterative(self):
+    def test_self_loop_still_settles(self):
         ramp = SelfRamp("ramp", target=7)
-        sim = _compiled_sim(ramp)
+        tail = Inc("tail", ramp.out)
+        sim = _compiled_sim(tail, ramp)
         sim.step()
-        assert sim.demoted_sccs == 1
-        assert sim._compiled.levelization.stages[0].iterative
+        assert ramp._rank < tail._rank
         assert ramp.out.value == 7
+        assert tail.out.value == 8
 
     def test_undeclared_module_falls_back_to_every_pass(self):
         a = Const("a", value=3)
         u = Undeclared("u", a.out)
         sim = _compiled_sim(a, u)
-        lev = levelize(sim._event_comb, sim._always_comb, sim._dynamic_comb)
-        assert u in lev.always
-        assert all(u not in s.modules for s in lev.stages)
-        sim.run(3)
+        sim.step()
+        assert sim._always_comb == [u]
+        assert not hasattr(u, "_rank")
+        sim.run(2)
         assert u.out.value == 6
         # Always-fallback modules force settling every cycle: the quiescent
         # fast path must stay off, exactly as under the event kernel.
@@ -208,14 +214,16 @@ class TestLevelize:
         sim.step()
         assert u.out.value == 16
 
-    def test_rank_eval_counters_sum_to_comb_evals(self):
-        a = Const("a")
-        b = Inc("b", a.out)
-        sim = _compiled_sim(a, b)
-        sim.run(4)
-        assert sim.comb_evals > 0
-        assert sum(sim.rank_evals) == sim.comb_evals
-        assert len(sim.rank_evals) == sim.rank_count
+    def test_diamond_settles_in_one_pass(self):
+        a = Const("a", value=1)
+        left, right = Inc("left", a.out), Inc("right", a.out)
+        join = Sum("join", left.out, right.out)
+        sim = _compiled_sim(join, right, left, a)
+        sim.step()
+        assert a._rank < min(left._rank, right._rank)
+        assert join._rank > max(left._rank, right._rank)
+        assert sim.comb_evals == 4
+        assert join.out.value == 4
 
 
 # ----------------------------------------------------------------------
@@ -253,24 +261,19 @@ class TestSeqIdleGuards:
 # ----------------------------------------------------------------------
 
 class TestResetAndCampaign:
-    def test_reset_zeroes_kernel_counters_in_place(self):
+    def test_reset_zeroes_kernel_counters(self):
         a = Const("a")
         b = Inc("b", a.out)
         sim = _compiled_sim(a, b)
         sim.run(5)
         assert sim.comb_evals > 0
-        rank_evals = sim.rank_evals
         sim.reset()
-        assert sim.comb_evals == 0
-        assert sim.quiescent_cycles == 0
-        assert sim.warped_cycles == 0
-        assert sim.warp_jumps == 0
-        # The generated code binds the rank_evals list object: reset must
-        # zero it in place, not rebind it.
-        assert sim.rank_evals is rank_evals
-        assert all(n == 0 for n in sim.rank_evals)
+        assert (sim.comb_evals, sim.quiescent_cycles,
+                sim.warped_cycles, sim.warp_jumps) == (0, 0, 0, 0)
+        # The kernel survives the reset and settles from power-on again.
         sim.run(5)
-        assert sum(sim.rank_evals) == sim.comb_evals
+        assert sim.comb_evals == 2
+        assert b.out.value == 2
 
     def test_event_scheduler_reset_zeroes_counters_too(self):
         a = Const("a")
@@ -346,8 +349,8 @@ class TestReplayDatapath:
         assert wrapped_validation == validation
 
     def test_profiled_replay_binds_unprofiled_schedule(self):
-        """Profiling wraps seq() per instance; the recipe binds the
-        wrappers, so the cache key and the generated source do not split."""
+        """Profiling wraps seq() per instance; the namespace binds the
+        wrappers, so the generated source (the cache key) does not split."""
         spec, trace = self._record_trace()
         reference, cycles, validation = self._replay(spec, trace)
         profiled, profiled_cycles, profiled_validation = self._replay(

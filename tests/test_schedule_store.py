@@ -1,9 +1,10 @@
-"""Disk tier of the compiled-schedule cache: correctness and corruption.
+"""Disk tier of the compiled-step cache: correctness and corruption.
 
-The contract under test is the one the module docstring promises: a disk
-hit re-binds the stored step source without re-levelizing and produces a
-kernel bit-identical to a cold compile, while *any* damaged or stale
-entry — truncated, garbage, CRC-flipped, version-skewed — silently falls
+The contract under test is the one the module docstring promises: the
+generated source is the key, a disk hit skips ``compile()`` and produces
+a kernel bit-identical to a cold compile, equal source shares one code
+object, while *any* damaged or stale entry — truncated, garbage,
+CRC-flipped, of another format, interpreter or source — silently falls
 back to the cold path. The cache may make a compile slower; it must
 never make a kernel wrong.
 """
@@ -16,11 +17,7 @@ import pytest
 
 from repro.sim import schedule_store
 from repro.sim import compile as compile_mod
-from repro.sim.compile import (
-    clear_schedule_cache,
-    schedule_cache_stats,
-    schedule_key,
-)
+from repro.sim.compile import clear_schedule_cache, schedule_cache_stats
 from repro.sim.module import Module
 from repro.sim.simulator import Simulator
 
@@ -96,15 +93,13 @@ def test_disk_hit_skips_levelization(store_dir, monkeypatch):
     sim1.run(3)
     clear_schedule_cache()   # kill the in-process tier; disk files survive
 
-    # A disk hit must re-bind the stored source without re-levelizing:
-    # make any levelization attempt explode.
+    # A disk hit must find the stored code without compiling the source.
     def boom(*_a, **_k):
-        raise AssertionError("disk hit re-ran levelization")
+        raise AssertionError("disk hit ran compile()")
 
-    monkeypatch.setattr(compile_mod, "levelize", boom)
+    monkeypatch.setattr(compile_mod, "compile", boom, raising=False)
     sim2, tail2 = _chain_sim()
     sim2.run(3)
-    assert sim2.schedule_cache_hit
     assert sim2.schedule_cache_tier == "disk"
     assert tail2.out.value == tail1.out.value
     stats = schedule_cache_stats()
@@ -211,17 +206,15 @@ def test_garbage_entry_falls_back_cold(store_dir):
     """Garbage, and well-framed entries the marshal-only store does not
     write: a pickle (``P``) body, a code field that is not code."""
     def pickled(path):
-        payload = schedule_store._decode(path.read_bytes())
-        payload["code"] = marshal.dumps(payload["code"])
-        body = b"P" + pickle.dumps(payload)
+        source, code = schedule_store._decode(path.read_bytes())
+        body = b"P" + pickle.dumps((source, marshal.dumps(code)))
         path.write_bytes(schedule_store._MAGIC
                          + zlib.crc32(body).to_bytes(4, "little")
                          + len(body).to_bytes(8, "little") + body)
 
     def codeless(path):
-        payload = schedule_store._decode(path.read_bytes())
-        payload["code"] = marshal.dumps(payload["code"])
-        path.write_bytes(schedule_store._encode(payload))
+        source, code = schedule_store._decode(path.read_bytes())
+        path.write_bytes(schedule_store._encode((source, marshal.dumps(code))))
 
     for damage in (lambda p: p.write_bytes(b"\xde\xad" * 512), pickled,
                    codeless):
@@ -242,10 +235,11 @@ def test_crc_flip_falls_back_cold(store_dir):
 
 
 def test_stale_format_version_falls_back_cold(store_dir):
+    """An entry in the first format's layout (a dict payload)."""
     def stale(path):
-        payload = schedule_store._decode(path.read_bytes())
-        payload["format"] = schedule_store.FORMAT_VERSION + 1
-        path.write_bytes(schedule_store._encode(payload))
+        source, code = schedule_store._decode(path.read_bytes())
+        path.write_bytes(schedule_store._encode(
+            {"format": 1, "source": source, "code": code}))
 
     sim = _damage_and_recompile(store_dir, stale)
     assert sim.schedule_cache_tier == "cold"
@@ -253,10 +247,11 @@ def test_stale_format_version_falls_back_cold(store_dir):
 
 
 def test_tampered_source_hash_falls_back_cold(store_dir):
+    """A stored source that differs from the lookup's never binds."""
     def tamper(path):
-        payload = schedule_store._decode(path.read_bytes())
-        payload["source"] += "\n# tampered\n"
-        path.write_bytes(schedule_store._encode(payload))
+        source, code = schedule_store._decode(path.read_bytes())
+        path.write_bytes(schedule_store._encode(
+            (source + "\n# tampered\n", code)))
 
     sim = _damage_and_recompile(store_dir, tamper)
     assert sim.schedule_cache_tier == "cold"
@@ -264,46 +259,64 @@ def test_tampered_source_hash_falls_back_cold(store_dir):
 
 
 # ----------------------------------------------------------------------
-# key derivation: the stale-cache hazards that must change the key
+# the key is the generated source
 # ----------------------------------------------------------------------
 
 
-def test_store_key_depends_on_package_version(monkeypatch):
-    sim, _ = _chain_sim()
-    key = schedule_key(sim)
-    before = schedule_store.store_key(key)
-    import repro
+def test_store_key_depends_on_package_version(store_dir):
+    """Records of two apps, flight on and off, generate one source."""
+    from repro.apps.registry import get_app
+    from repro.core import VidiConfig
+    from repro.harness.runner import bench_config, build_record_deployment
 
-    monkeypatch.setattr(repro, "__version__", "999.0.0")
-    assert schedule_store.store_key(key) != before
+    kernels, tiers = [], []
+    for app in ("sha256", "dram_dma"):
+        for flight in (False, True):
+            dep, _, _ = build_record_deployment(
+                get_app(app), bench_config(VidiConfig.r2,
+                                           flight_recorder=flight),
+                seed=1, scheduler="compiled")
+            dep.sim._step_callable()
+            kernels.append(dep.sim._compiled)
+            tiers.append(dep.sim.schedule_cache_tier)
+    assert tiers == ["cold", "memory", "memory", "memory"]
+    code = kernels[0].step.__code__
+    assert all(k.step.__code__ is code for k in kernels)
+    assert schedule_cache_stats()["entries"] == 1
 
 
 def test_store_key_depends_on_codegen_source(store_dir, monkeypatch):
-    """The key follows the codegen's own source: an entry another
-    ``sim/compile.py`` wrote is never found."""
-    sim, _ = _chain_sim()
-    key = schedule_key(sim)
-    before = schedule_store.store_key(key)
-    sim.run(1)
-    monkeypatch.setattr(schedule_store, "_CODEGEN_SHA", "f" * 64)
-    assert schedule_store.store_key(key) != before
-    clear_schedule_cache()
+    """A codegen change that alters the emitted source misses both
+    tiers: an entry compiled from other source is never found."""
     sim, _ = _chain_sim()
     sim.run(1)
+    emit_settle = compile_mod._emit_settle
+
+    def changed(emit, *args):
+        emit("    pass  # a codegen change")
+        emit_settle(emit, *args)
+
+    monkeypatch.setattr(compile_mod, "_emit_settle", changed)
+    schedule_store.reset_stats()
+    sim, tail = _chain_sim()
+    sim.run(3)
     assert sim.schedule_cache_tier == "cold"
+    assert tail.out.value == 10
     assert schedule_cache_stats()["disk_misses"] == 1
+    assert len(_entry_files(store_dir)) == 2
 
 
 def test_version_skewed_entry_never_loads(store_dir, monkeypatch):
-    """Even a bit-perfect entry from another package version is invisible:
-    the version is part of the key, so the lookup misses entirely."""
+    """An entry written under another interpreter tag is invisible: the
+    tag is part of the key, so neither a lookup nor a preload takes it."""
+    monkeypatch.setattr(schedule_store, "_python_tag", lambda: "other-tag")
     sim1, _ = _chain_sim()
     sim1.run(1)
+    monkeypatch.undo()
     clear_schedule_cache()
-    import repro
-
-    monkeypatch.setattr(repro, "__version__", "999.0.0")
     sim2, _ = _chain_sim()
     sim2.run(1)
     assert sim2.schedule_cache_tier == "cold"
     assert schedule_cache_stats()["disk_misses"] == 1
+    clear_schedule_cache()
+    assert schedule_store.preload() == 1   # the current tag's entry only

@@ -118,7 +118,7 @@ def test_event_scheduler_actually_skips_work():
 
 
 def test_compiled_scheduler_actually_skips_work():
-    """Same non-vacuousness check for the compiled kernel: levelized
+    """Same non-vacuousness check for the compiled kernel: rank-sorted
     sweeps plus quiescence must cut comb evaluations by an order of
     magnitude versus one blanket pass per cycle."""
     compiled = _run_with_history("sha256", "compiled")

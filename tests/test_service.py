@@ -325,8 +325,7 @@ def test_warm_pool_graceful_shutdown_leaks_no_workers(tmp_path):
     try:
         pool = worker_pool.get_pool(2)
         # Touch both slots so both worker processes actually exist.
-        futures = [pool.submit(os.getpid, affinity=("slot", i))
-                   for i in range(4)]
+        futures = [pool.submit(os.getpid) for _ in range(4)]
         for fut in futures:
             fut.result(timeout=120)
         pids = pool.worker_pids()

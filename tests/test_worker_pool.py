@@ -1,14 +1,16 @@
-"""Warm worker pool: reuse, parallel dispatch, affinity, surgical recycling.
+"""Warm worker pool: reuse, parallel dispatch, idle slots, surgical recycling.
 
 Workers are observed through their PIDs: a reused pool answers from the
 same processes across calls, cells of one topology run side by side on
-distinct workers, affinity routing (the daemon's path) sends equal keys
-to one worker, and a crash replaces exactly one slot while the survivors
-keep their warm state. A worker that parallelises inside itself builds
-its own pool, and the parent's shutdown still ends every process.
+distinct workers, a submission starts at once on an idle slot while
+another slot is busy, and a crash replaces exactly one slot while the
+survivors keep their warm state. A worker that parallelises inside
+itself builds its own pool, and the parent's shutdown still ends every
+process.
 """
 
 import os
+import sys
 import threading
 import time
 
@@ -17,7 +19,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.harness import worker_pool
 from repro.harness.runner import SweepCell, run_cells
-from repro.harness.worker_pool import WarmPool, _stable_slot
+from repro.harness.worker_pool import WarmPool
 from repro.sim import schedule_store
 from repro.sim.compile import clear_schedule_cache
 
@@ -30,10 +32,6 @@ def fresh_pool():
     yield
     worker_pool.shutdown_pool()
     os.environ.pop("REPRO_TEST_CRASH_FLAG", None)
-
-
-def _pid_worker(cell):
-    return {"seed": cell.seed, "pid": os.getpid()}
 
 
 def _crash_once_worker(cell):
@@ -59,9 +57,19 @@ def _sleep_worker(cell):
     return {"seed": cell.seed, "pid": os.getpid()}
 
 
-def _nested_run_cells_task():
+def _paired_worker(cell):
+    """Cells 0 and 1 overlap: cell 0 holds its slot until cell 1 has
+    created the flag file ``cell.app`` names, so they run on two slots."""
+    if cell.seed == 1:
+        open(cell.app, "w").close()
+    elif cell.seed == 0:
+        _wait_for_file(cell.app)
+    return {"seed": cell.seed, "pid": os.getpid()}
+
+
+def _nested_run_cells_task(flag):
     """A pool task that runs a parallel sweep of its own."""
-    results = run_cells(_cells(2), _pid_worker, jobs=2)
+    results = run_cells(_cells(2, flag), _paired_worker, jobs=2)
     return os.getpid(), [r["pid"] for r in results]
 
 
@@ -73,30 +81,63 @@ def _die_task():
     os._exit(13)
 
 
-def _cells(n):
-    return [SweepCell(app="x", config="r2", seed=i) for i in range(n)]
+def _wait_for_file(path):
+    """Hold a slot until ``path`` exists (or a minute passes)."""
+    deadline = time.monotonic() + 60.0
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return os.getpid()
 
 
-def _keys_for_slots(size):
-    """Affinity keys proven to land on slots 0 and 1 of a size-wide pool."""
-    k0 = next(k for k in range(1000) if _stable_slot(("k", k), size) == 0)
-    k1 = next(k for k in range(1000) if _stable_slot(("k", k), size) == 1)
-    return ("k", k0), ("k", k1)
+def _cells(n, app="x"):
+    return [SweepCell(app=str(app), config="r2", seed=i) for i in range(n)]
+
+
+def _released(future):
+    """Wait until the pool has released ``future``'s slot: done-callbacks
+    run in the order they were added, so this one runs after the pool's."""
+    done = threading.Event()
+    future.add_done_callback(lambda _f: done.set())
+    assert done.wait(timeout=60)
+    return future.result()
+
+
+def _idle(pool):
+    """Wait until no slot counts an unfinished task (a finished future's
+    slot is released by a callback that can trail its ``result()``)."""
+    deadline = time.monotonic() + 10.0
+    while any(pool._unfinished) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(pool._unfinished)
+
+
+def _pids_by_slot(pool, flag):
+    """The worker PID of each slot of an idle 2-wide pool: the first task
+    holds its slot until the second is submitted, so that one takes the
+    other slot."""
+    _idle(pool)
+    futures = [pool.submit(_wait_for_file, str(flag)),
+               pool.submit(_pid_task)]
+    flag.touch()
+    return {f.warm_slot: f.result(timeout=60) for f in futures}
 
 
 # ----------------------------------------------------------------------
-# reuse and affinity
+# reuse and dispatch
 # ----------------------------------------------------------------------
 
 
-def test_warm_pool_persists_across_run_cells_calls():
-    cells = _cells(4)
-    first = {r["pid"] for r in run_cells(cells, _pid_worker, jobs=2)}
-    second = {r["pid"] for r in run_cells(cells, _pid_worker, jobs=2)}
-    # Both slots serve each call, and the same two worker processes
-    # survive between calls.
+def test_warm_pool_persists_across_run_cells_calls(tmp_path):
+    pool = worker_pool.get_pool(2)
+    first = {r["pid"] for r in run_cells(_cells(4, tmp_path / "a"),
+                                         _paired_worker, jobs=2)}
+    _idle(pool)
+    second = {r["pid"] for r in run_cells(_cells(4, tmp_path / "b"),
+                                          _paired_worker, jobs=2)}
+    # Cells 0 and 1 overlap, so both slots serve each call, and the
+    # same two worker processes survive between calls.
     assert len(first) == 2
-    assert second == first
+    assert second == first == set(pool.worker_pids())
 
 
 def test_same_topology_cells_run_on_two_workers_at_once():
@@ -107,37 +148,58 @@ def test_same_topology_cells_run_on_two_workers_at_once():
     assert elapsed < 1.5, f"two 1 s cells took {elapsed:.2f}s on 2 jobs"
 
 
-def test_affinity_routes_equal_keys_to_one_worker():
-    jobs = 2
-    pool = worker_pool.get_pool(jobs)
-    keys = [("job", app) for app in ("a", "b") for _ in range(4)]
-    futures = [pool.submit(_pid_task, affinity=key) for key in keys]
-    pid_by_slot = {}
-    for key, future in zip(keys, futures):
-        slot = _stable_slot(key, jobs)
-        pid_by_slot.setdefault(slot, set()).add(future.result())
-    # One worker per slot, no matter how many cells hashed there.
-    assert all(len(pids) == 1 for pids in pid_by_slot.values())
-    stats = worker_pool.pool_stats()
-    # 8 dispatches, 2 first-contact misses (one per distinct key).
-    assert stats["affinity_dispatches"] == 8
-    assert stats["affinity_hits"] == 6
-    assert stats["affinity_hit_rate"] == pytest.approx(0.75)
+def test_idle_slot_takes_the_next_task(tmp_path):
+    flag = tmp_path / "release"
+    pool = worker_pool.get_pool(2)
+    try:
+        held = pool.submit(_wait_for_file, str(flag))
+        short = pool.submit(_pid_task)
+        _released(short)
+        # The next task starts on the free slot, not behind the held one.
+        nxt = pool.submit(_pid_task)
+        assert nxt.warm_slot == short.warm_slot != held.warm_slot
+        assert nxt.result(timeout=30) == short.result()
+        assert not held.done()
+    finally:
+        flag.touch()
+    assert held.result(timeout=60) != nxt.result()
+
+    # Concurrent submitters on a pool wider than the host lose no release.
+    wide, futures = WarmPool(3), []
+
+    def burst():
+        futures.extend(wide.submit(_pid_task) for _ in range(25))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=burst) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len({f.result(timeout=60) for f in futures}) <= 3
+        _idle(wide)
+    finally:
+        sys.setswitchinterval(switch)
+        wide.shutdown()
 
 
-def test_recycle_replaces_only_the_broken_slot():
-    k0, k1 = _keys_for_slots(2)
+def test_recycle_replaces_only_the_broken_slot(tmp_path):
     pool = WarmPool(2)
     try:
-        pid0 = pool.submit(_pid_task, affinity=k0).result()
-        pid1 = pool.submit(_pid_task, affinity=k1).result()
-        assert pid0 != pid1
+        pids = _pids_by_slot(pool, tmp_path / "a")
+        assert sorted(pids) == [0, 1] and pids[0] != pids[1]
+        doomed = pool.submit(_die_task)
         with pytest.raises(BrokenProcessPool):
-            pool.submit(_die_task, affinity=k0).result()
-        pool.recycle(0)
-        assert pool.submit(_pid_task, affinity=k0).result() != pid0
+            doomed.result()
+        pool.recycle(doomed.warm_slot)
+        after = _pids_by_slot(pool, tmp_path / "b")
+        assert after[doomed.warm_slot] != pids[doomed.warm_slot]
         # The untouched slot still answers from its original process.
-        assert pool.submit(_pid_task, affinity=k1).result() == pid1
+        other = 1 - doomed.warm_slot
+        assert after[other] == pids[other]
         assert worker_pool.pool_stats()["workers_recycled"] == 1
     finally:
         pool.shutdown()
@@ -187,9 +249,9 @@ def _children(pid):
     return kids
 
 
-def test_worker_running_run_cells_leaves_no_process():
+def test_worker_running_run_cells_leaves_no_process(tmp_path):
     pool = worker_pool.get_pool(1)
-    future = pool.submit(_nested_run_cells_task)
+    future = pool.submit(_nested_run_cells_task, str(tmp_path / "flag"))
     (worker_pid,) = pool.worker_pids()
     tree = [worker_pid]
     try:
@@ -213,7 +275,7 @@ def test_worker_running_run_cells_leaves_no_process():
 
 
 # ----------------------------------------------------------------------
-# warm initializer: schedules pre-bound from the disk tier
+# warm initializer: compiled steps preloaded from the disk tier
 # ----------------------------------------------------------------------
 
 
