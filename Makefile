@@ -12,7 +12,7 @@
 PYTHON ?= python
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest
 
-.PHONY: check test test-schedulers bench-compiled \
+.PHONY: check test test-schedulers digests bench-compiled \
         bench-record-warp bench-replay bench-flightrec bench-warm \
         bench-service bench artifacts faults faults-warm serve-smoke
 
@@ -37,6 +37,10 @@ test-schedulers: ## declaration audit + differential, rank walk, replayer, shard
 	  tests/test_extension_registry.py tests/test_time_warp.py \
 	  tests/test_record_warp.py tests/test_platform.py tests/test_store.py \
 	  tests/test_dma_engine_units.py -q
+
+digests:         ## determinism digests: 96 record+replay cases, warp on and off, vs tests/data/digests.json
+	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
+	  $(PYTHON) tests/digests.py
 
 bench-compiled:  ## compiled kernel + BENCH_compiled.json (per-leg gates)
 	$(PYTEST) benchmarks/test_compiled_kernel.py -q -s

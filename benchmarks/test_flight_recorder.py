@@ -1,12 +1,13 @@
 """Flight recorder: trace-size reduction and record-path overhead gates.
 
-The always-on recording argument (rr's deployability case, ROADMAP item 1)
-only holds if the bounded record path is cheap on both axes the paper
-cares about: *storage* — the dedup + DEFLATE pipeline must shrink the
-external trace footprint enough that a ring of a few thousand storage
-words covers a useful replay window — and *time* — framing, compression
-and eviction are host-side bookkeeping that must not slow the recorded
-execution down. Both are enforced here (BENCH_flightrec.json):
+The always-on recording argument behind the flight recorder (rr's
+deployability case) only holds if the bounded record path is cheap on
+both axes the paper cares about: *storage* — the dedup + DEFLATE
+pipeline must shrink the external trace footprint enough that a ring of
+a few thousand storage words covers a useful replay window — and *time*
+— framing, compression and eviction are host-side bookkeeping that must
+not slow the recorded execution down. Both are enforced here
+(BENCH_flightrec.json):
 
 * compression ratio >= 2x on the DMA-heavy app (wide payloads with
   repeated descriptors/status words: the deployment target's profile);

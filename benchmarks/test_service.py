@@ -1,7 +1,7 @@
 """Trace-service bench — daemon batch throughput + ingest overhead.
 
 Not a paper artefact: gates the two perf claims the fleet-scale daemon
-makes (ROADMAP item 2), in ``BENCH_service.json``:
+makes (the trace-service daemon), in ``BENCH_service.json``:
 
 * **Daemon batch speedup.** A 32-job mixed batch (record sweeps, replays
   of a shared trace, small fault campaigns) submitted to an embedded

@@ -29,7 +29,7 @@ from repro.errors import SimulationError
 from repro.platform.axi_manager import AxiManager
 from repro.platform.axi_subordinate import AxiLiteSubordinate, AxiSubordinate
 from repro.sim.memory import RegisterFile, WordMemory
-from repro.sim.module import Module
+from repro.sim.module import NEVER, Module
 
 Kernel = Generator[Any, Any, None]
 
@@ -67,15 +67,16 @@ class Accelerator(Module):
             self.ddr = self.submodule(
                 AxiManager(f"{name}.ddr", interfaces["ddr4"]))
         self._kernel: Optional[Kernel] = None
-        self._budget = 0
-        self._dma_blocked = False
+        # The cycle seq() next advances the kernel: the end of the cycles
+        # it yielded, or NEVER while no kernel invocation is live or it
+        # waits on a DMA completion. The guard describes this class's
+        # seq(): a subclass that overrides seq() declares its own guard,
+        # or none.
+        self._wake_at = NEVER
+        self._began: Optional[int] = None   # the invocation's first cycle
         self._resume_value: Any = None
-        # seq() returns immediately while no kernel invocation is live
-        # (before the doorbell and after completion). The guard describes
-        # this class's seq(): a subclass that overrides seq() declares its
-        # own guard, or none.
         if type(self).seq is Accelerator.seq:
-            self.seq_idle_when(("none", "_kernel"))
+            self.seq_idle_when(("until", "_wake_at"))
         self.kernel_steps = 0     # kernel advances (replay watchdog progress)
         self.kernels_completed = 0
         self.busy_cycles = 0
@@ -113,8 +114,8 @@ class Accelerator(Module):
             return
         self.regs[REG_STATUS] = 0
         self._kernel = self.kernel()
-        self._budget = 0
-        self._dma_blocked = False
+        self._wake_at = 0
+        self._began = None
         self._resume_value = None
 
     def kernel(self) -> Kernel:
@@ -138,42 +139,40 @@ class Accelerator(Module):
 
     # ------------------------------------------------------------------
     def seq(self) -> None:
-        if self._kernel is None:
+        cycle = self._sim.cycle
+        if cycle < self._wake_at:
             return
-        self.busy_cycles += 1
-        if self._budget > 0:
-            self._budget -= 1
-            return
-        if self._dma_blocked:
-            return
+        if self._began is None:
+            self._began = cycle
         self.kernel_steps += 1
         try:
             request = self._kernel.send(self._resume_value)
         except StopIteration:
             self._kernel = None
+            self._wake_at = NEVER
+            # Every cycle from the first advance to this one was busy.
+            self.busy_cycles += cycle + 1 - self._began
             self.kernels_completed += 1
             self.on_done()
             return
         self._resume_value = None
         if isinstance(request, int):
-            self._budget = max(request - 1, 0)
-        elif isinstance(request, tuple) and request and request[0] == "write_host":
+            self._wake_at = cycle + max(request, 1)
+            return
+        self._wake_at = NEVER   # until the DMA completion callback
+        if isinstance(request, tuple) and request and request[0] == "write_host":
             _, addr, payload = request
-            self._dma_blocked = True
             self.pcim.dma_write_bytes(addr, payload, on_complete=self._dma_done)
         elif isinstance(request, tuple) and request and request[0] == "read_host":
             _, addr, n_words = request
-            self._dma_blocked = True
             self.pcim.dma_read(addr, n_words, on_complete=self._dma_done_read)
         elif isinstance(request, tuple) and request and request[0] == "ddr_write":
             _, addr, payload = request
             self._require_ddr()
-            self._dma_blocked = True
             self.ddr.dma_write_bytes(addr, payload, on_complete=self._dma_done)
         elif isinstance(request, tuple) and request and request[0] == "ddr_read":
             _, addr, n_words = request
             self._require_ddr()
-            self._dma_blocked = True
             self.ddr.dma_read(addr, n_words, on_complete=self._dma_done_read)
         else:
             raise SimulationError(f"{self.name}: kernel yielded {request!r}")
@@ -181,25 +180,7 @@ class Accelerator(Module):
     @property
     def computing(self) -> bool:
         """A kernel invocation is live and not waiting on a DMA completion."""
-        return self._kernel is not None and not self._dma_blocked
-
-    def next_wake(self, cycle):
-        if self._kernel is None:
-            return None            # idle until a CTRL write calls start()
-        if self._budget > 0:
-            return cycle + self._budget   # burning cycles; resumes exactly then
-        if self._dma_blocked:
-            return None            # resumes on the DMA completion callback
-        return cycle               # kernel advances this cycle
-
-    def on_warp(self, gap: int) -> None:
-        # The skipped cycles would each have run seq(): count them busy and
-        # burn them off the budget (a warp inside a budget window lands the
-        # kernel's resume on exactly the same cycle as per-cycle stepping).
-        if self._kernel is not None:
-            self.busy_cycles += gap
-            if self._budget > 0:
-                self._budget -= gap
+        return self._wake_at != NEVER
 
     def _require_ddr(self) -> None:
         if self.ddr is None:
@@ -208,10 +189,10 @@ class Accelerator(Module):
                 "was built without it (pass with_ddr4=True)")
 
     def _dma_done(self) -> None:
-        self._dma_blocked = False
+        self._wake_at = 0
 
     def _dma_done_read(self, words) -> None:
-        self._dma_blocked = False
+        self._wake_at = 0
         self._resume_value = words
 
     # ------------------------------------------------------------------
@@ -220,8 +201,7 @@ class Accelerator(Module):
         self.regs.clear()
         self.dram.clear()
         self._kernel = None
-        self._budget = 0
-        self._dma_blocked = False
+        self._wake_at = NEVER
         self._resume_value = None
         self.kernel_steps = 0
         self.kernels_completed = 0

@@ -49,6 +49,13 @@ class FrameFifoEcho(Accelerator):
         self.honour_strobes = honour_strobes
         self.draining = False
         self.fragments_out = 0
+        # The base seq()'s deadline, joined with the drain engine's work.
+        self.seq_idle_when(("until", "_wake_at"), ("falsy", "drain_pending"))
+
+    @property
+    def drain_pending(self) -> bool:
+        """The drain engine is engaged and has fragments to move."""
+        return self.draining and not self.fifo.is_empty
 
     # ------------------------------------------------------------------
     def on_reg_write(self, index: int, value: int) -> None:
@@ -79,13 +86,6 @@ class FrameFifoEcho(Accelerator):
             self.dram.write_bytes(OUT_BASE + 4 * self.fragments_out,
                                   fragment.to_bytes(4, "little"))
             self.fragments_out += 1
-
-    def next_wake(self, cycle):
-        # The drain engine moves fragments every cycle while engaged; the
-        # rest of the accelerator follows the base schedule.
-        if self.draining and not self.fifo.is_empty:
-            return cycle
-        return super().next_wake(cycle)
 
     def kernel(self):
         return iter(())   # the echo path is reactive; no batch kernel

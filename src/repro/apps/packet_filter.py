@@ -100,9 +100,6 @@ class PacketFilter(Accelerator):
     def kernel(self):
         return iter(())   # reactive dataplane; no batch kernel
 
-    def next_wake(self, cycle):
-        return cycle      # seq() polls rx.received every cycle (no guard)
-
     def seq(self) -> None:
         super().seq()
         # Consume newly arrived beats; on TLAST, filter and forward.

@@ -51,10 +51,10 @@ DEFAULT_FLIGHT_DEDUP_SLOTS = 1024
 """Bounded content-dedup dictionary entries (fits a 2-byte backref)."""
 
 DEFAULT_FLIGHT_COMPRESS_LEVEL = 6
-"""zlib level for RUN frames. Level 6 costs a few extra milliseconds per
-megabyte of stream over level 3 but closes most of the gap to the
-whole-body ratio — the frames are compressed off the simulated path, so
-the only cost is host wall-clock."""
+"""zlib level for the flight ring's RUN frames. Level 6 costs a few extra
+milliseconds per megabyte of stream over level 3 but closes most of the
+gap to the whole-body ratio — the frames are compressed off the
+simulated path, so the only cost is host wall-clock."""
 
 DEFAULT_FLIGHT_ANCHOR_STRIDE = 2048
 """Cycles between re-anchoring checkpoint attempts while recording.
@@ -72,14 +72,13 @@ class VidiConfig:
     record_output_contents: bool = True
     staging_bytes: int = DEFAULT_STAGING_BYTES
     store_bandwidth: float = DEFAULT_BANDWIDTH_BYTES_PER_CYCLE
-    # Flight-recorder mode (always-on recording, ROADMAP item 1): dedup +
+    # Flight-recorder mode (always-on recording): dedup +
     # per-frame compression on the drained stream, ring-buffer retention
     # with periodic re-anchoring checkpoints. Only meaningful for RECORD
     # deployments; replay/validation stores stay plain.
     flight_recorder: bool = False
     flight_retain_words: int = DEFAULT_FLIGHT_RETAIN_WORDS
     flight_dedup_slots: int = DEFAULT_FLIGHT_DEDUP_SLOTS
-    flight_compress_level: int = DEFAULT_FLIGHT_COMPRESS_LEVEL
     flight_anchor_stride: int = DEFAULT_FLIGHT_ANCHOR_STRIDE
 
     def __post_init__(self) -> None:

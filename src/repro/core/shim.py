@@ -142,7 +142,6 @@ class VidiShim(Module):
                 bandwidth=config.store_bandwidth,
                 arbiter=self.store_arbiter,
                 retain_words=config.flight_retain_words,
-                compress_level=config.flight_compress_level,
             )
             dedup = DedupDict(config.flight_dedup_slots)
         else:

@@ -37,8 +37,7 @@ CREDIT_SCALE = 256
 
 Fractional bandwidths (0.5 bytes/cycle, 22.0 minus an arbiter share, ...)
 accumulate as integer multiples of 1/256 byte, so drains land on exactly the
-same cycles on every platform — no float rounding drift across long runs,
-and warp catch-up (``on_warp``) is exact integer arithmetic.
+same cycles on every platform — no float rounding drift across long runs.
 """
 
 
@@ -86,6 +85,8 @@ class TraceStore(Module):
         self.fault_bandwidth_factor = 1.0
         # With nothing staged, seq() only tops up the drain credit; once
         # the credit has saturated at its idle cap the call is a no-op.
+        # The guard is also the store's time-warp hint, so a design steps
+        # while the idle credit refills.
         self.seq_idle_when(("falsy", "_staged_bytes"),
                            ("sync", "_drain_credit", "_idle_credit_cap"))
 
@@ -133,27 +134,6 @@ class TraceStore(Module):
         if drained:
             self.data += self._staging[:drained]
             del self._staging[:drained]
-
-    # ------------------------------------------------------------------
-    # time-warp declarations
-    # ------------------------------------------------------------------
-    def next_wake(self, cycle):
-        # Draining is per-cycle work; an empty staging buffer leaves only
-        # idle credit accrual, which on_warp() accounts for in one step.
-        return cycle if self._staged_bytes else None
-
-    def on_warp(self, gap: int) -> None:
-        # The idle accrual seq() would have run gap times, at the bandwidth
-        # it would have used: a brownout factor and the arbiter's budget
-        # stay fixed across a warp (fault windows end warps at their
-        # edges; an arbiter that is not idle refuses to warp).
-        if not self._staged_bytes:
-            bandwidth = self.bandwidth * self.fault_bandwidth_factor
-            if self.arbiter is not None:
-                bandwidth = min(bandwidth, self.arbiter.store_budget())
-            self._drain_credit = min(
-                self._drain_credit + gap * round(bandwidth * CREDIT_SCALE),
-                self._idle_credit_cap)
 
     # ------------------------------------------------------------------
     def flush(self) -> None:

@@ -1,15 +1,16 @@
 """Ring-buffer trace store — the flight recorder's bounded retention tier.
 
-The always-on recording mode (ROADMAP item 1, after rr's deployability
-argument) needs *bounded storage*: keep recording forever, retain only the
-last N storage words, and guarantee that whatever survives a crash is a
-salvageable, bit-identical-replayable suffix. This module supplies the
-storage half of that contract on top of the ordinary
+The always-on recording mode (the flight recorder, after rr's
+deployability argument) needs *bounded storage*: keep recording forever,
+retain only the last N storage words, and guarantee that whatever
+survives a crash is a salvageable, bit-identical-replayable suffix. This
+module supplies the storage half of that contract on top of the ordinary
 :class:`~repro.core.store.TraceStore` drain pipeline:
 
 * the drained byte stream (dedup-coded cycle packets, see
   :class:`~repro.core.packets.DedupDict`) is framed host-side into the v3
-  container's CRC-framed RUN frames (zlib, level-tunable);
+  container's CRC-framed RUN frames (zlib at
+  :data:`~repro.core.config.DEFAULT_FLIGHT_COMPRESS_LEVEL`);
 * periodic **re-anchor points** — requested by the deployment when the
   design is quiescent — insert ANCHOR frames carrying an architectural
   checkpoint at an *exact packet-stream byte watermark*, and reset the
@@ -241,7 +242,6 @@ class RingTraceStore(TraceStore):
     def __init__(self, name: str, *, staging_bytes=None, bandwidth=None,
                  arbiter=None,
                  retain_words: int = DEFAULT_FLIGHT_RETAIN_WORDS,
-                 compress_level: int = DEFAULT_FLIGHT_COMPRESS_LEVEL,
                  run_bytes: int = DEFAULT_RUN_BYTES):
         kwargs = {}
         if staging_bytes is not None:
@@ -251,7 +251,6 @@ class RingTraceStore(TraceStore):
         super().__init__(name, arbiter=arbiter, **kwargs)
         self.retain_words = retain_words
         self.retain_bytes = retain_words * STORAGE_WORD_BYTES
-        self.compress_level = compress_level
         self._run_bytes = run_bytes
         self.ring = FrameRing(self.retain_bytes)
         self._framed_raw = 0          # stream bytes already framed
@@ -298,7 +297,7 @@ class RingTraceStore(TraceStore):
             # New epoch: restart the shared DEFLATE stream, so an
             # anchor-led window decodes with no history from (possibly
             # evicted) earlier epochs.
-            self._cobj = zlib.compressobj(self.compress_level)
+            self._cobj = zlib.compressobj(DEFAULT_FLIGHT_COMPRESS_LEVEL)
         self.ring.append(kind, payload)
 
     def _emit_runs(self, raw: "bytes | bytearray") -> None:
@@ -445,7 +444,6 @@ class RingTraceStore(TraceStore):
             "evicted_frames": self.ring.evicted_frames,
             "evicted_bytes": self.ring.evicted_bytes,
             "evicted_epochs": self.ring.evicted_epochs,
-            "compress_level": self.compress_level,
         }
 
     def reset_state(self) -> None:

@@ -314,8 +314,8 @@ class _Campaign:
         injector = FaultInjector(plan)
         try:
             sharded = replay_sharded(
-                spec, trace, segments=3, jobs=2, retries=2,
-                injector=injector, scheduler=self.scheduler)
+                spec, trace, segments=3, jobs=2, injector=injector,
+                scheduler=self.scheduler)
         except ReproError as exc:
             return "detected", f"sharded replay failed: {type(exc).__name__}"
         if bytes(sharded.validation.body) == clean_body:

@@ -34,8 +34,7 @@ __all__ = ["execute_job", "check_job", "JobParamError", "JOB_KINDS",
 _RECORDING = {
     "app": str, "seed": int, "scale": float, "scheduler": str,
     "flight_recorder": bool, "flight_retain_words": int,
-    "flight_dedup_slots": int, "flight_compress_level": int,
-    "flight_anchor_stride": int,
+    "flight_dedup_slots": int, "flight_anchor_stride": int,
 }
 _INJECT = {"inject": str, "inject_seed": int}
 

@@ -51,6 +51,9 @@ from repro.harness.runner import replay_run, run_cells
 # density with ``--anchor-stride``.
 SHARD_ANCHOR_STRIDE = 64
 
+# Pool attempts a crashed shard gets before it replays inline.
+SHARD_RETRIES = 2
+
 Anchor = Dict[str, Any]     # an ANCHOR frame's {ordinal, cycle, checkpoint}
 
 
@@ -93,7 +96,6 @@ class ReplayShardCell:
     stop: int                         # one past the last packet ordinal
     anchor: Optional[Anchor]          # None: segment starts from power-on
     time_warp: Optional[bool] = None
-    max_cycles: int = 4_000_000
     scheduler: Optional[str] = None   # simulation kernel for the worker
 
 
@@ -104,7 +106,6 @@ def run_replay_shard(cell: ReplayShardCell) -> dict:
                         metadata={"shard": [cell.start, cell.stop],
                                   "ring": cell.anchor})
     metrics = replay_run(get_app(cell.app), segment,
-                         max_cycles=cell.max_cycles,
                          time_warp=cell.time_warp, scheduler=cell.scheduler)
     sim = metrics.result["deployment"].sim
     return {
@@ -143,8 +144,6 @@ def replay_sharded(spec: AppSpec, trace: TraceFile,
                    segments: Optional[int] = None,
                    jobs: Optional[int] = None,
                    time_warp: Optional[bool] = None,
-                   max_cycles: int = 4_000_000,
-                   retries: int = 2,
                    injector=None,
                    scheduler: Optional[str] = None) -> ShardedReplayResult:
     """Replay ``trace`` split at its :attr:`~TraceFile.anchors` across workers.
@@ -157,9 +156,9 @@ def replay_sharded(spec: AppSpec, trace: TraceFile,
     the warm worker pool through :func:`~repro.harness.runner.run_cells`.
 
     Worker deaths are absorbed: crashed shards are retried up to
-    ``retries`` times (recycling only the pool slots actually lost to
-    the crash) and, failing that, replayed inline —
-    every shard is a pure function of its cell, so the stitched result is
+    :data:`SHARD_RETRIES` times (recycling only the pool slots actually
+    lost to the crash) and, failing that, replayed inline — every shard
+    is a pure function of its cell, so the stitched result is
     byte-identical no matter how many attempts a shard needed. ``injector``
     (a :class:`~repro.faults.injector.FaultInjector` with a
     ``worker-crash`` fault armed) wraps the shard worker so chosen shards
@@ -176,15 +175,14 @@ def replay_sharded(spec: AppSpec, trace: TraceFile,
                         with_validation=trace.with_validation,
                         start=start, stop=stop,
                         anchor=anchor if start else window,
-                        time_warp=time_warp, max_cycles=max_cycles,
-                        scheduler=scheduler)
+                        time_warp=time_warp, scheduler=scheduler)
         for start, stop, anchor in plan_shards(len(index), trace.anchors,
                                                segments)
     ]
     worker = run_replay_shard
     if injector is not None:
         worker = injector.crashing_worker(worker, cells)
-    results = run_cells(cells, worker, jobs=jobs, retries=retries,
+    results = run_cells(cells, worker, jobs=jobs, retries=SHARD_RETRIES,
                         fallback_inline=True)
     stitched = TraceFile(
         table=trace.table,

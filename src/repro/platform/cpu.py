@@ -30,7 +30,7 @@ from repro.channels.handshake import ChannelSink, ChannelSource
 from repro.errors import SimulationError
 from repro.platform.env import EnvironmentMode
 from repro.sim.memory import WordMemory
-from repro.sim.module import Module
+from repro.sim.module import NEVER, Module
 
 # ----------------------------------------------------------------------
 # host-program operations
@@ -365,9 +365,14 @@ class PcisDmaEngine(Module):
 class CpuModel(Module):
     """Runs host-program threads against the environment-side interfaces.
 
-    ``_live`` counts threads not done, for ``done``; ``_runnable`` counts
-    those not blocked on an MMIO or DMA engine, and is the idle guard that
-    parks ``seq`` until an engine's completion callback.
+    Each thread keeps ``due``, the cycle it next acts: it resumes its
+    program, dispatches an operation once its think time is over, ends a
+    ``WaitCycles`` sleep or reads a ``WaitHostWord`` flag. A thread that
+    waits on an engine, or on a flag no write has touched since it last
+    read it, is due at :data:`~repro.sim.module.NEVER` until the engine's
+    completion callback or a host-memory write makes it due at once.
+    ``_wake_at``, the earliest ``due``, is the idle guard's deadline;
+    ``_live`` counts threads not done, for ``done``.
     """
 
     has_comb = False
@@ -395,8 +400,11 @@ class CpuModel(Module):
                 seed=None if seed is None else seed + 1, pcie=pcie)
             self.submodule(self.dma)
         self._threads: List[dict] = []
-        self._live = self._runnable = 0
-        self.seq_idle_when(("falsy", "_runnable"))
+        self._flag_waiters: List[dict] = []   # threads in a WaitHostWord
+        self._live = 0
+        self._wake_at = NEVER
+        host_memory.on_write(self._host_written)
+        self.seq_idle_when(("until", "_wake_at"))
 
     # ------------------------------------------------------------------
     def add_thread(self, program: HostProgram, name: str = "") -> None:
@@ -409,14 +417,14 @@ class CpuModel(Module):
         self._threads.append({
             "name": name or f"T{len(self._threads) + 1}",
             "gen": program,
-            "state": "ready",       # ready | thinking | blocked | done
-            "think": 0,
+            # ready | thinking | sleeping | flag | engine | done
+            "state": "ready",
+            "due": 0,           # the cycle the thread next acts
             "result": None,
-            "wait": None,           # WaitCycles/WaitHostWord bookkeeping
             "op": None,
         })
         self._live += 1
-        self._runnable += 1
+        self._wake_at = 0
 
     @property
     def done(self) -> bool:
@@ -426,136 +434,98 @@ class CpuModel(Module):
                 and (self.dma is None or self.dma.idle))
 
     # ------------------------------------------------------------------
-    def _dispatch(self, thread: dict, op) -> None:
-        """Hand one operation to the right engine."""
+    @staticmethod
+    def _resume(thread: dict, result, due: int) -> None:
+        thread["state"] = "ready"
+        thread["result"] = result
+        thread["due"] = due
+
+    def _host_written(self) -> None:
+        """Host memory changed: every flag waiter reads its word again at
+        the next ``seq()``."""
+        if self._flag_waiters:
+            for thread in self._flag_waiters:
+                thread["due"] = 0
+            self._wake_at = 0
+
+    def _flag(self, op: WaitHostWord) -> Optional[int]:
+        """The flag word if ``op``'s predicate holds on it, else ``None``."""
+        word = int.from_bytes(self.host_memory.read_bytes(op.addr, 8),
+                              "little")
+        return word if op.predicate(word) else None
+
+    def _dispatch(self, thread: dict, op, cycle: int) -> None:
+        """Hand one operation to the right engine, or start its wait."""
         def complete(result):
-            thread["state"] = "ready"
-            thread["result"] = result
-            self._runnable += 1
+            self._resume(thread, result, 0)
+            self._wake_at = 0
 
         if isinstance(op, (MmioWrite, MmioRead)):
             port = self.mmio_ports.get(op.interface)
             if port is None:
                 raise SimulationError(f"no MMIO port {op.interface!r}")
-            thread["state"] = "blocked"
-            self._runnable -= 1
+            thread["state"], thread["due"] = "engine", NEVER
             port.submit(op, complete)
         elif isinstance(op, (DmaWrite, DmaRead)):
             if self.dma is None:
                 raise SimulationError("no pcis DMA engine in this deployment")
-            thread["state"] = "blocked"
-            self._runnable -= 1
+            thread["state"], thread["due"] = "engine", NEVER
             self.dma.submit(op, complete)
         elif isinstance(op, HostMemRead):
-            thread["state"] = "ready"   # a plain load; resumes next cycle
-            thread["result"] = self.host_memory.read_bytes(op.addr, op.length)
+            # A plain load; the thread resumes next cycle.
+            self._resume(thread,
+                         self.host_memory.read_bytes(op.addr, op.length),
+                         cycle + 1)
         elif isinstance(op, WaitCycles):
-            thread["state"] = "blocked"
-            thread["wait"] = ["cycles", op.cycles]
+            thread["state"] = "sleeping"
+            thread["due"] = cycle + max(op.cycles, 1)
         elif isinstance(op, WaitHostWord):
-            thread["state"] = "blocked"
-            thread["wait"] = ["hostword", op]
+            # The flag is first read next cycle; until a write touches
+            # host memory, a flag that does not hold now cannot hold then.
+            thread["state"] = "flag"
+            thread["due"] = NEVER if self._flag(op) is None else cycle + 1
+            self._flag_waiters.append(thread)
         else:
             raise SimulationError(f"unknown host operation {op!r}")
 
     def seq(self) -> None:
+        cycle = self._sim.cycle
+        if cycle < self._wake_at:
+            return
         for thread in self._threads:
-            state = thread["state"]
-            if state == "done":
-                continue
-            if state == "blocked" and thread["wait"] is not None:
-                kind = thread["wait"][0]
-                if kind == "cycles":
-                    thread["wait"][1] -= 1
-                    if thread["wait"][1] <= 0:
-                        thread["wait"] = None
-                        thread["state"] = "ready"
-                        thread["result"] = None
-                else:
-                    op = thread["wait"][1]
-                    word = int.from_bytes(
-                        self.host_memory.read_bytes(op.addr, 8), "little")
-                    if op.predicate(word):
-                        thread["wait"] = None
-                        thread["state"] = "ready"
-                        thread["result"] = word
-                continue
-            if state == "blocked":
-                continue
-            if state == "thinking":
-                thread["think"] -= 1
-                if thread["think"] > 0:
-                    continue
-                self._dispatch(thread, thread["op"])
-                continue
-            # ready: advance the generator with the last result.
+            if thread["due"] <= cycle:
+                self._act(thread, cycle)
+        self._wake_at = min(thread["due"] for thread in self._threads)
+
+    def _act(self, thread: dict, cycle: int) -> None:
+        """The step of one thread that is due at ``cycle``."""
+        state = thread["state"]
+        if state == "sleeping":
+            # A finished wait resumes the program next cycle, like a
+            # completion callback.
+            self._resume(thread, None, cycle + 1)
+            return
+        if state == "flag":
+            word = self._flag(thread["op"])
+            if word is None:
+                thread["due"] = NEVER   # until the next host-memory write
+            else:
+                self._flag_waiters.remove(thread)
+                self._resume(thread, word, cycle + 1)
+            return
+        if state == "ready":
             try:
                 op = thread["gen"].send(thread["result"])
             except StopIteration:
-                thread["state"] = "done"
+                thread["state"], thread["due"] = "done", NEVER
                 self._live -= 1
-                self._runnable -= 1
-                continue
+                return
             thread["result"] = None
             thread["op"] = op
             think = self._rng.randrange(self.think_jitter + 1) \
                 if self.think_jitter > 0 else 0
             if think:
                 thread["state"] = "thinking"
-                thread["think"] = think
-            else:
-                self._dispatch(thread, op)
-
-    # ------------------------------------------------------------------
-    # time-warp declarations
-    # ------------------------------------------------------------------
-    def next_wake(self, cycle: int) -> Optional[int]:
-        """The first cycle a thread acts: the tightest deadline over all.
-
-        A thinking thread only decrements ``think`` until it hits zero; a
-        WaitCycles thread only decrements its countdown — both are pure
-        per-cycle bookkeeping that :meth:`on_warp` replays in one step, so
-        the RNG (consulted only on dispatch cycles, which are never
-        skipped) and every observable dispatch cycle stay bit-identical.
-        Engine-blocked threads wait for the engine's completion callback;
-        a WaitHostWord thread acts now if its flag already holds, and
-        otherwise waits for the host-memory write that sets it.
-        """
-        if not self._runnable:
-            return None   # every live thread waits on an engine
-        best: Optional[int] = None
-        for thread in self._threads:
-            state = thread["state"]
-            if state == "ready":
-                return cycle
-            if state == "thinking":
-                due = thread["think"] - 1
-            elif state == "blocked":
-                wait = thread["wait"]
-                if wait is None:
-                    continue   # on an engine
-                if wait[0] == "hostword":
-                    op = wait[1]
-                    if op.predicate(int.from_bytes(
-                            self.host_memory.read_bytes(op.addr, 8),
-                            "little")):
-                        return cycle
-                    continue
-                due = wait[1] - 1
-            else:
-                continue   # done
-            if due <= 0:
-                return cycle
-            if best is None or due < best:
-                best = due
-        return None if best is None else cycle + best
-
-    def on_warp(self, gap: int) -> None:
-        """Replay the per-cycle countdowns the skipped cycles would have run."""
-        for thread in self._threads:
-            if thread["state"] == "thinking":
-                thread["think"] -= gap
-            elif thread["state"] == "blocked":
-                wait = thread["wait"]
-                if wait is not None and wait[0] == "cycles":
-                    wait[1] -= gap
+                thread["due"] = cycle + think
+                return
+        self._dispatch(thread, thread["op"], cycle)

@@ -24,12 +24,15 @@ generated at the first ``step()``, the way Verilator schedules a netlist:
    that it evaluates drivers before their readers, and a combinational
    cycle iterating across passes under the same ``max_delta`` bound — the
    bound ``seq()`` calls in elaboration order, each wrapped in its
-   module's inlined ``seq_idle_when`` guard when one was declared, and an
-   inlined register commit replicating ``Signal._commit``. Like the event
-   kernel, a quiescent cycle skips the settle, and on a warp-eligible
-   design a quiet one calls the event kernel's time-warp poll,
-   ``Simulator._warp``. The generated code is only what the schedule
-   decides; every module behaviour it runs is that module's own method.
+   module's inlined ``seq_idle_when`` guard when one was declared (an
+   ``("until", attr)`` deadline compares the cycle with the attribute),
+   and an inlined register commit replicating ``Signal._commit``. Like
+   the event kernel, a quiescent cycle skips the settle, and on a
+   warp-eligible design a quiet one calls the event kernel's time-warp
+   poll, ``Simulator._warp``. The guards are that poll's only
+   declaration too: :func:`guard_hint` compiles each into the hint it
+   reads. The generated code is only what the schedule decides; every
+   module behaviour it runs is that module's own method.
 
 3. **Code caching**. Campaigns and sweeps build many deployments that
    differ only by seed, fault plan or application, and the generated
@@ -62,7 +65,7 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import CombinationalLoopError, SimulationError
-from repro.sim.module import Module
+from repro.sim.module import NEVER, Module
 from repro.sim.signal import Signal
 
 
@@ -130,9 +133,15 @@ def _attr_expr(mod_name: str, path: str) -> str:
     return f"{mod_name}.{path}"
 
 
-def _guard_expr(module: Module, mod_name: str, bind) -> Optional[str]:
-    """The inlined idle conjunction for one module, or None (always run)."""
-    terms = module._seq_idle
+def _guard_expr(module: Module, mod_name: str, bind, now: str,
+                terms: Optional[list] = None) -> Optional[str]:
+    """The inlined idle conjunction for one module, or None (always run).
+
+    ``terms`` defaults to the module's whole guard; ``now`` is the
+    expression an ``until`` term compares with the current cycle.
+    """
+    if terms is None:
+        terms = module._seq_idle
     if not terms:
         return None
     parts: List[str] = []
@@ -174,15 +183,17 @@ def _guard_expr(module: Module, mod_name: str, bind) -> Optional[str]:
         elif kind == "sync":
             parts.append(f"{_attr_expr(mod_name, term[1])} == "
                          f"{_attr_expr(mod_name, term[2])}")
+        elif kind == "until":
+            parts.append(f"{now} < {_attr_expr(mod_name, term[1])}")
         else:
             raise SimulationError(
                 f"{module.name}: unknown seq_idle_when term kind {kind!r}")
     return " and ".join(parts)
 
 
-# Guard expression source → factory(module, *objects) returning the hint
-# closure; modules of one class share their guard's shape, so each shape
-# is exec'd once per process.
+# Hint source → factory(module, *objects) returning the hint closure;
+# modules of one class share their guard's shape, so each shape is
+# exec'd once per process.
 _HINT_FACTORIES: Dict[str, object] = {}
 
 
@@ -191,11 +202,13 @@ def _opaque_hint(cycle: int) -> int:
 
 
 def guard_hint(module: Module):
-    """``next_wake(cycle)`` read off ``module``'s ``seq_idle_when`` guard.
+    """The time-warp hint ``hint(cycle)`` read off ``module``'s guard.
 
-    The guard compiles to one Python expression, so a poll costs a call
-    and the guard's attribute reads: ``None`` while it holds, ``cycle``
-    otherwise. Without a guard the hint is always ``cycle`` (opaque).
+    ``cycle`` while the guard does not hold; while it holds, its earliest
+    ``until`` deadline, or ``None`` when it has none or the deadline is
+    :data:`~repro.sim.module.NEVER`. The guard compiles to Python source,
+    so a poll costs a call and the guard's attribute reads. Without a
+    guard the hint is always ``cycle`` (opaque).
     """
     objects: List[object] = []
 
@@ -206,18 +219,30 @@ def guard_hint(module: Module):
         objects.append(obj)
         return f"_o{len(objects) - 1}"
 
-    expr = _guard_expr(module, "_m", bind)
-    if expr is None:
+    terms = module._seq_idle
+    if not terms:
         return _opaque_hint
-    factory = _HINT_FACTORIES.get(expr)
+    until = [_attr_expr("_m", term[1]) for term in terms
+             if term[0] == "until"]
+    rest = _guard_expr(module, "_m", bind, "cycle",
+                       [term for term in terms if term[0] != "until"])
+    if not until:
+        body = f"        return None if ({rest}) else cycle\n"
+    else:
+        deadline = f"min({', '.join(until)})" if until[1:] else until[0]
+        body = (f"        t = {deadline}\n"
+                f"        if t <= cycle"
+                f"{'' if rest is None else f' or not ({rest})'}:\n"
+                f"            return cycle\n"
+                f"        return None if t == _NEVER else t\n")
+    factory = _HINT_FACTORIES.get(body)
     if factory is None:
         args = ", ".join(["_m"] + [f"_o{i}" for i in range(len(objects))])
-        ns: Dict[str, object] = {}
+        ns: Dict[str, object] = {"_NEVER": NEVER}
         exec(f"def _factory({args}):\n"
-             f"    def next_wake(cycle):\n"
-             f"        return None if ({expr}) else cycle\n"
-             f"    return next_wake\n", ns)
-        factory = _HINT_FACTORIES[expr] = ns["_factory"]
+             f"    def hint(cycle):\n{body}"
+             f"    return hint\n", ns)
+        factory = _HINT_FACTORIES[body] = ns["_factory"]
     return factory(module, *objects)
 
 
@@ -358,9 +383,12 @@ def compile_kernel(sim) -> CompiledKernel:
         emit("            S._warp(warp_limit)")
 
     # --- sequential phase: straight line, elaboration order ---
+    if any(term[0] == "until" for module in sim._seq_modules
+           for term in module._seq_idle or ()):
+        emit("    now = S.cycle")
     for mi, module in enumerate(sim._seq_modules):
         mod_name = f"_m{mi}"
-        guard = _guard_expr(module, mod_name, bind)
+        guard = _guard_expr(module, mod_name, bind, "now")
         seq_name = f"_q{mi}"
         ns[seq_name] = module.seq
         if guard is None:

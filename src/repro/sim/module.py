@@ -70,47 +70,47 @@ correct, they just get the conservative treatment:
     attribute chain on the module is falsy / truthy;
   - ``("none", "attr.path")`` — the attribute chain is ``None``;
   - ``("sync", "attr.a", "attr.b")`` — two attribute chains compare equal
-    (a credit counter sitting at its cap, say).
+    (a credit counter sitting at its cap, say);
+  - ``("until", "attr.path")`` — the simulator's cycle is below the
+    attribute: a *deadline*, the cycle ``seq()`` next acts. A module that
+    counts time keeps such an absolute cycle instead of a per-cycle
+    countdown, and its ``seq()`` returns at once while ``cycle < attr``.
+    :data:`NEVER` says "not until a callback moves the deadline".
 
   Declaring a condition that can be true while ``seq()`` still has work
   is a correctness bug. The declaration audit catches it: around every
   ``seq()`` call whose guard holds, the call must stage no signal, wake
   no module and leave the module's attributes as they were. A guard
   describes the ``seq()`` of the class that declares it, so a subclass
-  that overrides ``seq()`` declares its own guard or none; the same
-  holds for :meth:`next_wake`, which class creation enforces.
+  that overrides ``seq()`` declares its own guard or none.
 
-Time-warp declarations (quiescent-gap skipping)
------------------------------------------------
+Time warp (quiescent-gap skipping)
+----------------------------------
 
 On cycles where the comb work-list is empty the event and compiled
 kernels can go one step further than skipping settling: they can skip
 the cycle *entirely* — provided every sequential process agrees it has
-nothing to do. Each sequential module answers through :meth:`next_wake`:
+nothing to do. The idle guard is the only declaration they read: each
+module's wake hint is derived from it
+(:func:`repro.sim.compile.guard_hint`):
 
-* ``None`` — "my ``seq()`` is a no-op until something external
-  happens" (a signal change, a ``wake()``, a callback). Pure-reactive
-  modules (replayers waiting on vector clocks, idle DMA engines) say this.
-* a cycle number — the earliest future cycle the module's ``seq()`` must
-  run (a kernel burning an N-cycle budget returns ``cycle + budget``).
-  Returning the current cycle means "run me now" and blocks warping.
-
-The base implementation derives the answer from the ``seq_idle_when``
-guard: ``None`` while the guard holds, ``cycle`` otherwise. A guard that
-holds at a quiet cycle keeps holding across the skipped ones (nothing
-executes inside them), so a guarded module needs no hint of its own.
-Modules with timed work override :meth:`next_wake`, and those that
-maintain per-cycle Python counters additionally override
-:meth:`on_warp` to account for the skipped cycles in one step
-(busy-cycle counters, drain-credit accumulators, countdowns).
+* the guard does not hold — ``seq()`` has work now — so the hint is the
+  current cycle, which blocks warping;
+* the guard holds and its ``until`` deadline (if any) lies ahead — the
+  hint is that deadline, the earliest cycle ``seq()`` can matter;
+* the guard holds and has no deadline, or its deadline is
+  :data:`NEVER` — no hint: the module waits on something external (a
+  signal change, a ``wake()``, a callback).
 
 When the design has been fully quiet for a cycle, the kernel jumps the
-cycle counter straight to the earliest returned wake. A sequential
-module with neither a guard nor a :meth:`next_wake` override is
+cycle counter straight to the earliest hint. Nothing executes inside the
+skipped cycles, so a guard that held at the quiet cycle keeps holding
+across them, and a deadline is an absolute cycle: no module needs a
+catch-up call after a jump. A sequential module without a guard is
 *opaque* and disables warping for the whole simulation — the safe
-default. Record and replay deployments declare one or the other on
-every module, so both warp; a sink with an impure READY policy (the
-stream collector of ``packet_filter``) keeps its design stepping.
+default. Record and replay deployments declare a guard on every module,
+so both warp; a sink with an impure READY policy (the stream collector
+of ``packet_filter``) keeps its design stepping.
 """
 
 from __future__ import annotations
@@ -118,6 +118,10 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.sim.signal import Signal
+
+NEVER = 1 << 62
+"""An ``("until", attr)`` deadline that no cycle reaches: the module waits
+on a callback, not on a cycle, and gives the time warp no hint."""
 
 
 class Module:
@@ -129,16 +133,6 @@ class Module:
     # watches changed (the quiescent fast path). Leave False for declared
     # modules that read cycle-start Python state the module cannot track.
     comb_static: bool = False
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # A wake hint describes one seq(): a class that overrides seq()
-        # under an inherited hint must state its own (the kernels that
-        # warp would otherwise skip the new seq()'s work).
-        if ("seq" in cls.__dict__ and "next_wake" not in cls.__dict__
-                and cls.next_wake is not Module.next_wake):
-            raise TypeError(f"{cls.__qualname__} overrides seq() but "
-                            "inherits next_wake(); declare its own")
 
     def __init__(self, name: str):
         self.name = name
@@ -154,7 +148,6 @@ class Module:
         # them.
         self._comb_scheduled = False
         self._order = 0   # elaboration index; stabilizes evaluation order
-        self._guard_hint = None   # compiled from _seq_idle on first use
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -203,13 +196,13 @@ class Module:
         """Declare conditions under which ``seq()`` is provably a no-op.
 
         The conjunction of all declared terms gates the generated
-        ``seq()`` call in the compiled kernel; see the module docstring
+        ``seq()`` call in the compiled kernel, and both kernels derive
+        the module's time-warp hint from it; see the module docstring
         for the term grammar. May be called several times (appends).
         """
         if self._seq_idle is None:
             self._seq_idle = []
         self._seq_idle.extend(terms)
-        self._guard_hint = None
 
     def wake(self) -> None:
         """Schedule a ``comb()`` re-evaluation (idempotent).
@@ -224,31 +217,6 @@ class Module:
             if sim is not None:
                 self._comb_scheduled = True
                 sim._pending.append(self)
-
-    def next_wake(self, cycle: int) -> Optional[int]:
-        """Earliest future cycle this module's ``seq()`` must run.
-
-        ``None`` means "not until something external wakes the design";
-        returning ``cycle`` (or any past cycle) means "this cycle matters"
-        and blocks warping. The base implementation reads the
-        ``seq_idle_when`` guard: ``None`` while it holds, ``cycle``
-        otherwise (always ``cycle`` without a guard — such a module is
-        *opaque* and the kernels do not warp the design at all).
-        """
-        hint = self._guard_hint
-        if hint is None:
-            from repro.sim.compile import guard_hint
-            hint = self._guard_hint = guard_hint(self)
-        return hint(cycle)
-
-    def on_warp(self, gap: int) -> None:
-        """Account for ``gap`` skipped quiescent cycles in one step.
-
-        Called on every sequential module that overrides it when the
-        kernel warps. Override when ``seq()`` maintains per-cycle Python
-        counters (busy-cycle tallies, credit accumulators, countdowns)
-        that the skipped cycles would have advanced.
-        """
 
     # ------------------------------------------------------------------
     # elaboration

@@ -49,25 +49,26 @@ Time-warping (quiescent-gap skipping)
 -------------------------------------
 
 The event kernel's quiescent fast path still pays one Python iteration per
-simulated cycle. When every sequential module declares when its ``seq()``
-matters — a :meth:`~repro.sim.module.Module.next_wake` override or a
-``seq_idle_when`` guard, which the base ``next_wake`` reads — the kernel
-can do better: on a cycle that (a) has an empty work-list, (b) follows a
-*fully quiet* cycle — no settling, no register commits — and (c) has no
-cycle hooks registered, it polls every sequential module for the
-earliest cycle its ``seq()`` could matter. Both kernels run that poll
-as one method, :meth:`Simulator._warp`. The hint that refused the
-last warp is polled first, so a busy stretch costs one call per quiet
-cycle. If the earliest finite answer lies in the future, the cycle
-counter jumps straight there (``warped_cycles``/``warp_jumps`` count the
-savings) after giving each module an
-:meth:`~repro.sim.module.Module.on_warp` catch-up call. The skipped
-cycles are provably no-ops: nothing combinational was pending, nothing
-was committed the cycle before, and every sequential process declared
-itself idle until the warp target. Record runs (host CPU model, host
-memory, trace store) and replay runs warp alike.
+simulated cycle. When every sequential module declares a
+``seq_idle_when`` guard, the kernel can do better: on a cycle that (a)
+has an empty work-list, (b) follows a *fully quiet* cycle — no settling,
+no register commits — and (c) has no cycle hooks registered, it polls
+every module's guard for the earliest cycle its ``seq()`` could matter
+(:func:`~repro.sim.compile.guard_hint`: the current cycle while the
+guard fails, the guard's ``("until", attr)`` deadline while it holds).
+Both kernels run that poll as one method, :meth:`Simulator._warp`. The
+hint that refused the last warp is polled first, so a busy stretch
+costs one call per quiet cycle. If the earliest deadline lies in the
+future, the cycle counter jumps straight there
+(``warped_cycles``/``warp_jumps`` count the savings). The skipped cycles
+are provably no-ops: nothing combinational was pending, nothing was
+committed the cycle before, and every guard holds until the target.
+Deadlines are absolute cycles, so no module needs a catch-up call.
+Record runs (host CPU model, host memory, trace store) and replay runs
+warp alike.
 
-If *no* module reports a finite wake the kernel ticks normally — a fully
+If *no* guard has a deadline ahead (each holds with none, or at
+:data:`~repro.sim.module.NEVER`) the kernel ticks normally — a fully
 idle design still advances one cycle per step, so the
 :class:`~repro.errors.WatchdogTimeout` deadlock detector keeps working.
 Disable warping with ``time_warp=False`` or ``REPRO_SIM_TIMEWARP=0``
@@ -127,15 +128,14 @@ class Simulator:
         self._cycle_hooks: List[Callable[[int], None]] = []
         self._profile: Optional[Dict[str, list]] = None
         # Time-warp state: _warp_ok is frozen at elaboration (every seq
-        # module must declare a hint or a guard); _hints holds one
-        # next_wake callable per seq module and _veto the one that refused
-        # the last warp; _quiet_streak records that the previous executed
-        # cycle neither settled nor committed anything, which makes the
-        # *current* empty work-list trustworthy for warping.
+        # module must declare a guard); _hints holds one guard hint per
+        # seq module and _veto the one that refused the last warp;
+        # _quiet_streak records that the previous executed cycle neither
+        # settled nor committed anything, which makes the *current* empty
+        # work-list trustworthy for warping.
         self._warp_ok = False
         self._hints: Optional[tuple] = None
         self._veto: Callable[[int], Optional[int]] = _no_hint
-        self._warp_hooks: List[Module] = []
         self._quiet_streak = False
         # Kernel counters (cheap; useful for the throughput bench and the
         # --profile report).
@@ -202,14 +202,10 @@ class Simulator:
                     sig._fanout.append(module)
         # Everything evaluates on the first cycle.
         self._pending = list(self._event_comb)
-        # Time-warp eligibility: every sequential module must declare its
-        # wake schedule, by a next_wake override or an idle guard; one
-        # opaque module disables warping for the whole design.
+        # Time-warp eligibility: every sequential module must declare an
+        # idle guard; one opaque module disables warping for the design.
         self._warp_ok = self.time_warp and all(
-            type(m).next_wake is not Module.next_wake or m._seq_idle
-            for m in self._seq_modules)
-        self._warp_hooks = [m for m in self._seq_modules
-                            if type(m).on_warp is not Module.on_warp]
+            m._seq_idle for m in self._seq_modules)
         self._elaborated = True
 
     # ------------------------------------------------------------------
@@ -220,7 +216,7 @@ class Simulator:
 
         With time-warping enabled this may *represent* many cycles: when the
         design is provably quiescent the cycle counter jumps ahead to the
-        earliest ``next_wake`` hint before the (single) executed cycle runs.
+        earliest guard deadline before the (single) executed cycle runs.
         ``warp_limit`` caps the jump so that ``run(n)`` never overshoots its
         window; the executed cycle always lies strictly below the limit.
         """
@@ -265,7 +261,7 @@ class Simulator:
             hook(self.cycle)
 
     def _warp(self, warp_limit: Optional[int]) -> None:
-        """Jump the cycle counter to the earliest ``next_wake`` hint.
+        """Jump the cycle counter to the earliest guard deadline.
 
         Both kernels call this on a cycle that starts with an empty
         work-list, follows a fully quiet cycle and has no cycle hooks. The
@@ -293,26 +289,21 @@ class Simulator:
             return
         if warp_limit is not None and target > warp_limit - 1:
             target = warp_limit - 1
-        gap = target - cycle
-        if gap > 0:
+        if target > cycle:
             self.cycle = target
-            self.warped_cycles += gap
+            self.warped_cycles += target - cycle
             self.warp_jumps += 1
-            for module in self._warp_hooks:
-                module.on_warp(gap)
 
     def _warp_hints(self) -> tuple:
-        """One ``next_wake(cycle)`` callable per sequential module.
+        """One guard hint (:func:`~repro.sim.compile.guard_hint`) per
+        sequential module.
 
-        An overriding module's own method, else its compiled guard. The
-        compiled kernel builds them at its first step and the event kernel
-        at its first warp poll, so a malformed guard fails there.
+        The compiled kernel builds them at its first step and the event
+        kernel at its first warp poll, so a malformed guard fails there.
         """
         if self._hints is None:
             from repro.sim.compile import guard_hint
-            self._hints = tuple(
-                m.next_wake if type(m).next_wake is not Module.next_wake
-                else guard_hint(m) for m in self._seq_modules)
+            self._hints = tuple(guard_hint(m) for m in self._seq_modules)
         return self._hints
 
     def _settle(self) -> None:

@@ -437,7 +437,6 @@ def _recording_args(parser: argparse.ArgumentParser) -> None:
     for flag, text in (
             ("--retain-words", "ring retention budget in 64-byte words"),
             ("--dedup-slots", "content-dedup dictionary capacity"),
-            ("--compress-level", "zlib level for the ring's RUN frames"),
             ("--anchor-stride", "cycles between re-anchor attempts "
              "(anchors are sharded replay's cut points)")):
         parser.add_argument(flag, type=int, metavar="N", help=text,

@@ -3,9 +3,9 @@
 The event and compiled kernels decide *when* a module runs from what the
 module declares: ``sensitive_to()``/``wake()`` say when ``comb()`` must
 re-run, and a ``seq_idle_when`` guard says when ``seq()`` is a no-op
-(the compiled kernel skips the call, and the base ``next_wake`` hint
-lets both kernels warp past it). A declaration that lies makes the
-kernels compute something else, silently. :func:`audit` checks the
+(the compiled kernel skips the call, and both kernels warp past it to
+the guard's ``until`` deadline, if it has one). A declaration that lies
+makes the kernels compute something else, silently. :func:`audit` checks the
 declarations directly on an event :class:`~repro.sim.Simulator`, cycle by
 cycle:
 
@@ -14,11 +14,11 @@ cycle:
   module woken means some ``comb()`` read an input it did not declare,
   some state change forgot its ``wake()``, or the quiescent fast path
   skipped a settle it needed.
-* **Idle guards.** Around each ``seq()`` whose guard holds, the call must
-  stage no signal, wake no module and leave the module's own attributes
-  as they were (scalars by value, containers by identity and length).
-  The guard is read just before the call, where the compiled kernel
-  reads it.
+* **Idle guards.** Around each ``seq()`` whose guard holds — including a
+  call before the guard's ``until`` deadline — the call must stage no
+  signal, wake no module and leave the module's own attributes as they
+  were (scalars by value, containers by identity and length). The guard
+  is read just before the call, where the compiled kernel reads it.
 
 The audit sees only what a module owns. A write into an object the
 module does not own (another module's queue, a callback's closure) is
@@ -90,7 +90,8 @@ def _audited_seq(sim: Simulator, module, counts: dict, signals):
         if signals is not None:
             _check_settled(sim, signals)
             counts["settles"] += 1
-        if hint(sim.cycle) is not None:   # the guard does not hold
+        cycle = sim.cycle
+        if hint(cycle) == cycle:   # the guard does not hold
             seq()
             containers = _containers(state)
             return

@@ -54,6 +54,9 @@ class TestAuditCommand:
 
     def test_bad_window_syntax(self, trace_path, capsys):
         assert main(["audit", trace_path, "--allow", "nonsense"]) == 2
+        assert "error: expected IFACE:OPS:BASE:LEN (e.g. " \
+            "pcim:write:0x10000:0x1000), got 'nonsense'" in \
+            capsys.readouterr().err
 
 
 class TestCoverageCommand:

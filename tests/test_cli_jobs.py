@@ -63,13 +63,12 @@ ARGV = {
                 "--inject", "store-bitflip",
                 "--inject-seed", "4", "--flight-recorder",
                 "--retain-words", "64", "--dedup-slots", "16",
-                "--compress-level", "1", "--anchor-stride", "128"],
+                "--anchor-stride", "128"],
                {"app": "sha256", "save_to": "r.trace", "seed": 3,
                 "scale": 0.5, "scheduler": "event", "profile": True,
                 "inject": "store-bitflip", "inject_seed": 4,
                 "flight_recorder": True, "flight_retain_words": 64,
-                "flight_dedup_slots": 16, "flight_compress_level": 1,
-                "flight_anchor_stride": 128}),
+                "flight_dedup_slots": 16, "flight_anchor_stride": 128}),
     "replay": (["dram_dma", "d.trace", "--jobs", "2", "--no-time-warp",
                 "--salvage", "--inject", "worker-crash", "--inject-seed",
                 "1", "--scheduler", "compiled"],

@@ -155,3 +155,5 @@ class TestHarnessCli:
 
         with pytest.raises(SystemExit):
             main(["artifact", "table9"])
+        assert "vidi artifact: error: argument artifact: invalid choice: " \
+            "'table9'" in capsys.readouterr().err

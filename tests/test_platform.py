@@ -20,6 +20,7 @@ from repro.platform import (
     make_f1_interfaces,
 )
 from repro.sim import Module, RegisterFile, Simulator, WordMemory
+from repro.sim.module import NEVER
 
 
 def build_host_rig(mode=EnvironmentMode.HARDWARE, seed=0):
@@ -232,17 +233,20 @@ class TestHostThreads:
         runnable_seen = set()
 
         def audit(_cycle):
-            # The CPU's counters against a recount of the thread states.
-            states = [(t["state"], t["wait"]) for t in cpu._threads]
-            live = sum(1 for state, _w in states if state != "done")
-            on_engine = sum(1 for state, wait in states
-                            if state == "blocked" and wait is None)
+            # The CPU's counters against a recount of the thread states:
+            # its deadline is the earliest thread's, and a thread on an
+            # engine (or done) is due at no cycle.
+            states = [t["state"] for t in cpu._threads]
+            live = sum(1 for state in states if state != "done")
+            on_engine = states.count("engine")
             assert cpu._live == live
-            assert cpu._runnable == live - on_engine
+            assert cpu._wake_at == min(t["due"] for t in cpu._threads)
+            assert all(t["due"] == NEVER for t in cpu._threads
+                       if t["state"] in ("engine", "done"))
             engines_idle = (all(p.idle for p in cpu.mmio_ports.values())
                             and cpu.dma.idle)
             assert cpu.done == (live == 0 and engines_idle)
-            runnable_seen.add(cpu._runnable)
+            runnable_seen.add(live - on_engine)
 
         cpu.add_thread(t1())
         cpu.add_thread(t2())

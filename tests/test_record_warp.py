@@ -1,9 +1,9 @@
 """Record-mode time warp: record runs skip their quiet cycles too.
 
-Recording warps on the same scalar kernels as replay, from declarations
-the modules already make: ``next_wake`` overrides where a module has timed
-work (host think and wait countdowns, trace-store idle credit) and the
-``seq_idle_when`` guards everywhere else. Warping is a pure wall-clock
+Recording warps on the same scalar kernels as replay, from the one
+declaration every module makes: its ``seq_idle_when`` guard, whose
+``until`` deadline says when timed work is due (host think time and
+waits, the accelerator's cycle budget). Warping is a pure wall-clock
 optimisation, so a warped record must be bit-identical to per-cycle
 stepping on every kernel and under the declaration audit — cycles, stall
 cycles, stored bytes, trace body and flight blob — while the sparse apps
@@ -22,7 +22,9 @@ from repro.harness.runner import bench_config, record_run
 from repro.platform.cpu import CpuModel, HostMemRead, WaitCycles, WaitHostWord
 from repro.platform.pcie import PcieArbiter
 from repro.sim import Module, Simulator
+from repro.sim.compile import guard_hint
 from repro.sim.memory import WordMemory
+from repro.sim.module import NEVER
 
 from tests.declaration_audit import audit
 
@@ -81,7 +83,7 @@ def test_campaign_verdicts_match_without_warp(monkeypatch):
 
 
 class _FlagWriter(Module):
-    """Sets a host-memory flag word at cycle ``at`` (a timed hint)."""
+    """Sets a host-memory flag word at cycle ``at`` (a deadline guard)."""
 
     has_comb = False
 
@@ -89,13 +91,12 @@ class _FlagWriter(Module):
         super().__init__("flag")
         self.memory = memory
         self.at = at
+        self.seq_idle_when(("until", "at"))
 
     def seq(self):
-        if self._sim.cycle == self.at:
+        if self._sim.cycle >= self.at:
             self.memory.write_bytes(0x40, (1).to_bytes(8, "little"))
-
-    def next_wake(self, cycle):
-        return self.at if cycle <= self.at else None
+            self.at = NEVER
 
 
 def test_cpu_countdowns_carry_across_warp():
@@ -133,16 +134,19 @@ def test_cpu_countdowns_carry_across_warp():
 
 
 class _Guarded(Module):
-    """Idle (guard holds) while ``work`` is 0; no next_wake of its own."""
+    """Idle (guard holds) while ``work`` is 0 and cycle ``due`` lies ahead."""
 
     has_comb = False
 
-    def __init__(self, name="g"):
+    def __init__(self, name="g", work=0):
         super().__init__(name)
-        self.work = 0
-        self.seq_idle_when(("falsy", "work"))
+        self.work = work
+        self.due = NEVER
+        self.seq_idle_when(("falsy", "work"), ("until", "due"))
 
     def seq(self):
+        if self._sim.cycle >= self.due:
+            self.due = NEVER
         if self.work:
             self.work -= 1
 
@@ -155,13 +159,17 @@ class _Bare(Module):
 
 
 def test_guard_derived_hint():
-    """The base next_wake reads the seq_idle_when guard; a module with
-    neither a guard nor an override stays opaque."""
+    """The warp hint is read off the seq_idle_when guard: no hint while it
+    holds with no deadline ahead, its deadline while that lies ahead, the
+    current cycle when it fails; a module without a guard stays opaque."""
     guarded = _Guarded()
-    assert guarded.next_wake(7) is None
+    hint = guard_hint(guarded)
+    assert hint(7) is None
+    guarded.due = 12
+    assert (hint(7), hint(12)) == (12, 12)
     guarded.work = 2
-    assert guarded.next_wake(7) == 7
-    assert _Bare("b").next_wake(7) == 7
+    assert hint(7) == 7
+    assert guard_hint(_Bare("b"))(7) == 7
     sim = Simulator("declared", scheduler="event")
     sim.add(_Guarded())
     sim.elaborate()
@@ -201,46 +209,20 @@ def test_fault_windows_stop_the_record_run():
         assert (runs[0][4], runs[1][4]) == (True, False), plan
 
 
-def test_store_idle_credit_warps_at_effective_bandwidth():
-    """on_warp accrues the idle credit seq() would: brownout factor and
+def test_store_vetoes_warp_while_idle_credit_refills():
+    """An idle store refuses to warp until seq() has topped its drain
+    credit up to the cap, at the effective bandwidth: brownout factor and
     arbiter budget included."""
-    for factor, capacity in ((1.0, None), (0.25, None), (0.5, 9.0)):
-        stepped, warped = (
-            TraceStore("s", arbiter=capacity and PcieArbiter("p", capacity))
-            for _ in range(2))
-        for store in (stepped, warped):
-            store.fault_bandwidth_factor = factor
-        for _ in range(3):
-            stepped.seq()
-        warped.on_warp(3)
-        assert warped._drain_credit == stepped._drain_credit, factor
-
-
-class _Busy(Module):
-    has_comb = False
-
-    def seq(self):
-        pass
-
-    def next_wake(self, cycle):
-        return cycle
-
-
-class _Polled(Module):
-    """Always idle; counts how often the kernel asks."""
-
-    has_comb = False
-
-    def __init__(self, name):
-        super().__init__(name)
-        self.polls = 0
-
-    def seq(self):
-        pass
-
-    def next_wake(self, cycle):
-        self.polls += 1
-        return None
+    for factor, capacity, refill in ((1.0, None, 4), (0.25, None, 16),
+                                     (0.5, 9.0, 10)):
+        arbiter = capacity and PcieArbiter("p", capacity)
+        store = TraceStore("s", arbiter=arbiter)
+        store.fault_bandwidth_factor = factor
+        hint = guard_hint(store)
+        for _ in range(refill):
+            assert hint(7) == 7, factor
+            store.seq()
+        assert hint(7) is None, factor
 
 
 def test_veto_polled_first():
@@ -248,8 +230,20 @@ def test_veto_polled_first():
     sweep the idle modules are not polled again."""
     for scheduler in ("event", "compiled"):
         sim = Simulator("dense", scheduler=scheduler)
-        idle = [sim.add(_Polled(f"p{i}")) for i in range(10)]
-        sim.add(_Busy("busy"))
+        for i in range(10):
+            sim.add(_Guarded(f"p{i}"))
+        sim.add(_Guarded("busy", work=10_000))   # its guard never holds
+        sim.elaborate()
+        polls = [0] * 11
+
+        def counted(i, hint):
+            def polled(cycle):
+                polls[i] += 1
+                return hint(cycle)
+            return polled
+
+        sim._hints = tuple(counted(i, hint)
+                           for i, hint in enumerate(sim._warp_hints()))
         sim.run(200)
         assert sim.warped_cycles == 0
-        assert [m.polls for m in idle] == [1] * 10, scheduler
+        assert polls[:10] == [1] * 10, scheduler

@@ -1,7 +1,7 @@
 """Trace-service tests: ingest, job queue, results store, crash recovery.
 
-Covers the fleet-scale daemon (ROADMAP item 2's deployability follow-on)
-at three levels:
+Covers the fleet-scale daemon (the flight recorder's deployability
+follow-on) at three levels:
 
 * unit — the `FrameRing` retention policy and `FrameStreamParser`
   chunk reassembly shared between the flight recorder and daemon-side

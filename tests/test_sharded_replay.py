@@ -167,7 +167,7 @@ class TestCrashRecovery:
         injector = FaultInjector(
             FaultPlan.single("worker-crash", seed=1, crashes=1))
         result = replay_sharded(spec, trace, segments=3,
-                                jobs=2, retries=2, injector=injector)
+                                jobs=2, injector=injector)
         assert any("worker-crash" in entry for entry in injector.log)
         assert bytes(result.validation.body) == \
             bytes(sequential.result["validation"].body)
@@ -181,7 +181,7 @@ class TestCrashRecovery:
         injector = FaultInjector(
             FaultPlan.single("worker-crash", seed=2, crashes=99))
         result = replay_sharded(spec, trace, segments=3,
-                                jobs=2, retries=2, injector=injector)
+                                jobs=2, injector=injector)
         assert bytes(result.validation.body) == \
             bytes(sequential.result["validation"].body)
 

@@ -20,10 +20,11 @@ from repro.harness.runner import (
 )
 from repro.platform.shell import F1Deployment
 from repro.sim import Module, Simulator
+from repro.sim.module import NEVER
 
 
 class Ticker(Module):
-    """Fires every ``period`` cycles and declares its next wake-up."""
+    """Fires every ``period`` cycles; its guard's deadline is the next fire."""
 
     has_comb = False
 
@@ -31,31 +32,23 @@ class Ticker(Module):
         super().__init__(name)
         self.period = period
         self.out = self.signal("out", width=32)
-        self._countdown = period
+        self.fire_at = period - 1
         self.fires = 0
-        self.seq_calls = 0
-        self.warp_gaps = []
+        self.fire_cycles = []
+        self.seq_idle_when(("until", "fire_at"))
 
     def seq(self):
-        self.seq_calls += 1
-        self._countdown -= 1
-        if self._countdown == 0:
-            self.fires += 1
-            self.out.set_next(self.fires)
-            self._countdown = self.period
-
-    def next_wake(self, cycle):
-        # seq() decrements once per executed cycle, so the fire lands
-        # ``countdown - 1`` cycles from now.
-        return cycle + self._countdown - 1
-
-    def on_warp(self, gap):
-        self.warp_gaps.append(gap)
-        self._countdown -= gap
+        cycle = self._sim.cycle
+        if cycle < self.fire_at:
+            return
+        self.fires += 1
+        self.fire_cycles.append(cycle)
+        self.out.set_next(self.fires)
+        self.fire_at = cycle + self.period
 
 
 class Opaque(Module):
-    """A sequential module without a next_wake override."""
+    """A sequential module without an idle guard."""
 
     has_comb = False
 
@@ -95,9 +88,10 @@ class TestWarpKernel:
         for warped, ref in zip(warp_tickers, ref_tickers):
             assert warped.fires == ref.fires
             assert warped.out.value == ref.out.value
-        # Every skipped cycle was accounted for via on_warp.
-        for ticker in warp_tickers:
-            assert ticker.seq_calls + sum(ticker.warp_gaps) == 500
+        # Every fire landed on its deadline, with no catch-up call.
+        for warped, ref in zip(warp_tickers, ref_tickers):
+            assert warped.fire_cycles == ref.fire_cycles
+        assert warp_sim.warped_cycles > 0
 
     def test_run_boundary_never_overshot(self):
         sim, (ticker,) = _ticker_sim([1000])
@@ -142,18 +136,26 @@ class TestWarpKernel:
         assert ticker.fires == 4
 
     def test_pure_reactive_modules_never_warp(self):
-        """All-None hints mean nothing is scheduled — no warp target."""
+        """A guard that always holds, with no deadline, gives no hint:
+        nothing is scheduled, so each step still ticks one cycle."""
 
-        class Reactive(Ticker):
-            def next_wake(self, cycle):
-                return None
+        class Reactive(Module):
+            has_comb = False
+
+            def __init__(self):
+                super().__init__("reactive")
+                self.wake_at = NEVER
+                self.seq_idle_when(("until", "wake_at"))
+
+            def seq(self):
+                pass
 
         sim = Simulator(time_warp=True)
-        ticker = Reactive(period=50)
-        sim.add(ticker)
-        sim.run(200)
+        sim.add(Reactive())
+        for _ in range(200):
+            sim.step()
+        assert sim.cycle == 200
         assert sim.warped_cycles == 0
-        assert ticker.fires == 4
 
 
 class TestWarpSwitch:

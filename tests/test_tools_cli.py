@@ -54,9 +54,12 @@ class TestInfoStatsDump:
 
     def test_dump_unknown_channel_fails_cleanly(self, trace_path, capsys):
         assert main(["dump", trace_path, "--channel", "nvme.q"]) == 2
+        assert "error: unknown channel 'nvme.q'" in capsys.readouterr().err
 
     def test_missing_file_fails_cleanly(self, capsys):
         assert main(["info", "/nonexistent.trace"]) == 2
+        assert "No such file or directory: '/nonexistent.trace'" in \
+            capsys.readouterr().err
 
 
 class TestDiff:
@@ -87,6 +90,8 @@ class TestMutate:
         out_path = tmp_path / "mut.trace"
         assert main(["mutate", trace_path, "-o", str(out_path),
                      "--move-end-before", "pcim.w:0", "pcim.aw:0"]) == 0
+        assert capsys.readouterr().out == \
+            f"mutated trace written to {out_path}\n"
         mutated = TraceFile.load(out_path)
         assert mutated.metadata["mutated"] is True
 
@@ -95,20 +100,26 @@ class TestMutate:
         # Moving an input channel's end before its own start is refused.
         assert main(["mutate", trace_path, "-o", str(out_path),
                      "--move-end-before", "pcis.w:0", "pcis.aw:0"]) == 2
+        assert "mutation produces an inconsistent trace: pcis.w: end #0 " \
+            "precedes its start" in capsys.readouterr().err
         assert not out_path.exists()
 
-    def test_force_overrides_validation(self, trace_path, tmp_path):
+    def test_force_overrides_validation(self, trace_path, tmp_path, capsys):
         out_path = tmp_path / "forced.trace"
         assert main(["mutate", trace_path, "-o", str(out_path), "--force",
                      "--move-end-before", "pcis.w:0", "pcis.aw:0"]) == 0
+        assert capsys.readouterr().out == \
+            f"mutated trace written to {out_path}\n"
         assert out_path.exists()
 
-    def test_drop_and_rewrite(self, trace_path, tmp_path):
+    def test_drop_and_rewrite(self, trace_path, tmp_path, capsys):
         out_path = tmp_path / "edit.trace"
         new_content = "ab" * 5   # ocl.w content is 5 bytes
         assert main(["mutate", trace_path, "-o", str(out_path),
                      "--drop-end", "pcim.b:0",
                      "--rewrite-content", "ocl.w:0", new_content]) == 0
+        assert capsys.readouterr().out == \
+            f"mutated trace written to {out_path}\n"
         mutated = TraceFile.load(out_path)
         ocl_w = mutated.table.by_name("ocl.w").index
         first = next(p for p in mutated.packets()
@@ -118,6 +129,8 @@ class TestMutate:
     def test_bad_event_syntax(self, trace_path, tmp_path, capsys):
         assert main(["mutate", trace_path, "-o", str(tmp_path / "x"),
                      "--drop-end", "nocolon"]) == 2
+        assert "error: expected CHANNEL:OCCURRENCE (e.g. pcim.w:0), got " \
+            "'nocolon'" in capsys.readouterr().err
 
 
 class TestFuzzCommand:
