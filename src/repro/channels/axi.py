@@ -75,27 +75,9 @@ class AxiInterface(Module):
                               direction=direction)
             self.channels[channel_name] = channel
             self.submodule(channel)
-
-    # ------------------------------------------------------------------
-    @property
-    def aw(self) -> Channel:
-        return self.channels["aw"]
-
-    @property
-    def w(self) -> Channel:
-        return self.channels["w"]
-
-    @property
-    def b(self) -> Channel:
-        return self.channels["b"]
-
-    @property
-    def ar(self) -> Channel:
-        return self.channels["ar"]
-
-    @property
-    def r(self) -> Channel:
-        return self.channels["r"]
+        # Plain attributes, not properties: per-cycle code reads them.
+        self.aw, self.w, self.b, self.ar, self.r = (
+            self.channels[n] for n in CHANNEL_ORDER)
 
     # ------------------------------------------------------------------
     def channel_list(self) -> List[Channel]:

@@ -41,7 +41,7 @@ class Channel(Module):
     @property
     def fired(self) -> bool:
         """True when a handshake completes this cycle (transaction end event)."""
-        return bool(self.valid._value and self.ready._value)
+        return bool(self.valid.value and self.ready.value)
 
     @property
     def width(self) -> int:
@@ -189,7 +189,7 @@ class ChannelSink(Module):
         self.channel.ready.drive(self._ready_now)
 
     def seq(self) -> None:
-        if self.channel.fired:
+        if self.channel.valid.value and self.channel.ready.value:
             self.received.append(self.channel.payload.value)
         # The policy decides READY for the next cycle and gets its number.
         ready = 1 if self.policy(self._sim.cycle + 1,

@@ -60,6 +60,13 @@ class TraceEncoder(Module):
         self._stage = bytearray()   # reusable serialization buffer
         self._reserved_bytes = 0
         self._header_bytes = 2 * table.bitvec_bytes
+        # Staging bytes reserved for each channel's future end record: a
+        # header, plus the content of an output channel when validating.
+        self._end_costs = [
+            self._header_bytes
+            + (table[i].content_bytes if record_output_contents
+               and not table.is_input(i) else 0)
+            for i in range(table.n)]
         # Worst case a single cycle can add beyond existing reservations:
         # one packet header, every input channel starting at once (content),
         # plus the eager end-record reservations those admissions take out
@@ -67,13 +74,13 @@ class TraceEncoder(Module):
         self._worst_cycle_cost = (
             self._header_bytes
             + sum(table[i].content_bytes for i in table.input_indices)
-            + sum(self._end_cost(i) for i in range(table.n))
+            + sum(self._end_costs)
         )
         self.packets_emitted = 0
         self.events_recorded = 0
         self.enabled = True
-        # seq() only serializes a non-empty cycle packet (is_empty is
-        # exactly "no starts and no ends"); also the encoder's wake hint.
+        # seq() only serializes a non-empty cycle packet (one with starts
+        # or ends); also the encoder's wake hint.
         self.seq_idle_when(("falsy", "_packet.starts"),
                            ("falsy", "_packet.ends"))
         # Ablation A1: when monitors bypass the reservation protocol the
@@ -82,16 +89,6 @@ class TraceEncoder(Module):
         # lost events — exactly the data loss cycle-accurate tools exhibit.
         self.drop_on_overflow = False
         self.dropped_events = 0
-
-    # ------------------------------------------------------------------
-    # reservation accounting
-    # ------------------------------------------------------------------
-    def _end_cost(self, index: int) -> int:
-        """Staging bytes reserved for channel ``index``'s future end record."""
-        cost = self._header_bytes
-        if self.record_output_contents and not self.table.is_input(index):
-            cost += self.table[index].content_bytes
-        return cost
 
     # ------------------------------------------------------------------
     # combinational face (pure within a cycle)
@@ -121,19 +118,19 @@ class TraceEncoder(Module):
             )
         self._packet.starts |= 1 << index
         self._packet.contents[index] = content
-        self._reserved_bytes += self._end_cost(index)
+        self._reserved_bytes += self._end_costs[index]
         self.events_recorded += 1
 
     def reserve_end(self, index: int) -> None:
         """Eagerly reserve the end-record slot for an output transaction."""
-        self._reserved_bytes += self._end_cost(index)
+        self._reserved_bytes += self._end_costs[index]
 
     def record_end(self, index: int, content: bytes | None = None) -> None:
         """Log a transaction end; releases the eager reservation."""
         self._packet.ends |= 1 << index
         if content is not None and self.record_output_contents:
             self._packet.validation[index] = content
-        self._reserved_bytes -= self._end_cost(index)
+        self._reserved_bytes -= self._end_costs[index]
         if self._reserved_bytes < 0:
             raise SimulationError(
                 f"encoder {self.name!r}: reservation accounting went negative"
@@ -143,7 +140,7 @@ class TraceEncoder(Module):
     # ------------------------------------------------------------------
     def seq(self) -> None:
         packet = self._packet
-        if packet.is_empty:
+        if not packet.starts and not packet.ends:
             return
         # Serialize into the reusable staging buffer: one allocation per
         # eventful cycle (the final bytes() the store keeps) instead of one

@@ -36,10 +36,12 @@ class ChannelMonitor(Module):
     """Interposes on one channel and reports its transaction events.
 
     Scheduling: ``comb()`` reads the three wire inputs (declared below) plus
-    ``self.enabled``, ``self._committed`` and ``encoder.grant()``. The latter
-    three only affect the output while a transaction is active (``up.valid`` high
-    or an end reservation held) — when the upstream is idle ``present`` is 0
-    regardless — so ``seq()`` wakes the monitor exactly while active, and the
+    ``_enabled``, ``_committed``, ``fault_stalled`` and ``encoder.grant()``.
+    Its output moves without a wire moving only when ``_committed`` flips
+    or while a start waits on ``grant()`` (``up.valid`` high, ``down.valid``
+    low), which reads the store's state; ``seq()`` wakes the monitor in
+    exactly those cycles. A held transaction (committed, waiting for
+    READY) is re-evaluated only when one of its wires moves. The
     ``enabled`` setter wakes on toggles.
     """
 
@@ -97,39 +99,40 @@ class ChannelMonitor(Module):
     # ------------------------------------------------------------------
     def comb(self) -> None:
         up, down = self.up, self.down
-        if not self.enabled and not self._committed:
-            present = up.valid.value   # pure pass-through while disabled
-        elif self.eager_reservation:
-            present = up.valid.value and (self._committed or self.encoder.grant())
-        else:
-            present = up.valid.value
-        if present and self.fault_stalled and not self._committed:
-            present = 0   # injected stall: gate new transactions only
-        if present:
-            down.valid.drive(1)
-            down.payload.drive(up.payload.value)
-            up.ready.drive(down.ready.value)
-        else:
-            down.valid.drive(0)
-            down.payload.drive(up.payload.value)
-            up.ready.drive(0)
+        present = up.valid.value
+        if present and not self._committed and (
+                self.fault_stalled   # injected stall: gates new ones only
+                or (self._enabled and self.eager_reservation
+                    and not self.encoder.grant())):
+            present = 0
+        payload = up.payload.value
+        ready = down.ready.value if present else 0
+        # Drive only what moves: most settles change one wire or none.
+        if down.valid.value != present:
+            down.valid.drive(present)
+        if down.payload.value != payload:
+            down.payload.drive(payload)
+        if up.ready.value != ready:
+            up.ready.drive(ready)
 
     def seq(self) -> None:
         up, down = self.up, self.down
-        if not up.valid._value and not down.valid._value \
-                and not self._committed:
+        valid = up.valid.value
+        presented = down.valid.value
+        if not valid and not presented and not self._committed:
             return   # channel idle: no stall, no commit, no end, no wake
-        presented = bool(down.valid.value)
-        if up.valid.value and not presented:
+        if valid and not presented:
             self.stalled_cycles += 1
-        if presented and not self._committed and self.enabled:
+            self.wake()   # a waiting start re-reads grant() next cycle
+        if presented and not self._committed and self._enabled:
             # First cycle this transaction is visible downstream.
             if self.direction == "in":
                 self.encoder.record_start(self.index, up.payload_bytes())
             else:
                 self.encoder.reserve_end(self.index)
             self._committed = True
-        if down.fired:
+            self.wake()
+        if presented and down.ready.value:
             # The three-way simultaneous completion: upstream handshake
             # (up.ready mirrored down.ready), downstream handshake, and the
             # end record — whose slot was reserved, so it cannot block.
@@ -141,11 +144,8 @@ class ChannelMonitor(Module):
                            else None)
                 self.encoder.record_end(self.index, content)
                 self._committed = False
+                self.wake()
             self.transactions += 1
-        if up.valid.value or self._committed:
-            # Active transaction: grant()/_committed may change the comb
-            # output next cycle, so stay on the work-list while engaged.
-            self.wake()
 
     def reset_state(self) -> None:
         super().reset_state()

@@ -244,7 +244,7 @@ class ChannelReplayer(Module):
         channel = self.channel
         coordinator = self.coordinator
         # 1. Observe actual completion on our channel and broadcast it.
-        if channel.fired:
+        if channel.valid.value and channel.ready.value:
             if self.direction == "in":
                 self._current = None
                 idle = not self._pending_contents

@@ -59,8 +59,9 @@ class TraceStore(Module):
                  arbiter=None):
         super().__init__(name)
         # Optional shared-link arbiter (see repro.platform.pcie): when set,
-        # each cycle's drain is capped by the bandwidth the application left
-        # unused — the §4.1 AXI-Interconnect multiplexing.
+        # each cycle's drain is capped by its store_budget field, the
+        # bandwidth the application left unused, and the drained bytes add
+        # to its total_store_bytes — the §4.1 AXI-Interconnect multiplexing.
         self.arbiter = arbiter
         if staging_bytes < STORAGE_WORD_BYTES:
             raise SimulationError(
@@ -111,8 +112,8 @@ class TraceStore(Module):
     # ------------------------------------------------------------------
     def seq(self) -> None:
         bandwidth = self.bandwidth * self.fault_bandwidth_factor
-        if self.arbiter is not None:
-            bandwidth = min(bandwidth, self.arbiter.store_budget())
+        if self.arbiter is not None:   # its seq() ran first and set this
+            bandwidth = min(bandwidth, self.arbiter.store_budget)
         bw_fp = round(bandwidth * CREDIT_SCALE)
         staged = self._staged_bytes
         if not staged:
@@ -125,8 +126,8 @@ class TraceStore(Module):
         spent = min(staged, credit // CREDIT_SCALE)
         self._staged_bytes = staged - spent
         self._drain_credit = credit - spent * CREDIT_SCALE
-        if self.arbiter is not None and spent:
-            self.arbiter.note_store_bytes(spent)
+        if self.arbiter is not None:
+            self.arbiter.total_store_bytes += spent
 
     def _settle(self) -> None:
         """Move the drained front of staging into external storage."""

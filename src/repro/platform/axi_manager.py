@@ -209,13 +209,13 @@ class AxiManager(Module):
             self.wake()
         # Write progress.
         if self._w_desc is not None:
-            if iface.aw.fired:
+            if iface.aw.valid.value and iface.aw.ready.value:
                 self._aw_sent_bursts += 1
                 self.wake()
-            if iface.w.fired:
+            if iface.w.valid.value and iface.w.ready.value:
                 self._w_sent += 1
                 self.wake()
-            if iface.b.fired:
+            if iface.b.valid.value and iface.b.ready.value:
                 self._w_bursts_pending -= 1
                 if self._w_bursts_pending == 0:
                     done = self._w_desc
@@ -226,15 +226,15 @@ class AxiManager(Module):
                         done.on_complete()
         # Read progress.
         if self._r_desc is not None:
-            if iface.ar.fired:
+            if iface.ar.valid.value and iface.ar.ready.value:
                 remaining = self._r_desc.n_words - self._r_requested
                 self._r_requested += min(remaining, MAX_BURST_BEATS)
                 self._ar_issued = True
                 self.wake()
-            if iface.r.fired:
-                r = iface.r.payload_dict()
-                self._r_desc._data.append(r["data"])
-                if r["last"]:
+            if iface.r.valid.value and iface.r.ready.value:
+                beat = iface.r.payload_dict()
+                self._r_desc._data.append(beat["data"])
+                if beat["last"]:
                     desc = self._r_desc
                     if len(desc._data) >= desc.n_words:
                         self._r_desc = None

@@ -31,8 +31,9 @@ class AxiLiteSubordinate(Module):
     """Serves one AXI-Lite interface from register read/write hooks.
 
     Scheduling: ``comb()`` reads only the latched request/response state,
-    all of which is mutated in ``seq()`` — every mutating branch wakes the
-    module, so it is quiescent whenever no MMIO transaction is in flight.
+    all of which is mutated in ``seq()``. Every branch that can move a comb
+    output wakes the module; a latency countdown wakes it once, at zero.
+    It is quiescent whenever no MMIO transaction is in flight.
     """
 
     comb_static = True
@@ -91,10 +92,10 @@ class AxiLiteSubordinate(Module):
     def seq(self) -> None:
         iface = self.interface
         # Write path: accept AW and W independently, commit when both held.
-        if iface.aw.fired:
+        if iface.aw.valid.value and iface.aw.ready.value:
             self._aw = iface.aw.spec.extract(iface.aw.payload.value, "addr")
             self.wake()
-        if iface.w.fired:
+        if iface.w.valid.value and iface.w.ready.value:
             w = iface.w.payload_dict()
             self._w = (w["data"], w["strb"])
             self.wake()
@@ -118,13 +119,14 @@ class AxiLiteSubordinate(Module):
         if self._b_pending:
             if self._b_wait > 0:
                 self._b_wait -= 1
-                self.wake()
-            elif iface.b.fired:
+                if not self._b_wait:
+                    self.wake()   # the response appears at zero
+            elif iface.b.valid.value and iface.b.ready.value:
                 self._b_pending = False
                 self.writes_served += 1
                 self.wake()
         # Read path.
-        if iface.ar.fired:
+        if iface.ar.valid.value and iface.ar.ready.value:
             self._ar = iface.ar.spec.extract(iface.ar.payload.value, "addr")
             self.wake()
         if self._ar is not None and self._r_pending is None:
@@ -135,8 +137,9 @@ class AxiLiteSubordinate(Module):
         if self._r_pending is not None:
             if self._r_wait > 0:
                 self._r_wait -= 1
-                self.wake()
-            elif iface.r.fired:
+                if not self._r_wait:
+                    self.wake()   # the read data appears at zero
+            elif iface.r.valid.value and iface.r.ready.value:
                 self._r_pending = None
                 self.reads_served += 1
                 self.wake()
@@ -161,10 +164,12 @@ BeatObserver = Callable[[int, int, int], None]
 class AxiSubordinate(Module):
     """Serves a 512-bit burst DMA interface from on-FPGA memory (pcis side).
 
-    Scheduling: ``comb()`` reads the burst queues plus ``memory`` contents
-    (R data); ``seq()`` wakes on every queue mutation and the module
-    subscribes to memory writes so out-of-band writers (accelerators, host
-    threads) re-schedule the R path too.
+    Scheduling: ``comb()`` reads the burst queues, the read-latency
+    countdown and, while it presents an R beat, ``memory`` contents.
+    ``seq()`` wakes on every queue mutation and once when the countdown
+    reaches zero, and a memory-write subscription wakes the module only
+    while it presents an R beat, so out-of-band writers (accelerators,
+    host threads) re-drive the beat and other writes cost nothing.
     """
 
     comb_static = True
@@ -189,7 +194,7 @@ class AxiSubordinate(Module):
         self.write_beats = 0
         self.read_beats = 0
         self.sensitive_to()
-        memory.on_write(self.wake)
+        memory.on_write(self._memory_written)
         self.drives(interface.aw.ready, interface.w.ready,
                     interface.b.valid, interface.b.payload,
                     interface.ar.ready, interface.r.valid,
@@ -199,6 +204,10 @@ class AxiSubordinate(Module):
                            ("low", interface.ar.valid),
                            ("falsy", "_pending_aw"), ("falsy", "_pending_w"),
                            ("falsy", "_b_queue"), ("none", "_read_burst"))
+
+    def _memory_written(self) -> None:
+        if self._read_burst is not None and not self._r_wait:
+            self.wake()
 
     # ------------------------------------------------------------------
     def comb(self) -> None:
@@ -228,11 +237,11 @@ class AxiSubordinate(Module):
 
     def seq(self) -> None:
         iface = self.interface
-        if iface.aw.fired:
+        if iface.aw.valid.value and iface.aw.ready.value:
             aw = iface.aw.payload_dict()
             self._pending_aw.append((aw["addr"], aw["len"] + 1, aw["id"]))
             self.wake()
-        if iface.w.fired:
+        if iface.w.valid.value and iface.w.ready.value:
             w = iface.w.payload_dict()
             self._pending_w.append((w["data"], w["strb"], w["last"]))
             self.write_beats += 1
@@ -251,11 +260,11 @@ class AxiSubordinate(Module):
             else:
                 self._pending_aw[0] = (addr + self.WORD_BYTES, remaining, burst_id)
             self.wake()   # queue depths / B response changed
-        if iface.b.fired:
+        if iface.b.valid.value and iface.b.ready.value:
             self._b_queue.popleft()
             self.wake()
         # Read bursts.
-        if iface.ar.fired:
+        if iface.ar.valid.value and iface.ar.ready.value:
             ar = iface.ar.payload_dict()
             self._read_burst = (ar["addr"], ar["len"] + 1, ar["id"])
             self._r_wait = self.read_latency
@@ -263,8 +272,9 @@ class AxiSubordinate(Module):
         if self._read_burst is not None:
             if self._r_wait > 0:
                 self._r_wait -= 1
-                self.wake()
-            elif iface.r.fired:
+                if not self._r_wait:
+                    self.wake()   # the first beat appears at zero
+            elif iface.r.valid.value and iface.r.ready.value:
                 addr, remaining, burst_id = self._read_burst
                 self.read_beats += 1
                 if remaining == 1:

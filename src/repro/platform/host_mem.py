@@ -22,9 +22,11 @@ class HostMemoryController(Module):
     """Subordinate on the environment side of an FPGA-managed interface.
 
     Scheduling: ``comb()`` reads the burst/latency state mutated in
-    ``seq()`` (which wakes on every actual change — the PCIe-less pacing
-    branch re-asserts defaults every cycle and must *not* wake) plus host
-    memory contents, covered by a memory write subscription.
+    ``seq()``, which wakes when a comb output can move: on every queue or
+    pacing change, and once when a latency countdown reaches zero (the
+    PCIe-less pacing branch re-asserts defaults every cycle and must
+    *not* wake). Host memory contents matter only while an R beat is
+    presented; a memory-write subscription wakes the module only then.
     """
 
     comb_static = True
@@ -51,7 +53,7 @@ class HostMemoryController(Module):
         self.write_beats = 0
         self.read_beats = 0
         self.sensitive_to()
-        memory.on_write(self.wake)
+        memory.on_write(self._memory_written)
         self.drives(interface.aw.ready, interface.w.ready,
                     interface.b.valid, interface.b.payload,
                     interface.ar.ready, interface.r.valid,
@@ -66,6 +68,10 @@ class HostMemoryController(Module):
                            ("falsy", "_b_queue"), ("none", "_read_burst"))
         if pcie is None:
             self.seq_idle_when(("truthy", "_w_allow"), ("truthy", "_r_paid"))
+
+    def _memory_written(self) -> None:
+        if self._read_burst is not None and not self._r_wait and self._r_paid:
+            self.wake()
 
     def _latency(self) -> int:
         if self.jitter <= 0:
@@ -116,7 +122,7 @@ class HostMemoryController(Module):
                 if allow != self._w_allow:
                     self._w_allow = allow
                     self.wake()
-            elif iface.w.fired:
+            elif iface.w.valid.value and iface.w.ready.value:
                 if self._w_allow:
                     self._w_allow = 0
                     self.wake()
@@ -125,11 +131,11 @@ class HostMemoryController(Module):
                 self._r_paid = self.pcie.request_app()
                 if self._r_paid:
                     self.wake()
-        if iface.aw.fired:
+        if iface.aw.valid.value and iface.aw.ready.value:
             aw = iface.aw.payload_dict()
             self._pending_aw.append((aw["addr"], aw["len"] + 1, aw["id"]))
             self.wake()
-        if iface.w.fired:
+        if iface.w.valid.value and iface.w.ready.value:
             w = iface.w.payload_dict()
             self._pending_w.append((w["data"], w["strb"], w["last"]))
             self.write_beats += 1
@@ -149,11 +155,12 @@ class HostMemoryController(Module):
             burst_id, delay = self._b_queue[0]
             if delay > 0:
                 self._b_queue[0] = (burst_id, delay - 1)
-                self.wake()
-            elif iface.b.fired:
+                if delay == 1:
+                    self.wake()   # the response appears at zero
+            elif iface.b.valid.value and iface.b.ready.value:
                 self._b_queue.popleft()
                 self.wake()
-        if iface.ar.fired:
+        if iface.ar.valid.value and iface.ar.ready.value:
             ar = iface.ar.payload_dict()
             self._read_burst = (ar["addr"], ar["len"] + 1, ar["id"])
             self._r_wait = self._latency()
@@ -161,8 +168,9 @@ class HostMemoryController(Module):
         if self._read_burst is not None:
             if self._r_wait > 0:
                 self._r_wait -= 1
-                self.wake()
-            elif iface.r.fired:
+                if not self._r_wait:
+                    self.wake()   # the beat can appear at zero
+            elif iface.r.valid.value and iface.r.ready.value:
                 addr, remaining, burst_id = self._read_burst
                 self.read_beats += 1
                 if self.pcie is not None:

@@ -42,7 +42,12 @@ class PcieArbiter(Module):
         self._app_used_this_cycle = 0
         self._app_used_last_cycle = 0
         self.total_app_bytes = 0
+        # Fields, not methods, for the store's per-cycle drain: it reads
+        # store_budget (the bytes per cycle the application left unused
+        # last cycle, set by seq()) and adds what it drains to
+        # total_store_bytes.
         self.total_store_bytes = 0
+        self.store_budget = max(0.0, capacity)
         # On link-idle cycles seq() only accrues credit; once the credit
         # sits at its cap there is nothing left to do.
         self.seq_idle_when(("falsy", "_app_used_this_cycle"),
@@ -52,6 +57,7 @@ class PcieArbiter(Module):
     def seq(self) -> None:
         self._app_used_last_cycle = self._app_used_this_cycle
         self._app_used_this_cycle = 0
+        self.store_budget = max(0.0, self.capacity - self._app_used_last_cycle)
         # Accumulate fractional credit; cap at a few beats so idle periods
         # cannot bank unbounded burst capacity.
         self._credit = min(self._credit + self.capacity, 4 * BEAT_BYTES)
@@ -66,14 +72,6 @@ class PcieArbiter(Module):
             return True
         return False
 
-    def store_budget(self) -> float:
-        """Bytes per cycle currently available to the trace store."""
-        return max(0.0, self.capacity - self._app_used_last_cycle)
-
-    def note_store_bytes(self, nbytes: int) -> None:
-        """Accounting callback from the trace store's drain."""
-        self.total_store_bytes += nbytes
-
     def reset_state(self) -> None:
         super().reset_state()
         self._credit = 0.0
@@ -81,3 +79,4 @@ class PcieArbiter(Module):
         self._app_used_last_cycle = 0
         self.total_app_bytes = 0
         self.total_store_bytes = 0
+        self.store_budget = max(0.0, self.capacity)

@@ -164,7 +164,7 @@ def _guard_expr(module: Module, mod_name: str, bind, now: str,
             if not isinstance(sig, Signal):
                 raise SimulationError(
                     f"{module.name}: ('low', …) wants a Signal, got {sig!r}")
-            parts.append(f"not {bind(sig)}._value")
+            parts.append(f"not {bind(sig)}.value")
         elif kind == "nofire":
             ch = term[1]
             valid = getattr(ch, "valid", None)
@@ -173,7 +173,7 @@ def _guard_expr(module: Module, mod_name: str, bind, now: str,
                 raise SimulationError(
                     f"{module.name}: ('nofire', …) wants a Channel, got {ch!r}")
             parts.append(
-                f"not ({bind(valid)}._value and {bind(ready)}._value)")
+                f"not ({bind(valid)}.value and {bind(ready)}.value)")
         elif kind == "falsy":
             parts.append(f"not {_attr_expr(mod_name, term[1])}")
         elif kind == "truthy":
@@ -408,8 +408,8 @@ def compile_kernel(sim) -> CompiledKernel:
     emit("            if nxt is None:")
     emit("                continue")
     emit("            sig._next = None")
-    emit("            if nxt != sig._value:")
-    emit("                sig._value = nxt")
+    emit("            if nxt != sig.value:")
+    emit("                sig.value = nxt")
     emit("                for m in sig._fanout:")
     emit("                    if not m._comb_scheduled:")
     emit("                        m._comb_scheduled = True")

@@ -14,6 +14,10 @@ Two update disciplines exist, mirroring synthesizable RTL:
 Signals must be bound to a :class:`~repro.sim.simulator.Simulator` (normally
 via :class:`~repro.sim.module.Module`) before the first ``step``.
 
+``value`` is a plain slot, not a property, because per-cycle code reads it
+more than any other attribute. It is read-only by convention: write it
+only with ``drive`` or ``set_next``, which also schedule the readers.
+
 Scheduling: every signal carries a *fanout* list — the modules that declared
 combinational sensitivity to it via
 :meth:`~repro.sim.module.Module.sensitive_to`. A value change enqueues
@@ -31,7 +35,7 @@ from repro.errors import SimulationError
 class Signal:
     """A fixed-width hardware signal with combinational and registered updates."""
 
-    __slots__ = ("name", "width", "reset", "_mask", "_value", "_next", "_sim",
+    __slots__ = ("name", "width", "reset", "_mask", "value", "_next", "_sim",
                  "_fanout")
 
     def __init__(self, name: str, width: int = 1, reset: int = 0):
@@ -41,7 +45,7 @@ class Signal:
         self.width = width
         self.reset = reset & ((1 << width) - 1)
         self._mask = (1 << width) - 1
-        self._value = self.reset
+        self.value = self.reset   # visible now; read-only by convention
         self._next: Optional[int] = None
         self._sim = None
         # Modules combinationally sensitive to this signal, populated at
@@ -59,23 +63,18 @@ class Signal:
 
     def reset_value(self) -> None:
         """Restore the power-on value."""
-        self._value = self.reset
+        self.value = self.reset
         self._next = None
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    @property
-    def value(self) -> int:
-        """The currently visible value of the signal."""
-        return self._value
-
     def __bool__(self) -> bool:
-        return self._value != 0
+        return self.value != 0
 
     def bit(self, index: int) -> int:
         """Return bit ``index`` (0 = LSB) of the current value."""
-        return (self._value >> index) & 1
+        return (self.value >> index) & 1
 
     # ------------------------------------------------------------------
     # writes
@@ -87,8 +86,8 @@ class Signal:
         in this signal's fanout is enqueued for re-evaluation.
         """
         value &= self._mask
-        if value != self._value:
-            self._value = value
+        if value != self.value:
+            self.value = value
             sim = self._sim
             if sim is not None:
                 sim._dirty = True
@@ -115,8 +114,8 @@ class Signal:
         if nxt is None:
             return
         self._next = None
-        if nxt != self._value:
-            self._value = nxt
+        if nxt != self.value:
+            self.value = nxt
             sim = self._sim
             for module in self._fanout:
                 if not module._comb_scheduled:
@@ -125,4 +124,4 @@ class Signal:
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Signal({self.name!r}, width={self.width}, value={self._value:#x})"
+        return f"Signal({self.name!r}, width={self.width}, value={self.value:#x})"

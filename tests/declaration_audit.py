@@ -120,13 +120,13 @@ def _audited_seq(sim: Simulator, module, counts: dict, signals):
 
 def _check_settled(sim: Simulator, signals: list) -> None:
     """Re-run every comb module once; a settled design does not move."""
-    values = [sig._value for sig in signals]
+    values = [sig.value for sig in signals]
     for module in sim._comb_modules:
         sim._dirty = False
         module.comb()
         if sim._dirty or sim._pending:
             moved = [sig.name for sig, value in zip(signals, values)
-                     if sig._value != value]
+                     if sig.value != value]
             woken = [m.name for m in sim._pending]
             raise AssertionError(
                 f"cycle {sim.cycle}: re-running {module.name} comb() on a "

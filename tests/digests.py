@@ -14,14 +14,17 @@ with time warp on and once with it off:
 
 Warp counters are not facts and are not pinned; ``--warped PATH`` writes
 each case's record and replay ``warped_cycles`` to a JSON file, so two
-trees can be compared by hand.
+trees can be compared by hand. ``--calls PATH`` likewise writes each
+case's Python function calls for the record and for the replay (warp
+on), counted as ``sys.setprofile`` "call" events: a cost that repeats
+exactly, so two trees can be compared by it where timings are noise.
 
     PYTHONPATH=src python tests/digests.py            # check (make digests)
     PYTHONPATH=src python tests/digests.py --write    # re-pin the file
 
 The file is named so that pytest does not collect it: the matrix takes
-tens of seconds, and tier-1 checks one slice of it
-(``tests/test_scheduler_equivalence.py``).
+tens of seconds, and tier-1 checks one slice of it, every app at seed 5,
+compiled, flight on (``tests/test_scheduler_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -49,19 +52,40 @@ def _sha(blob) -> str:
     return hashlib.sha256(bytes(blob)).hexdigest()
 
 
+def _counted(fn, calls):
+    """``fn()``, appending to ``calls`` the Python calls it made, if a list."""
+    if calls is None:
+        return fn()
+    count = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal count
+        if event == "call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    calls.append(count)
+    return result
+
+
 def run_case(app: str, seed: int, scheduler: str, flight: bool,
-             time_warp: bool) -> tuple:
-    """``(facts, warped)`` of one record and replay of ``app``."""
+             time_warp: bool, calls: list | None = None) -> tuple:
+    """``(facts, warped)`` of one record and replay of ``app``; a
+    ``calls`` list receives the record's and the replay's call counts."""
     spec = get_app(app)
     deployments = []
-    record = record_run(
+    record = _counted(lambda: record_run(
         spec, bench_config(VidiConfig.r2, flight_recorder=flight),
         seed=seed, scheduler=scheduler, time_warp=time_warp,
-        before_run=deployments.append)
+        before_run=deployments.append), calls)
     trace = record.result["trace"]
     blob = record.result.get("flight_blob")
-    replay = replay_run(spec, trace, scheduler=scheduler,
-                        time_warp=time_warp)
+    replay = _counted(lambda: replay_run(
+        spec, trace, scheduler=scheduler, time_warp=time_warp), calls)
     validation = replay.result["validation"]
     report = compare_traces(trace, validation)
     facts = {
@@ -93,29 +117,32 @@ def main(argv=None) -> int:
                         help="re-pin tests/data/digests.json (warp on)")
     parser.add_argument("--warped", metavar="PATH",
                         help="also write each case's warped cycles here")
+    parser.add_argument("--calls", metavar="PATH",
+                        help="also write each case's Python calls here")
     args = parser.parse_args(argv)
     pinned = {}
     if not args.write:
         with open(PINNED) as fh:
             pinned = json.load(fh)
-    digests, warped_counts, failures = {}, {}, []
+    digests, warped_counts, call_counts, failures = {}, {}, {}, []
     t0 = time.perf_counter()
     for time_warp in ((True,) if args.write else (True, False)):
         for key, case in _cases():
-            facts, warped = run_case(*case, time_warp=time_warp)
+            calls = [] if args.calls and time_warp else None
+            facts, warped = run_case(*case, time_warp=time_warp, calls=calls)
             if time_warp:
                 digests[key] = facts
                 warped_counts[key] = warped
+                call_counts[key] = calls
             if not args.write and facts != pinned.get(key):
                 failures.append((key, time_warp, facts, pinned.get(key)))
-    if args.write:
-        with open(PINNED, "w") as fh:
-            json.dump(digests, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    if args.warped:
-        with open(args.warped, "w") as fh:
-            json.dump(warped_counts, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    for path, dump in ((PINNED if args.write else None, digests),
+                       (args.warped, warped_counts),
+                       (args.calls, call_counts)):
+        if path:
+            with open(path, "w") as fh:
+                json.dump(dump, fh, indent=1, sort_keys=True)
+                fh.write("\n")
     for key, time_warp, facts, want in failures:
         moved = sorted(name for name in facts
                        if want is None or facts[name] != want.get(name))

@@ -129,6 +129,30 @@ class TestAxiSubordinateBursts:
         assert datas == [0xAA00, 0xAA01, 0xAA02]
         assert lasts == [0, 0, 1]
 
+        # Precise wakes, against an R sink that never accepts: the
+        # countdown schedules comb() once, at zero, and a memory write
+        # wakes the subordinate only while it presents a beat.
+        sim, dram = Simulator(), WordMemory("dram", 1 << 16)
+        iface = sim.add(axi4_interface("pcis"))
+        sub = sim.add(AxiSubordinate("sub", iface, dram, read_latency=3))
+        ar = sim.add(ChannelSource("ar", iface.ar))
+        sim.add(ChannelSink("r", iface.r, policy=lambda _c, _n: False))
+        sim.run(2)
+        dram.write_word(0x200, 0xBB00)
+        assert sub not in sim._pending
+        ar.send({"addr": 0x200, "len": 0, "size": 6, "id": 2})
+        woken = []
+        while not iface.r.valid.value:
+            sim.step()
+            woken.append(sub in sim._pending)
+        # AR fires (wake), 2 -> 1 (none), 1 -> 0 (wake), beat presented.
+        assert woken == [True, False, True, False]
+        assert iface.r.spec.extract(iface.r.payload.value, "data") == 0xBB00
+        dram.write_word(0x200, 0xBB01)
+        assert sub in sim._pending
+        sim.step()
+        assert iface.r.spec.extract(iface.r.payload.value, "data") == 0xBB01
+
 
 class TestManagerAgainstHostController:
     def test_pcim_path_is_protocol_clean(self):

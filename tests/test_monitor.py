@@ -91,7 +91,19 @@ class TestInputMonitor:
         sim, src, sink, mon, enc, store, table = build_rig(
             sink_policy=lambda cyc, n: cycle_gate["open"])
         src.send({"data": 7})
-        sim.run(10)
+        sim.run(3)
+        assert mon._committed
+        # Holding a committed transaction while no wire moves, the monitor
+        # is not re-evaluated: only a wire or a _committed flip moves it.
+        evals, comb = [], mon.comb
+
+        def counted_comb():
+            evals.append(sim.cycle)
+            comb()
+
+        mon.comb = counted_comb
+        sim.run(7)
+        assert evals == []
         cycle_gate["open"] = True
         sim.run_until(lambda: len(sink.received) == 1, max_cycles=20)
         packets = recorded(store, table)

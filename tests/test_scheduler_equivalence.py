@@ -15,9 +15,14 @@ both kernels and compare everything observable:
   and the replay's validation trace bytes,
 * the final cycle count and the application's own output/result dict.
 
+One test also checks tier-1's slice of the pinned determinism digests
+(``tests/digests.py``): every app at seed 5, compiled, flight on.
+
 The comparison still covers what the audit cannot see, such as a
 ``seq()`` that writes into an object its module does not own.
 """
+
+import json
 
 import pytest
 
@@ -29,6 +34,7 @@ from repro.platform import F1Deployment
 from repro.sim import Module, Simulator
 
 from tests.declaration_audit import audit
+from tests.digests import PINNED, run_case
 
 # Every registered application, in groups of three per test.
 APPS = app_keys() + tuple(EXTRA_APPS)
@@ -44,7 +50,7 @@ def _watch(sim, scheduler: str) -> list:
     signals = list(sim.signals())
     history = []
     sim.add_cycle_hook(lambda _cycle: history.append(
-        hash(tuple(sig._value for sig in signals))))
+        hash(tuple(sig.value for sig in signals))))
     return history
 
 
@@ -120,9 +126,16 @@ def test_event_scheduler_actually_skips_work():
 def test_compiled_scheduler_actually_skips_work():
     """Same non-vacuousness check for the compiled kernel: rank-sorted
     sweeps plus quiescence must cut comb evaluations by an order of
-    magnitude versus one blanket pass per cycle."""
+    magnitude versus one blanket pass per cycle. And the pinned digests'
+    tier-1 slice: every app's seed-5 compiled flight record and replay
+    (warp on) computes exactly the facts in ``tests/data/digests.json``."""
     compiled = _run_with_history("sha256", "compiled")
     assert compiled["comb_evals"] < compiled["blanket_evals"] / 10
+    with open(PINNED) as fh:
+        pinned = json.load(fh)
+    for app_key in APPS:
+        facts, _warped = run_case(app_key, SEED, "compiled", True, True)
+        assert facts == pinned[f"{app_key}/s{SEED}/compiled/flight"], app_key
 
 
 class _Toggler(Module):

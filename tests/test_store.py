@@ -155,9 +155,9 @@ class TestPcieArbiter:
         sim.run(3)
         arbiter.request_app(64)
         sim.step()   # rolls the ledger
-        assert arbiter.store_budget() == 0.0
+        assert arbiter.store_budget == 0.0
         sim.step()
-        assert arbiter.store_budget() == 22.0
+        assert arbiter.store_budget == 22.0
 
 
 class TestFixedPointCredit:
@@ -208,7 +208,7 @@ class TestFixedPointCredit:
                 self.staged += len(packet)
 
             def seq(self):
-                bw_fp = round(min(22.0, self.arbiter.store_budget())
+                bw_fp = round(min(22.0, self.arbiter.store_budget)
                               * CREDIT_SCALE)
                 if not self.chunks:
                     self.credit = min(self.credit + bw_fp,
@@ -231,8 +231,7 @@ class TestFixedPointCredit:
                     spent += take
                 self.staged -= spent
                 self.credit -= spent * CREDIT_SCALE
-                if spent:
-                    self.arbiter.note_store_bytes(spent)
+                self.arbiter.total_store_bytes += spent
 
         rigs = []
         for reference in (False, True):
