@@ -31,12 +31,13 @@ faults-warm:     ## compiled-kernel campaign smoke over the persistent cache
 test:            ## tier-1: the full unit/integration suite
 	$(PYTEST) -x -q
 
-test-schedulers: ## declaration audit + differential, rank walk, replayer, sharded-replay, extension-app, time-warp, record-warp + host/store/DMA unit suites (CI matrix)
+test-schedulers: ## declaration audit + differential, rank walk, replayer, sharded-replay, extension-app, time-warp, record-warp + host/store/DMA/AXI-endpoint/interconnect unit suites (CI matrix)
 	$(PYTEST) tests/test_scheduler_equivalence.py tests/test_compile.py \
 	  tests/test_replayer_unit.py tests/test_sharded_replay.py \
 	  tests/test_extension_registry.py tests/test_time_warp.py \
 	  tests/test_record_warp.py tests/test_platform.py tests/test_store.py \
-	  tests/test_dma_engine_units.py -q
+	  tests/test_dma_engine_units.py tests/test_axi_endpoints.py \
+	  tests/test_interconnect.py -q
 
 digests:         ## determinism digests: 96 record+replay cases, warp on and off, vs tests/data/digests.json
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \

@@ -37,8 +37,6 @@ WARM_POOL_FLOOR = 1.3
 class Stage(Module):
     """src -> +1 chain element: a deterministic, compile-bound topology."""
 
-    comb_static = True
-
     def __init__(self, name, src=None):
         super().__init__(name)
         self.src = src

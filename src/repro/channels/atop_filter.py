@@ -30,8 +30,6 @@ class AtopFilter(Module):
     freezes.
     """
 
-    comb_static = True
-
     def __init__(self, name: str, ds_aw: Channel, ds_w: Channel, ds_b: Channel,
                  buggy: bool = True):
         super().__init__(name)

@@ -66,8 +66,6 @@ class PassThrough(Module):
     overhead is measured.
     """
 
-    comb_static = True
-
     def __init__(self, name: str, up: Channel, down: Channel):
         super().__init__(name)
         self.up = up
@@ -102,8 +100,6 @@ class ChannelSource(Module):
     the wires, holds VALID/payload stable until the handshake fires, then
     moves to the next queued item (back-to-back, no idle bubble).
     """
-
-    comb_static = True
 
     def __init__(self, name: str, channel: Channel):
         super().__init__(name)
@@ -166,8 +162,6 @@ class ChannelSink(Module):
     its verdict drives READY on the *next* cycle. The sink therefore starts
     with READY low for one cycle after reset.
     """
-
-    comb_static = True
 
     def __init__(self, name: str, channel: Channel,
                  policy: ReadyPolicy = always_ready):

@@ -29,8 +29,6 @@ class AxiInterconnect(Module):
     same channel payload specs.
     """
 
-    comb_static = True
-
     def __init__(self, name: str, upstreams: Sequence[AxiInterface],
                  downstream: AxiInterface):
         super().__init__(name)

@@ -45,8 +45,6 @@ class ChannelMonitor(Module):
     ``enabled`` setter wakes on toggles.
     """
 
-    comb_static = True
-
     def __init__(self, name: str, index: int, up: Channel, down: Channel,
                  encoder: TraceEncoder, direction: str,
                  eager_reservation: bool = True):

@@ -160,8 +160,6 @@ class ChannelReplayer(Module):
     wakes itself from every ``seq()`` site that mutates that state.
     """
 
-    comb_static = True
-
     def __init__(self, name: str, index: int, channel: Channel,
                  coordinator: ReplayCoordinator, direction: str,
                  feed: Union[Sequence[ReplayElement], CompactFeed]):

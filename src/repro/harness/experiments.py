@@ -80,8 +80,7 @@ def run_table1(runs: int = 5, apps: Optional[Sequence[str]] = None,
     """Measure every application under R1/R2 (the paper's Table 1).
 
     The app × config × seed cells are independent runs with per-cell
-    seeds (R1 at ``base_seed + i``, R2 at ``base_seed + 500 + i``,
-    matching :func:`~repro.harness.runner.overhead_experiment`), so
+    seeds (R1 at ``base_seed + i``, R2 at ``base_seed + 500 + i``), so
     ``jobs > 1`` shards them across worker processes without changing a
     single number.
     """

@@ -206,7 +206,13 @@ def replay_run(spec: AppSpec, trace: TraceFile,
 
 @dataclass
 class OverheadStats:
-    """Mean/stddev overhead of recording versus transparent runs."""
+    """Mean/stddev overhead of recording versus transparent runs.
+
+    Like the paper's methodology, the two configurations are sampled as
+    separate runs whose environment timing varies (here: seeded host-side
+    jitter), so small overheads can be dominated by noise — FaceD's
+    negative mean in Table 1 is exactly this effect.
+    """
 
     app: str
     r1_cycles: List[int]
@@ -225,27 +231,6 @@ class OverheadStats:
         mean = sum(samples) / len(samples)
         var = sum((s - mean) ** 2 for s in samples) / max(len(samples) - 1, 1)
         return var ** 0.5
-
-
-def overhead_experiment(spec: AppSpec, runs: int = 5, base_seed: int = 100,
-                        scale: Optional[float] = None) -> OverheadStats:
-    """Independent R1/R2 run samples — the Table-1 overhead measurement.
-
-    Like the paper's methodology, the two configurations are measured as
-    separate runs whose environment timing varies (here: seeded host-side
-    jitter), so small overheads can be dominated by noise — FaceD's
-    negative mean in Table 1 is exactly this effect.
-    """
-    r1_cycles, r2_cycles = [], []
-    for i in range(runs):
-        r1 = record_run(spec, bench_config(VidiConfig.r1),
-                        seed=base_seed + i, scale=scale)
-        r2 = record_run(spec, bench_config(VidiConfig.r2),
-                        seed=base_seed + 500 + i, scale=scale)
-        r1_cycles.append(r1.cycles)
-        r2_cycles.append(r2.cycles)
-    return OverheadStats(app=spec.key, r1_cycles=r1_cycles,
-                         r2_cycles=r2_cycles)
 
 
 # ----------------------------------------------------------------------

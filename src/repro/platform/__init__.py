@@ -3,8 +3,10 @@
 This subpackage is the reproduction's substitute for the physical F1
 instance: it provides the five CPU↔FPGA AXI interfaces, a CPU model that
 executes host programs (with seeded timing non-determinism), DMA engines on
-both sides, host DRAM, and the :class:`F1Deployment` wrapper that wires an
-accelerator and a Vidi shim into one simulated system.
+both sides, one AXI4 memory subordinate that serves pcis, the host end of
+pcim and the DDR4 controller, host DRAM, and the :class:`F1Deployment`
+wrapper that wires an accelerator and a Vidi shim into one simulated
+system.
 """
 
 from repro.platform.axi_manager import AxiManager
@@ -20,7 +22,6 @@ from repro.platform.cpu import (
     WaitHostWord,
 )
 from repro.platform.env import EnvironmentMode
-from repro.platform.host_mem import HostMemoryController
 from repro.platform.interfaces import make_f1_interfaces
 from repro.platform.shell import F1Deployment
 from repro.platform.stream import StreamCollector, StreamDriver
@@ -35,7 +36,6 @@ __all__ = [
     "EnvironmentMode",
     "F1Deployment",
     "HostMemRead",
-    "HostMemoryController",
     "MmioRead",
     "MmioWrite",
     "StreamCollector",

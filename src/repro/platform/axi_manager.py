@@ -53,8 +53,6 @@ class AxiManager(Module):
     same cycle's ``seq()``.
     """
 
-    comb_static = True
-
     def __init__(self, name: str, interface: AxiInterface):
         super().__init__(name)
         self.interface = interface

@@ -1,14 +1,15 @@
-"""FPGA-side AXI subordinate state machines.
-
-These modules are the application side of the CPU-managed interfaces:
+"""FPGA-side and memory-side AXI subordinate state machines.
 
 * :class:`AxiLiteSubordinate` serves MMIO register reads/writes (sda, ocl,
   bar1) against pluggable read/write hooks — accelerators wire these to
   their control/status register files.
-* :class:`AxiSubordinate` serves 512-bit burst DMA (pcis) against a
-  :class:`~repro.sim.memory.WordMemory` (the on-FPGA DRAM), honouring
-  write strobes and notifying an optional observer of every data beat —
-  the streaming hook the echo-server case studies build on.
+* :class:`AxiSubordinate` serves 512-bit burst DMA against a
+  :class:`~repro.sim.memory.WordMemory`, honouring write strobes. It is
+  every memory end of the deployment: pcis into the on-FPGA DRAM (with an
+  optional observer of every data beat — the streaming hook the
+  echo-server case studies build on), the host end of pcim (host DRAM
+  with seeded latency jitter, paced by the PCIe link) and the DDR4
+  controller.
 
 Both accept AW and W in either order (as the AXI spec requires — the very
 liberty the buggy ``axi_atop_filter`` of §5.3 mishandles).
@@ -16,6 +17,7 @@ liberty the buggy ``axi_atop_filter`` of §5.3 mishandles).
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
@@ -25,6 +27,9 @@ from repro.sim.module import Module
 
 RegReader = Callable[[int], int]
 RegWriter = Callable[[int, int], None]
+
+RESPONSE_LATENCY = 1
+"""Cycles an AXI-Lite response waits after its request is served."""
 
 
 class AxiLiteSubordinate(Module):
@@ -36,16 +41,12 @@ class AxiLiteSubordinate(Module):
     It is quiescent whenever no MMIO transaction is in flight.
     """
 
-    comb_static = True
-
     def __init__(self, name: str, interface: AxiInterface,
-                 reg_read: RegReader, reg_write: RegWriter,
-                 response_latency: int = 1):
+                 reg_read: RegReader, reg_write: RegWriter):
         super().__init__(name)
         self.interface = interface
         self.reg_read = reg_read
         self.reg_write = reg_write
-        self.response_latency = response_latency
         self._aw: Optional[int] = None          # latched write address
         self._w: Optional[Tuple[int, int]] = None  # latched (data, strb)
         self._b_wait = 0                        # response latency countdown
@@ -112,7 +113,7 @@ class AxiLiteSubordinate(Module):
                     merged |= src & (0xFF << (8 * lane))
                 self.reg_write(self._aw, merged)
             self._b_pending = True
-            self._b_wait = self.response_latency
+            self._b_wait = RESPONSE_LATENCY
             self._aw = None
             self._w = None
             self.wake()
@@ -131,7 +132,7 @@ class AxiLiteSubordinate(Module):
             self.wake()
         if self._ar is not None and self._r_pending is None:
             self._r_pending = self.reg_read(self._ar) & 0xFFFF_FFFF
-            self._r_wait = self.response_latency
+            self._r_wait = RESPONSE_LATENCY
             self._ar = None
             self.wake()
         if self._r_pending is not None:
@@ -162,32 +163,53 @@ BeatObserver = Callable[[int, int, int], None]
 
 
 class AxiSubordinate(Module):
-    """Serves a 512-bit burst DMA interface from on-FPGA memory (pcis side).
+    """Serves a 512-bit AXI4 burst interface from a word memory.
 
-    Scheduling: ``comb()`` reads the burst queues, the read-latency
-    countdown and, while it presents an R beat, ``memory`` contents.
-    ``seq()`` wakes on every queue mutation and once when the countdown
-    reaches zero, and a memory-write subscription wakes the module only
-    while it presents an R beat, so out-of-band writers (accelerators,
-    host threads) re-drive the beat and other writes cost nothing.
+    One class serves the three memory ends of an F1 deployment (§4.1):
+    pcis from the on-FPGA DRAM (the defaults), the host end of pcim from
+    host DRAM, and with the DDR4 customisation the ddr4 bus from the
+    accelerator's DRAM. Read data appears ``read_latency`` cycles after
+    the AR handshake and a write response ``write_latency`` cycles after
+    its burst's last beat commits, each plus a seeded draw from
+    ``0..jitter``: the physical-timing non-determinism (PCIe arbitration,
+    DRAM scheduling, cloud neighbours) that makes FPGA executions
+    unreproducible without Vidi. With a ``pcie`` arbiter every data beat
+    crosses the shared link: after each accepted W beat READY stays low
+    until the next beat's credit is granted, and each R beat is presented
+    only once its credit is paid. ``write_observer`` sees every committed
+    write beat, the streaming hook the echo-server case studies build on.
+
+    Scheduling: ``comb()`` reads the burst queues, the latency countdowns
+    and the pacing flags, all mutated in ``seq()``, and while it presents
+    an R beat, ``memory`` contents. ``seq()`` wakes on every queue or
+    pacing change and once when a countdown reaches zero, and a
+    memory-write subscription wakes the module only while it presents an
+    R beat, so out-of-band writers (accelerators, host threads) re-drive
+    the beat and other writes cost nothing. An unpaced subordinate's R
+    beats are paid from the start, so its pacing flags never move.
     """
-
-    comb_static = True
 
     WORD_BYTES = 64
 
     def __init__(self, name: str, interface: AxiInterface, memory: WordMemory,
                  write_observer: Optional[BeatObserver] = None,
-                 read_latency: int = 2):
+                 read_latency: int = 2, write_latency: int = 0,
+                 jitter: int = 0, seed: Optional[int] = 0, pcie=None):
         super().__init__(name)
         self.interface = interface
         self.memory = memory
         self.write_observer = write_observer
         self.read_latency = read_latency
+        self.write_latency = write_latency
+        self.jitter = jitter
+        self._rng = random.Random(seed) if jitter > 0 else None
+        self.pcie = pcie
+        self._w_allow = 1               # W READY may rise (link credit held)
+        self._r_paid = pcie is None     # the presented R beat's credit is paid
         # Write burst state: accept AW and W in either order.
         self._pending_aw: Deque[Tuple[int, int, int]] = deque()  # (addr, len, id)
         self._pending_w: Deque[Tuple[int, int, int]] = deque()   # (data, strb, last)
-        self._b_queue: Deque[int] = deque()                      # ids to ack
+        self._b_queue: Deque[Tuple[int, int]] = deque()  # (id, delay remaining)
         # Read burst state.
         self._read_burst: Optional[Tuple[int, int, int]] = None  # (addr, remaining, id)
         self._r_wait = 0
@@ -206,23 +228,24 @@ class AxiSubordinate(Module):
                            ("falsy", "_b_queue"), ("none", "_read_burst"))
 
     def _memory_written(self) -> None:
-        if self._read_burst is not None and not self._r_wait:
+        if self._read_burst is not None and not self._r_wait and self._r_paid:
             self.wake()
 
     # ------------------------------------------------------------------
     def comb(self) -> None:
         iface = self.interface
         iface.aw.ready.drive(0 if len(self._pending_aw) >= 4 else 1)
-        iface.w.ready.drive(0 if len(self._pending_w) >= 16 else 1)
-        if self._b_queue:
+        iface.w.ready.drive(
+            0 if (len(self._pending_w) >= 16 or not self._w_allow) else 1)
+        if self._b_queue and self._b_queue[0][1] == 0:
             iface.b.valid.drive(1)
             iface.b.payload.drive(iface.b.spec.pack(
-                {"id": self._b_queue[0], "resp": 0}))
+                {"id": self._b_queue[0][0], "resp": 0}))
         else:
             iface.b.valid.drive(0)
             iface.b.payload.drive(0)
         iface.ar.ready.drive(0 if self._read_burst is not None else 1)
-        if self._read_burst is not None and self._r_wait == 0:
+        if self._read_burst is not None and self._r_wait == 0 and self._r_paid:
             addr, remaining, burst_id = self._read_burst
             iface.r.valid.drive(1)
             iface.r.payload.drive(iface.r.spec.pack({
@@ -237,6 +260,24 @@ class AxiSubordinate(Module):
 
     def seq(self) -> None:
         iface = self.interface
+        pcie = self.pcie
+        if pcie is not None:
+            # A write beat needs link credit before READY rises; a read
+            # beat is paid for once, then presented until it fires.
+            if iface.w.valid.value and not iface.w.ready.value:
+                allow = 1 if pcie.request_app() else 0
+                if allow != self._w_allow:
+                    self._w_allow = allow
+                    self.wake()
+            elif iface.w.valid.value and iface.w.ready.value:
+                if self._w_allow:
+                    self._w_allow = 0
+                    self.wake()
+            if (self._read_burst is not None and self._r_wait <= 1
+                    and not self._r_paid):
+                self._r_paid = pcie.request_app()
+                if self._r_paid:
+                    self.wake()
         if iface.aw.valid.value and iface.aw.ready.value:
             aw = iface.aw.payload_dict()
             self._pending_aw.append((aw["addr"], aw["len"] + 1, aw["id"]))
@@ -256,27 +297,40 @@ class AxiSubordinate(Module):
             remaining -= 1
             if last or remaining == 0:
                 self._pending_aw.popleft()
-                self._b_queue.append(burst_id)
+                delay = self.write_latency
+                if self._rng is not None:
+                    delay += self._rng.randrange(self.jitter + 1)
+                self._b_queue.append((burst_id, delay))
             else:
                 self._pending_aw[0] = (addr + self.WORD_BYTES, remaining, burst_id)
             self.wake()   # queue depths / B response changed
-        if iface.b.valid.value and iface.b.ready.value:
-            self._b_queue.popleft()
-            self.wake()
+        if self._b_queue:
+            burst_id, delay = self._b_queue[0]
+            if delay > 0:
+                self._b_queue[0] = (burst_id, delay - 1)
+                if delay == 1:
+                    self.wake()   # the response appears at zero
+            elif iface.b.valid.value and iface.b.ready.value:
+                self._b_queue.popleft()
+                self.wake()
         # Read bursts.
         if iface.ar.valid.value and iface.ar.ready.value:
             ar = iface.ar.payload_dict()
             self._read_burst = (ar["addr"], ar["len"] + 1, ar["id"])
             self._r_wait = self.read_latency
+            if self._rng is not None:
+                self._r_wait += self._rng.randrange(self.jitter + 1)
             self.wake()
         if self._read_burst is not None:
             if self._r_wait > 0:
                 self._r_wait -= 1
                 if not self._r_wait:
-                    self.wake()   # the first beat appears at zero
+                    self.wake()   # the first beat can appear at zero
             elif iface.r.valid.value and iface.r.ready.value:
                 addr, remaining, burst_id = self._read_burst
                 self.read_beats += 1
+                if pcie is not None:
+                    self._r_paid = False   # the next beat needs fresh credit
                 if remaining == 1:
                     self._read_burst = None
                 else:
@@ -291,5 +345,7 @@ class AxiSubordinate(Module):
         self._b_queue.clear()
         self._read_burst = None
         self._r_wait = 0
+        self._w_allow = 1
+        self._r_paid = self.pcie is None
         self.write_beats = 0
         self.read_beats = 0

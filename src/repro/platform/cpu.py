@@ -160,6 +160,11 @@ class MmioPort(Module):
 # pcis DMA engine
 # ----------------------------------------------------------------------
 
+# Cycles the engine idles after each burst completes: BURST_GAP plus a
+# seeded draw from 0..GAP_JITTER.
+BURST_GAP = 4
+GAP_JITTER = 3
+
 
 class PcisDmaEngine(Module):
     """Executes byte-accurate burst DMA on the CPU-managed pcis interface."""
@@ -170,13 +175,10 @@ class PcisDmaEngine(Module):
 
     def __init__(self, name: str, interface: AxiInterface,
                  model_strobes: bool = True,
-                 burst_gap: int = 4, gap_jitter: int = 3,
                  seed: Optional[int] = 0, pcie=None):
         super().__init__(name)
         self.interface = interface
         self.model_strobes = model_strobes
-        self.burst_gap = burst_gap
-        self.gap_jitter = gap_jitter
         self.pcie = pcie
         self._rng = random.Random(seed)
         self.aw_src = self.submodule(ChannelSource(f"{name}.aw", interface.aw))
@@ -261,11 +263,6 @@ class PcisDmaEngine(Module):
         return [(first_word + i * self.WORD, min(n_words - i, self.MAX_BURST))
                 for i in range(0, n_words, self.MAX_BURST)]
 
-    def _gap_cycles(self) -> int:
-        if self.gap_jitter <= 0:
-            return self.burst_gap
-        return self.burst_gap + self._rng.randrange(self.gap_jitter + 1)
-
     # ------------------------------------------------------------------
     def seq(self) -> None:
         # Dribble write-data beats of the in-flight burst at link rate.
@@ -283,7 +280,7 @@ class PcisDmaEngine(Module):
                 return   # burst data still streaming
             if len(self.b_sink.received) > self._await_b:
                 self._await_b = None
-                self._gap = self._gap_cycles()
+                self._gap = BURST_GAP + self._rng.randrange(GAP_JITTER + 1)
             else:
                 return
         if self._await_r is not None:
@@ -295,7 +292,7 @@ class PcisDmaEngine(Module):
                     data = self.interface.r.spec.extract(word, "data")
                     self._read_data.append((base_addr + i * self.WORD, data))
                 self._await_r = None
-                self._gap = self._gap_cycles()
+                self._gap = BURST_GAP + self._rng.randrange(GAP_JITTER + 1)
             else:
                 return
         # Issue the next burst of the active op.

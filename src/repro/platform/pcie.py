@@ -2,7 +2,7 @@
 
 The F1's PCIe complex sustains ~5.5 GB/s effective (≈22 bytes per 250 MHz
 cycle, the figure §6 uses). Every data beat the host DMA engines or the
-host memory controller move crosses that link, and — per §4.1 — Vidi's
+host end of pcim move crosses that link, and — per §4.1 — Vidi's
 trace store is multiplexed onto the *same* interface through an
 AXI-Interconnect. This arbiter models the shared capacity:
 

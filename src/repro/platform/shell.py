@@ -2,7 +2,7 @@
 
 :class:`F1Deployment` assembles one complete simulated system the way the
 paper's prototype assembles a bitstream: environment-side interfaces driven
-by the CPU model and host memory controller, the Vidi shim in the middle
+by the CPU model and host memory, the Vidi shim in the middle
 (pass-through, recording, or replaying), and the accelerator on the
 application side. Accelerators are provided as factories over the
 application-side interfaces, so the same accelerator code runs under every
@@ -20,9 +20,9 @@ from repro.core.config import VidiConfig, VidiMode
 from repro.core.shim import VidiShim
 from repro.core.trace_file import TraceFile
 from repro.errors import ConfigError, ReplayStallError, WatchdogTimeout
+from repro.platform.axi_subordinate import AxiSubordinate
 from repro.platform.cpu import CpuModel
 from repro.platform.env import EnvironmentMode
-from repro.platform.host_mem import HostMemoryController
 from repro.platform.pcie import PcieArbiter
 from repro.platform.interfaces import make_f1_interfaces
 from repro.sim.memory import WordMemory
@@ -32,6 +32,13 @@ from repro.sim.simulator import Simulator
 AcceleratorFactory = Callable[[Dict[str, AxiInterface]], Module]
 
 HOST_MEMORY_BYTES = 1 << 22   # 4 MiB of modelled host DRAM
+# Cycles host DRAM takes to answer a pcim read or write burst, plus a
+# seeded draw from 0..HOST_JITTER on hardware (none in vendor simulation).
+HOST_LATENCY = 6
+HOST_JITTER = 4
+# The same for the DDR4 controller of the §4.1 customisation.
+DDR_LATENCY = 2
+DDR_JITTER = 1
 DEFAULT_MAX_CYCLES = 2_000_000
 # Replay progress-watchdog window: cycles without a transaction completion
 # or a kernel step, and with no kernel computing, before a livelocked
@@ -53,9 +60,7 @@ class F1Deployment:
                  env_mode: EnvironmentMode = EnvironmentMode.HARDWARE,
                  seed: Optional[int] = 0,
                  replay_trace: Optional[TraceFile] = None,
-                 host_latency: int = 6, host_jitter: int = 4,
-                 think_jitter: int = 3, with_ddr4: bool = False,
-                 with_axis: bool = False,
+                 with_ddr4: bool = False, with_axis: bool = False,
                  scheduler: Optional[str] = None,
                  time_warp: Optional[bool] = None):
         self.name = name
@@ -92,19 +97,20 @@ class F1Deployment:
         self.sim.add(self.shim)
 
         self.cpu: Optional[CpuModel] = None
-        self.host_mc: Optional[HostMemoryController] = None
+        self.host_mc: Optional[AxiSubordinate] = None
+        hardware = env_mode is EnvironmentMode.HARDWARE
         if live_environment:
             # The live environment only exists when we are not replaying:
             # during replay every input comes from the trace.
             self.cpu = CpuModel(
                 f"{name}.cpu", self.env_interfaces, self.host_memory,
-                mode=env_mode, think_jitter=think_jitter, seed=seed,
-                pcie=self.pcie)
+                mode=env_mode, seed=seed, pcie=self.pcie)
             self.sim.add(self.cpu)
-            self.host_mc = HostMemoryController(
+            self.host_mc = AxiSubordinate(
                 f"{name}.host_mc", self.env_interfaces["pcim"],
-                self.host_memory, base_latency=host_latency,
-                jitter=host_jitter if env_mode is EnvironmentMode.HARDWARE else 0,
+                self.host_memory, read_latency=HOST_LATENCY,
+                write_latency=HOST_LATENCY,
+                jitter=HOST_JITTER if hardware else 0,
                 seed=None if seed is None else seed + 2, pcie=self.pcie)
             self.sim.add(self.host_mc)
 
@@ -125,16 +131,17 @@ class F1Deployment:
         self.accelerator = accelerator_factory(self.app_interfaces)
         self.sim.add(self.accelerator)
 
-        self.ddr_controller: Optional[HostMemoryController] = None
+        self.ddr_controller: Optional[AxiSubordinate] = None
         if with_ddr4 and live_environment:
             # §4.1: the DDR4 controller sits outside the record/replay
             # boundary, serving the accelerator's DRAM over the monitored
             # ddr4 interface. During replay its responses come from the
             # trace, so — like the CPU — it simply is not instantiated.
-            self.ddr_controller = HostMemoryController(
+            self.ddr_controller = AxiSubordinate(
                 f"{name}.ddr_ctrl", self.env_interfaces["ddr4"],
-                self.accelerator.dram, base_latency=2,
-                jitter=1 if env_mode is EnvironmentMode.HARDWARE else 0,
+                self.accelerator.dram, read_latency=DDR_LATENCY,
+                write_latency=DDR_LATENCY,
+                jitter=DDR_JITTER if hardware else 0,
                 seed=None if seed is None else seed + 3)
             self.sim.add(self.ddr_controller)
         # Elaboration is lazy (first step), so callers may still attach

@@ -302,24 +302,17 @@ class CompiledKernel:
 _rank_key = attrgetter("_rank")
 
 
-def _emit_settle(emit, dyn: Optional[str], alw: Optional[str],
-                 n_always: int) -> None:
+def _emit_settle(emit, alw: Optional[str], n_always: int) -> None:
     """Emit the combinational settle of the generated step.
 
-    Re-schedules the dynamic modules (``dyn`` names their tuple), then
-    opens ``if <work pending>:`` and fills it with the event kernel's delta
+    Opens ``if <work pending>:`` and fills it with the event kernel's delta
     loop: each pass takes ``S._pending``, sorts it by rank and evaluates
     it; modules pended meanwhile form the next pass, and a combinational
     cycle iterates across passes under the ``max_delta`` bound. ``alw``
-    names the always-evaluated modules. The caller closes the branch (its
-    body is indented eight spaces).
+    names the always-evaluated (undeclared) modules, which run on every
+    pass. The caller closes the branch (its body is indented eight
+    spaces).
     """
-    if dyn is not None:
-        emit("    pend = S._pending")
-        emit(f"    for m in {dyn}:")
-        emit("        if not m._comb_scheduled:")
-        emit("            m._comb_scheduled = True")
-        emit("            pend.append(m)")
     emit(f"    if S._pending{' or True' if alw else ''}:")
     emit("        evals = 0")
     emit("        for _p in range(_md):")
@@ -367,12 +360,10 @@ def compile_kernel(sim) -> CompiledKernel:
     src: List[str] = ["def _step(warp_limit=None):", "    S = _S"]
     emit = src.append
 
-    if sim._dynamic_comb:
-        ns["_dyn"] = tuple(sim._dynamic_comb)
     if sim._always_comb:
         ns["_alw"] = tuple(sim._always_comb)
-    _emit_settle(emit, "_dyn" if sim._dynamic_comb else None,
-                 "_alw" if sim._always_comb else None, len(sim._always_comb))
+    _emit_settle(emit, "_alw" if sim._always_comb else None,
+                 len(sim._always_comb))
     emit("        settled = True")
     emit("    else:")
     emit("        S.quiescent_cycles += 1")

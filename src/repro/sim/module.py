@@ -32,14 +32,12 @@ combinational process reads:
   registers mutated in ``seq()``, items pushed into a queue the comb process
   presents, ...). ``wake()`` is idempotent and cheap; calling it
   conservatively is always sound.
-* ``comb_static = True`` (class attribute) — assert that the two mechanisms
-  above cover *every* input of ``comb()``. Static modules are evaluated only
-  when woken; without the flag a declared module is still re-evaluated once
-  at the start of every cycle (the *dynamic* safety net for modules whose
-  comb reads cycle-start Python state that is hard to track precisely).
 
-A module that declares sensitivity but reads an undeclared signal in
-``comb()`` will compute stale outputs. The tests' declaration audit
+Declaring sensitivity asserts that the two mechanisms cover *every* input
+of ``comb()``: a declared module is evaluated on the first cycle and
+afterwards only when one of them schedules it. A module that declares
+sensitivity but reads an undeclared signal in ``comb()`` will compute
+stale outputs. The tests' declaration audit
 (``tests/declaration_audit.py``) catches exactly that: on every executed
 cycle of the event kernel it re-runs each ``comb()`` on the settled
 design and fails if anything moves.
@@ -128,11 +126,6 @@ class Module:
     """Base class for simulated hardware modules."""
 
     has_comb: bool = True
-    # True asserts that sensitive_to()/wake() cover every comb() input, so
-    # the scheduler may skip the module entirely on cycles where nothing it
-    # watches changed (the quiescent fast path). Leave False for declared
-    # modules that read cycle-start Python state the module cannot track.
-    comb_static: bool = False
 
     def __init__(self, name: str):
         self.name = name

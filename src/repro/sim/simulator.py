@@ -118,7 +118,6 @@ class Simulator:
         self._comb_modules: List[Module] = []
         self._seq_modules: List[Module] = []
         self._always_comb: List[Module] = []    # no sensitivity: every pass
-        self._dynamic_comb: List[Module] = []   # declared, auto-woken per cycle
         self._event_comb: List[Module] = []     # all declared comb modules
         self._pending: List[Module] = []        # the scheduler's work-list
         self._staged: List[Signal] = []
@@ -192,8 +191,6 @@ class Simulator:
                 self._always_comb.append(module)   # stays pinned: always runs
                 continue
             self._event_comb.append(module)
-            if not module.comb_static:
-                self._dynamic_comb.append(module)
             seen = set()
             for sig in module._sensitivity:
                 if id(sig) not in seen:
@@ -229,13 +226,7 @@ class Simulator:
             kernel.step(warp_limit)
             return
         # --- combinational settling (event-driven) ---
-        pending = self._pending
-        if self._dynamic_comb:
-            for module in self._dynamic_comb:
-                if not module._comb_scheduled:
-                    module._comb_scheduled = True
-                    pending.append(module)
-        if pending or self._always_comb:
+        if self._pending or self._always_comb:
             self._settle()
             settled = True
         else:

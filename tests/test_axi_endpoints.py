@@ -12,7 +12,7 @@ from repro.channels import (
 from repro.errors import ReproError, SimulationError
 from repro.platform.axi_manager import AxiManager
 from repro.platform.axi_subordinate import AxiLiteSubordinate, AxiSubordinate
-from repro.platform.host_mem import HostMemoryController
+from repro.platform.pcie import PcieArbiter
 from repro.sim import DEFAULT_CLOCK, ClockDomain, RegisterFile, Simulator, WordMemory
 
 
@@ -161,7 +161,8 @@ class TestManagerAgainstHostController:
         sim.add(interface)
         host = WordMemory("host", 1 << 16)
         manager = AxiManager("mgr", interface)
-        controller = HostMemoryController("ctl", interface, host, seed=4)
+        controller = AxiSubordinate("ctl", interface, host, read_latency=6,
+                                    write_latency=6, jitter=4, seed=4)
         sim.add(manager)
         sim.add(controller)
         checkers = [ProtocolChecker(f"c.{n}", ch, strict=True)
@@ -175,6 +176,69 @@ class TestManagerAgainstHostController:
         assert host.read_bytes(0x400, 200) == bytes(range(200))
         assert results and len(results[0]) == 4
         assert all(not c.violations for c in checkers)
+
+    def test_pcie_credit_paces_beats(self):
+        """The host end of pcim, built as F1Deployment builds it: every R
+        and W beat crosses the PCIe link and waits for a beat's credit."""
+        sim = Simulator()
+        iface = sim.add(axi4_interface("pcim", manager="fpga"))
+        host = WordMemory("host", 1 << 16)
+        pcie = sim.add(PcieArbiter("pcie"))   # ahead of every credit user
+        pcie.capacity = 0                     # no credit unless granted
+        sub = sim.add(AxiSubordinate("host_mc", iface, host, read_latency=6,
+                                     write_latency=6, jitter=4, seed=2,
+                                     pcie=pcie))
+        aw, w, ar = (sim.add(ChannelSource(n, iface.channels[n]))
+                     for n in ("aw", "w", "ar"))
+        b = sim.add(ChannelSink("b", iface.b))
+        accept = []
+        r = sim.add(ChannelSink("r", iface.r,
+                                policy=lambda _c, _n: bool(accept)))
+
+        def grant():
+            """One beat of link credit, accrued in the next cycle only."""
+            pcie.capacity = 64
+            sim.step()
+            pcie.capacity = 0
+
+        def r_data():
+            return [iface.r.spec.extract(x, "data") for x in r.received]
+
+        host.write_word(0x400, 0xA0)
+        host.write_word(0x440, 0xA1)
+        ar.send({"addr": 0x400, "len": 1, "size": 6, "id": 3})
+        sim.run(20)   # past the latency (6 + at most 4), but unpaid
+        assert sub._read_burst is not None and sub._r_wait == 0
+        assert not iface.r.valid.value
+        host.write_word(0x400, 0xB0)   # nothing presented: no wake
+        assert sub not in sim._pending
+        grant()
+        sim.step()
+        assert iface.r.valid.value     # paid, so presented
+        host.write_word(0x400, 0xB1)   # a presented beat is re-driven
+        assert sub in sim._pending
+        accept.append(True)
+        sim.run(20)
+        # The first beat fired; the second needs fresh credit.
+        assert r_data() == [0xB1] and not iface.r.valid.value
+        grant()
+        sim.run(3)
+        assert r_data() == [0xB1, 0xA1]
+        assert [iface.r.spec.extract(x, "last") for x in r.received] == [0, 1]
+
+        aw.send({"addr": 0x800, "len": 1, "size": 6, "id": 5})
+        for i in range(2):
+            w.send({"data": 0xC0 + i, "strb": (1 << 64) - 1, "last": i,
+                    "id": 5})
+        sim.run(20)
+        # The first beat crossed on the initial allowance; READY then
+        # falls and stays low while the link has no credit.
+        assert sub.write_beats == 1
+        assert iface.w.valid.value and not iface.w.ready.value
+        grant()
+        sim.run(20)
+        assert sub.write_beats == 2 and len(b.received) == 1
+        assert [host.read_word(0x800), host.read_word(0x840)] == [0xC0, 0xC1]
 
     def test_empty_write_rejected(self):
         interface = axi4_interface("pcim", manager="fpga")

@@ -19,8 +19,6 @@ from repro.sim.simulator import Simulator
 class Const(Module):
     """Drives a constant onto its output; woken only explicitly."""
 
-    comb_static = True
-
     def __init__(self, name, value=1):
         super().__init__(name)
         self.value = value
@@ -39,8 +37,6 @@ class Const(Module):
 class Inc(Module):
     """out = src + 1, combinationally."""
 
-    comb_static = True
-
     def __init__(self, name, src):
         super().__init__(name)
         self.src = src
@@ -56,8 +52,6 @@ class MaxOf(Module):
     """out = max(src, floor) — two of these cross-coupled form a settling
     combinational cycle (each pass can only raise the values, bounded by
     the largest floor, so the fixpoint exists)."""
-
-    comb_static = True
 
     def __init__(self, name, floor=0):
         super().__init__(name)
@@ -82,8 +76,6 @@ class SelfRamp(Module):
     """Counts up to ``target`` by re-triggering on its own output — a
     combinational self-loop that settles in ``target`` delta passes."""
 
-    comb_static = True
-
     def __init__(self, name, target):
         super().__init__(name)
         self.target = target
@@ -98,8 +90,6 @@ class SelfRamp(Module):
 
 class Sum(Module):
     """out = a + b, combinationally (the join of a diamond)."""
-
-    comb_static = True
 
     def __init__(self, name, a, b):
         super().__init__(name)

@@ -9,7 +9,6 @@ from repro.harness.runner import (
     OverheadStats,
     SweepCell,
     bench_config,
-    overhead_experiment,
     record_run,
     replay_run,
     run_cells,
@@ -58,10 +57,21 @@ class TestRunner:
         assert stats.std_overhead_pct == pytest.approx(0.0)
 
     def test_overhead_experiment_sampling(self):
+        """Table 1 samples R1 at base_seed + i and R2 at base_seed + 500 + i
+        as separate runs."""
+        from repro.harness.experiments import run_table1
+
         spec = get_app("sha256")
-        stats = overhead_experiment(spec, runs=2, base_seed=400, scale=0.3)
-        assert len(stats.r1_cycles) == 2
-        assert len(stats.r2_cycles) == 2
+        (row,) = run_table1(runs=2, apps=["sha256"], base_seed=400)
+        stats = OverheadStats(
+            app="sha256",
+            r1_cycles=[record_run(spec, bench_config(VidiConfig.r1),
+                                  seed=400 + i).cycles for i in range(2)],
+            r2_cycles=[record_run(spec, bench_config(VidiConfig.r2),
+                                  seed=900 + i).cycles for i in range(2)])
+        assert row.native_cycles == sum(stats.r1_cycles) / 2
+        assert row.overhead_pct == stats.mean_overhead_pct
+        assert row.overhead_std == stats.std_overhead_pct
 
 
 class TestExperimentDrivers:

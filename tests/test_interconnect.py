@@ -5,11 +5,11 @@ import pytest
 from repro.channels import ProtocolChecker, axi4_interface
 from repro.channels.interconnect import AxiInterconnect
 from repro.platform.axi_manager import AxiManager
-from repro.platform.host_mem import HostMemoryController
+from repro.platform.axi_subordinate import AxiSubordinate
 from repro.sim import Simulator, WordMemory
 
 
-def build(n_managers=2, seed=0):
+def build(n_managers=2):
     sim = Simulator()
     upstreams = [axi4_interface(f"up{i}", manager="fpga")
                  for i in range(n_managers)]
@@ -19,8 +19,8 @@ def build(n_managers=2, seed=0):
     interconnect = AxiInterconnect("xbar", upstreams, downstream)
     sim.add(interconnect)
     memory = WordMemory("mem", 1 << 16)
-    subordinate = HostMemoryController("sub", downstream, memory,
-                                       base_latency=2, jitter=0, seed=seed)
+    subordinate = AxiSubordinate("sub", downstream, memory,
+                                 read_latency=2, write_latency=2)
     sim.add(subordinate)
     managers = [AxiManager(f"mgr{i}", up) for i, up in enumerate(upstreams)]
     for manager in managers:

@@ -11,7 +11,6 @@ from repro.platform import (
     DmaRead,
     DmaWrite,
     EnvironmentMode,
-    HostMemoryController,
     HostMemRead,
     MmioRead,
     MmioWrite,
@@ -41,7 +40,8 @@ def build_host_rig(mode=EnvironmentMode.HARDWARE, seed=0):
     host_mem = WordMemory("host", 1 << 20)
     cpu = CpuModel("cpu", env, host_mem, mode=mode, seed=seed)
     sim.add(cpu)
-    host_mc = HostMemoryController("hmc", env["pcim"], host_mem, seed=seed)
+    host_mc = AxiSubordinate("hmc", env["pcim"], host_mem, read_latency=6,
+                             write_latency=6, jitter=4, seed=seed)
     sim.add(host_mc)
     regs = RegisterFile("regs", 16)
     from repro.platform.axi_subordinate import AxiLiteSubordinate

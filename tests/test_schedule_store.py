@@ -41,8 +41,6 @@ def store_dir(tmp_path):
 class Stage(Module):
     """src -> +1 chain element (a deterministic, cacheable topology)."""
 
-    comb_static = True
-
     def __init__(self, name, src=None):
         super().__init__(name)
         self.src = src

@@ -154,8 +154,6 @@ class _Toggler(Module):
 class _Follower(Module):
     """``out = inp``; ``honest`` decides whether it declares reading inp."""
 
-    comb_static = True
-
     def __init__(self, inp, honest):
         super().__init__("follower")
         self.inp = inp

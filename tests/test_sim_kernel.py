@@ -102,8 +102,6 @@ class TestSignal:
 class SensInverter(Module):
     """Inverter with a declared sensitivity list (event-scheduled)."""
 
-    comb_static = True
-
     def __init__(self, name, inp, out):
         super().__init__(name)
         self.inp = inp
@@ -262,8 +260,6 @@ class PythonStateComb(Module):
     platform models (AXI endpoints, host memory) use.
     """
 
-    comb_static = True
-
     def __init__(self, name, out):
         super().__init__(name)
         self.out = out
@@ -336,31 +332,6 @@ class TestEventScheduling:
         sim.step()
         assert out.value == 7
         assert mod.comb_calls == calls + 1
-
-    def test_dynamic_declared_module_auto_woken(self):
-        """comb_static=False (the default) declared modules re-evaluate
-        once per cycle even when no declared input changed."""
-
-        class DynComb(Module):
-            def __init__(self, name, inp, out):
-                super().__init__(name)
-                self.inp = inp
-                self.out = out
-                self.comb_calls = 0
-                self.sensitive_to(inp)
-
-            def comb(self):
-                self.comb_calls += 1
-                self.out.drive(self.inp.value)
-
-        sim = Simulator(scheduler="event")
-        top = Module("top")
-        a = top.signal("a")
-        b = top.signal("b")
-        mod = top.submodule(DynComb("dyn", a, b))
-        sim.add(top)
-        sim.run(5)
-        assert mod.comb_calls >= 5
 
     def test_wake_before_elaboration_is_safe(self):
         top = Module("top")
