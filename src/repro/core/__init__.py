@@ -14,7 +14,6 @@ from repro.core.checkpoint import (
 from repro.core.config import F1_INTERFACE_ORDER, VidiConfig, VidiMode
 from repro.core.decoder import (
     CompactFeed,
-    ReplayAction,
     ReplayElement,
     TraceDecoder,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "DivergenceReport",
     "EventRef",
     "F1_INTERFACE_ORDER",
-    "ReplayAction",
     "ReplayCoordinator",
     "ReplayElement",
     "STORAGE_WORD_BYTES",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.events import ChannelTable
-from repro.core.packets import iter_layouts
+from repro.core.packets import decodable_index
 from repro.core.trace_file import TraceFile
 from repro.errors import ConfigError
 
@@ -92,11 +92,13 @@ def _output_end_records(trace: TraceFile,
     counts = [0] * len(outputs)
     records: Dict[int, List[Tuple[bytes, Tuple[int, ...]]]] = {
         ch: [] for ch in outputs}
-    # One header walk over the body: only packets that end an output take
-    # a clock snapshot, and only their validation payloads are copied.
+    # One walk over the packet index (the expansion's, for a trace loaded
+    # from a v3 container): only packets that end an output take a clock
+    # snapshot, and only their validation payloads are copied.
+    index = decodable_index(trace.body, trace.table, trace.with_validation,
+                            trace.packet_index)
     view = memoryview(trace.body)
-    for offset, layout in iter_layouts(view, trace.table,
-                                       trace.with_validation):
+    for offset, layout in zip(index.offsets, index.layouts):
         ended = layout.ended_outputs
         if not ended:
             continue
@@ -138,6 +140,10 @@ def compare_traces(reference: TraceFile, validation: TraceFile,
         name = table[ch].name
         ref = ref_records[ch]
         val = val_records[ch]
+        if ref == val:
+            # Same contents at the same clocks: nothing to report here.
+            total += len(ref)
+            continue
         if len(ref) != len(val) and not prefix:
             divergences.append(Divergence(
                 kind="count", channel=name, occurrence=min(len(ref), len(val)),

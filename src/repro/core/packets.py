@@ -17,7 +17,9 @@ A *cycle packet* aggregates all channel packets of one clock cycle:
   ending output channels.
 
 The serialized trace is the concatenation of serialized cycle packets for
-*eventful* cycles only; no timestamps are stored (see §6 for why).
+*eventful* cycles only; no timestamps are stored (see §6 for why). A
+:class:`TraceIndex` holds the offset and layout of every packet of one
+such body.
 """
 
 from __future__ import annotations
@@ -56,17 +58,20 @@ class DedupDict:
     capacity is reached, then evict the least-recently-used slot (recency
     is advanced by both hits/backrefs and inserts). The encoder keys a
     reverse map on the payload bytes themselves (exact match, no collision
-    risk); the decoder only ever indexes by slot.
+    risk) for :meth:`find`; a decoder's dictionary (``encoding=False``)
+    only ever indexes by slot and keeps no reverse map.
     """
 
-    def __init__(self, slots: int = DEFAULT_DEDUP_SLOTS):
+    def __init__(self, slots: int = DEFAULT_DEDUP_SLOTS,
+                 encoding: bool = True):
         if not 1 <= slots <= 1 << (8 * DEDUP_SLOT_BYTES):
             raise TraceFormatError(
                 f"dedup dictionary needs 1..{1 << (8 * DEDUP_SLOT_BYTES)} "
                 f"slots, got {slots}")
         self.slots = slots
         self._content: List[Optional[bytes]] = [None] * slots
-        self._by_content: Dict[bytes, int] = {}
+        self._by_content: Optional[Dict[bytes, int]] = (
+            {} if encoding else None)
         self._order: "OrderedDict[int, None]" = OrderedDict()
         self._next_free = 0
         self.hits = 0
@@ -83,17 +88,20 @@ class DedupDict:
 
     def insert(self, content: bytes) -> int:
         """Both sides: cache a literal payload; returns its slot."""
+        by_content = self._by_content
         if self._next_free < self.slots:
             slot = self._next_free
             self._next_free += 1
         else:
             slot, _ = self._order.popitem(last=False)   # LRU victim
-            old = self._content[slot]
-            if old is not None:
-                self._by_content.pop(old, None)
+            if by_content is not None:
+                old = self._content[slot]
+                if old is not None:
+                    by_content.pop(old, None)
             self.evictions += 1
         self._content[slot] = content
-        self._by_content[content] = slot
+        if by_content is not None:
+            by_content[content] = slot
         self._order[slot] = None
         self.inserts += 1
         return slot
@@ -110,7 +118,8 @@ class DedupDict:
     def clear(self) -> None:
         """Reset to the empty dictionary (epoch re-anchor on both sides)."""
         self._content = [None] * self.slots
-        self._by_content.clear()
+        if self._by_content is not None:
+            self._by_content.clear()
         self._order.clear()
         self._next_free = 0
 
@@ -160,7 +169,7 @@ class PacketLayout:
     above the channel count; ``ended`` then lists the bits below it). For a
     header with an output start, ``contents`` and ``size`` still count that
     channel's payload: the lenient walks
-    (:class:`~repro.core.trace_file.TraceIndex`, the backref scan) step
+    (:class:`TraceIndex`, the backref scan) step
     over it rather than reject it.
     """
 
@@ -432,6 +441,118 @@ def iter_layouts(blob: "bytes | memoryview", table: ChannelTable,
                                     layouts)
         yield offset, layout
         offset += layout.size
+
+
+class TraceIndex:
+    """Packet ordinal → byte offset and layout over a trace body.
+
+    Built in one pass that reads only packet *headers* (the fixed-width
+    Starts/Ends bitvectors) and takes each packet's length from its
+    header's memoised :func:`packet_layout` — no contents are decoded and
+    no bytes are copied — or handed ``walk``, the ``(offsets, layouts)``
+    lists of the dedup expansion that wrote the body
+    (:func:`~repro.core.decoder.expand_dedup_stream`), which found both
+    already. With the index, replay and the divergence detector seek to
+    any packet (or slice out any packet range, e.g. a replay shard) in
+    O(1) instead of re-scanning the stream, and the walks that decode
+    every packet read each layout from ``layouts`` instead of parsing its
+    header again (:func:`decodable_index`). ``decodable`` is true when
+    :meth:`CyclePacket.deserialize` accepts every packet.
+    """
+
+    def __init__(self, body: bytes, table: ChannelTable,
+                 with_validation: bool,
+                 walk: Optional[Tuple[List[int], List[PacketLayout]]] = None):
+        self.table = table
+        self.with_validation = with_validation
+        self.end = len(body)
+        self._body = body
+        if walk is not None:
+            # The expansion wrote every packet whole from a legal header.
+            self.offsets, self.layouts = walk
+            self.decodable = True
+            return
+        hbytes = 2 * table.bitvec_bytes
+        memo: Dict[int, PacketLayout] = {}
+        view = memoryview(body)
+        size = len(view)
+        offsets: List[int] = []
+        layouts: List[PacketLayout] = []
+        decodable = True
+        offset = 0
+        while offset < size:
+            if offset + hbytes > size:
+                raise TraceFormatError(
+                    "trace truncated inside a cycle-packet header")
+            header = int.from_bytes(view[offset:offset + hbytes], "little")
+            layout = memo.get(header)
+            if layout is None:
+                layout = memo[header] = packet_layout(table, header,
+                                                      with_validation)
+            if not layout.legal or offset + layout.size > size:
+                # Lenient like a length walk: only bitvectors too wide to
+                # size a packet stop it (replay and salvage check the rest).
+                if layout.started is None:
+                    raise TraceFormatError(layout.start_error)
+                if with_validation and layout.end_error is not None:
+                    raise TraceFormatError(layout.end_error)
+                decodable = False
+            offsets.append(offset)
+            layouts.append(layout)
+            offset += layout.size
+        self.offsets = offsets
+        self.layouts = layouts
+        self.decodable = decodable
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def offset_of(self, ordinal: int) -> int:
+        """Byte offset of packet ``ordinal`` (``len(self)`` maps to the end)."""
+        if ordinal == len(self.offsets):
+            return self.end
+        return self.offsets[ordinal]
+
+    def slice(self, start: int, stop: int) -> bytes:
+        """The body bytes spanning packets ``[start, stop)`` — a valid
+        trace body of its own (used to carve replay shards)."""
+        return self._body[self.offset_of(start):self.offset_of(stop)]
+
+    def packet_at(self, ordinal: int) -> CyclePacket:
+        """Decode exactly one packet — the O(1) seek replay and the
+        divergence detector use."""
+        packet, _ = CyclePacket.deserialize(
+            memoryview(self._body), self.offsets[ordinal], self.table,
+            self.with_validation)
+        return packet
+
+
+def decodable_index(blob: "bytes | memoryview", table: ChannelTable,
+                    with_validation: bool, index: Optional[TraceIndex] = None,
+                    check_ends: bool = False) -> TraceIndex:
+    """``index`` (a new :class:`TraceIndex` of ``blob`` if ``None``), once
+    every packet of ``blob`` is known to decode.
+
+    For a body with a packet that does not, this raises what a walk
+    decoding the packets in order (:func:`iter_layouts`) raises first:
+    :meth:`CyclePacket.deserialize`'s :class:`TraceFormatError` or, with
+    ``check_ends``, the error of an earlier packet whose Ends has a bit
+    beyond the table. A walk that takes its index from here (and, with
+    ``check_ends``, raises at such a packet itself) therefore fails
+    exactly like one that parses every header.
+    """
+    if index is None:
+        try:
+            index = TraceIndex(blob, table, with_validation)
+        except TraceFormatError:
+            index = None   # an in-order decoding walk fails here or earlier
+    if index is not None and index.decodable:
+        return index
+    for _offset, layout in iter_layouts(blob, table, with_validation):
+        if check_ends and layout.end_error is not None:
+            raise TraceFormatError(layout.end_error)
+    raise AssertionError("iter_layouts accepted a body with an undecodable "
+                         "packet")
 
 
 def deserialize_packets(blob: bytes, table: ChannelTable,

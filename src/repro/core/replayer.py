@@ -25,14 +25,17 @@ with the coordinator as a waiter on that channel and stays idle (its
 the count and releases it. Replay cost therefore follows the completions
 that happen, not the number of replayers.
 
-Replayers consume :class:`~repro.core.decoder.ReplayAction` lists — only
-the events this channel must gate, each carrying a precomputed
-``T_expected`` snapshot — so a replayer's sequential process walks
-O(own events) instead of O(all packets). Legacy element feeds
-(``List[ReplayElement]``, the one-element-per-packet hardware decomposition)
-are accepted too and compiled to actions at construction; the semantics are
-identical, as ``tests/test_replayer_unit.py`` exercises through the legacy
-interface.
+Replayers consume a :class:`~repro.core.decoder.CompactFeed` — only the
+events this channel must gate, each with its delta prerequisites (the
+``T_expected`` entries that grew since the previous action, see
+:data:`~repro.core.decoder.Needs`), taken as the decoder emitted them — so
+a replayer's sequential process walks O(own events) instead of O(all
+packets) and checks O(entries that grew) per action. No full
+``T_expected`` clock is kept: a stall report rebuilds the stuck action's
+from the needs prefix. Legacy element feeds (``List[ReplayElement]``, the
+one-element-per-packet hardware decomposition) are accepted too and
+compiled to the same form at construction; the semantics are identical,
+as ``tests/test_replayer_unit.py`` exercises through the legacy interface.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.channels.handshake import Channel
-from repro.core.decoder import CompactFeed, ReplayAction, ReplayElement
+from repro.core.decoder import CompactFeed, Needs, ReplayElement
 from repro.core.vector_clock import VectorClock
 from repro.errors import ReplayError
 from repro.sim.module import Module
@@ -70,13 +73,14 @@ class ReplayCoordinator:
 
         Releases exactly the waiters on ``index`` whose count is now met.
         """
-        self.current.increment(index)
+        counts = self.current.counts
+        counts[index] += 1
         self.version += 1
         if cycle is not None:
             self.last_progress_cycle = cycle
         waiters = self.waiters[index]
         if waiters:
-            now = self.current.counts[index]
+            now = counts[index]
             keep = []
             for entry in waiters:
                 if entry[0] <= now:
@@ -98,58 +102,41 @@ class ReplayCoordinator:
 
 
 def compile_elements(feed: Sequence[ReplayElement], direction: str,
-                     n_channels: int, name: str = "feed") -> List[ReplayAction]:
+                     n_channels: int, name: str = "feed"
+                     ) -> Tuple[List[Optional[int]], List[Needs]]:
     """Compile a legacy element feed into gated actions.
 
-    Mirrors the replayer's original incremental walk: an action's
-    ``expected`` clock is the sum of the ``ends_mask`` fields of all
-    elements before it — snapshotted *before* the action's own element
-    advances the clock.
+    Returns ``(actions, needs)`` as a :class:`CompactFeed` holds them.
+    Mirrors the replayer's original incremental walk: an action's full
+    ``T_expected`` is the sum of the ``ends_mask`` fields of all elements
+    before it, and its needs list that sum's entries for the channels
+    whose ends were counted since the previous action — the rule
+    :meth:`~repro.core.decoder.TraceDecoder.compact_feeds` applies.
     """
     counts = [0] * n_channels
-    actions: List[ReplayAction] = []
+    moved = set()   # channels whose count grew since the previous action
+    actions: List[Optional[int]] = []
+    needs: List[Needs] = []
+    is_input = direction == "in"
     for element in feed:
-        if element.start and direction == "in":
-            if element.content is None:
+        if element.start if is_input else element.end:
+            if not is_input:
+                actions.append(None)
+            elif element.content is None:
                 raise ReplayError(f"{name}: start element without content")
-            actions.append(ReplayAction(
-                int.from_bytes(element.content, "little"),
-                VectorClock(counts)))
-        elif element.end and direction == "out":
-            actions.append(ReplayAction(None, VectorClock(counts)))
+            else:
+                actions.append(int.from_bytes(element.content, "little"))
+            needs.append(tuple((i, counts[i]) for i in sorted(moved)))
+            moved.clear()
         mask = element.ends_mask
         index = 0
         while mask:
             if mask & 1:
                 counts[index] += 1
+                moved.add(index)
             mask >>= 1
             index += 1
-    return actions
-
-
-def _delta_needs(actions: Sequence[ReplayAction]
-                 ) -> List[Tuple[Tuple[int, int], ...]]:
-    """Per-action delta prerequisites: entries grown since the previous action.
-
-    ``needs[j]`` lists ``(channel, count)`` pairs for exactly the clock
-    entries where ``actions[j].expected`` exceeds ``actions[j-1].expected``
-    (all nonzero entries for ``j == 0``). Checking only these against
-    ``T_current`` is equivalent to the full componentwise ``geq`` whenever
-    every earlier action of the feed has already been consumed — the
-    sequential walk's invariant — because satisfied entries of a monotone
-    clock stay satisfied.
-    """
-    needs: List[Tuple[Tuple[int, int], ...]] = []
-    prev: Optional[List[int]] = None
-    for action in actions:
-        exp = action.expected.counts
-        if prev is None:
-            needs.append(tuple((i, c) for i, c in enumerate(exp) if c))
-        else:
-            needs.append(tuple((i, c) for i, c in enumerate(exp)
-                               if c > prev[i]))
-        prev = exp
-    return needs
+    return actions, needs
 
 
 class ChannelReplayer(Module):
@@ -170,21 +157,14 @@ class ChannelReplayer(Module):
         self.channel = channel
         self.coordinator = coordinator
         self.direction = direction
+        # Payload words (None for output credits) and delta needs.
         if isinstance(feed, CompactFeed):
-            self.actions: List[ReplayAction] = feed.actions
+            self.actions: List[Optional[int]] = feed.actions
+            self._needs: List[Needs] = feed.needs
         else:
-            self.actions = compile_elements(
+            self.actions, self._needs = compile_elements(
                 feed, direction, len(coordinator.current), name)
         self._action_pos = 0
-        # Delta prerequisites: for action j, only the clock entries that
-        # grew since action j-1 (the ``expected`` sequence is a prefix-sum
-        # walk, hence componentwise nondecreasing along one feed). The
-        # sequential walk consumes actions in order, so when it stands at
-        # action j, action j-1's full clock was satisfied at consume time
-        # and — ``T_current`` being monotone — still is; checking the
-        # delta entries is therefore equivalent to the full ``geq``, at
-        # O(entries that changed) instead of O(channels) per re-check.
-        self._needs = _delta_needs(self.actions)
         # Input-side sender state.
         self._pending_contents: List[int] = []
         self._current: Optional[int] = None
@@ -219,18 +199,21 @@ class ChannelReplayer(Module):
 
     # ------------------------------------------------------------------
     def comb(self) -> None:
+        # Each output is driven only when its value changes.
         channel = self.channel
         if self.direction == "in":
             if self._current is None and self._pending_contents:
                 self._current = self._pending_contents.pop(0)
-            if self._current is not None:
-                channel.valid.drive(1)
-                channel.payload.drive(self._current)
-            else:
-                channel.valid.drive(0)
-                channel.payload.drive(0)
+            current = self._current
+            valid, payload = (0, 0) if current is None else (1, current)
+            if channel.valid.value != valid:
+                channel.valid.drive(valid)
+            if channel.payload.value != payload:
+                channel.payload.drive(payload)
         else:
-            channel.ready.drive(1 if self._ready_credits > 0 else 0)
+            ready = 1 if self._ready_credits > 0 else 0
+            if channel.ready.value != ready:
+                channel.ready.drive(ready)
 
     def _credit_underflow(self) -> None:
         raise ReplayError(
@@ -263,8 +246,8 @@ class ChannelReplayer(Module):
             return
         # 2. Consume as many actions as the vector clocks allow. The delta
         # prerequisites stand in for the full ``geq`` (see
-        # :func:`_delta_needs`); ``T_current``'s count list is mutated in
-        # place, so one snapshot of it stays live across the walk.
+        # :data:`~repro.core.decoder.Needs`); ``T_current``'s count list is
+        # mutated in place, so one snapshot of it stays live across the walk.
         actions = self.actions
         needs = self._needs
         n_actions = len(actions)
@@ -279,7 +262,7 @@ class ChannelReplayer(Module):
                     break
             else:
                 if is_input:
-                    self._pending_contents.append(actions[pos].word)
+                    self._pending_contents.append(actions[pos])
                 else:
                     self._ready_credits += 1
                 self.wake()
@@ -317,8 +300,8 @@ class ChannelReplayer(Module):
         else:
             report["ready_credits"] = self._ready_credits
         if self._action_pos < len(self.actions):
-            expected = self.actions[self._action_pos].expected
-            report["next_expected"] = expected.as_tuple()
+            expected = self.expected_at(self._action_pos)
+            report["next_expected"] = expected
             current = self.coordinator.current
             waiting = [i for i in range(len(current))
                        if current[i] < expected[i]]
@@ -329,6 +312,16 @@ class ChannelReplayer(Module):
             else:
                 report["waiting_on"] = waiting
         return report
+
+    def expected_at(self, pos: int) -> Tuple[int, ...]:
+        """Action ``pos``'s full ``T_expected``, rebuilt from the needs
+        prefix: every entry takes its count at its latest need up to
+        ``pos`` (the needs of one feed only ever raise an entry)."""
+        expected = [0] * len(self.coordinator.current)
+        for needs in self._needs[:pos + 1]:
+            for index, count in needs:
+                expected[index] = count
+        return tuple(expected)
 
     def reset_state(self) -> None:
         super().reset_state()

@@ -188,10 +188,10 @@ class VidiShim(Module):
                 "deployment monitors"
             )
         decoder = TraceDecoder(self.table, with_validation=trace.with_validation)
-        # One pass over the body builds every channel's compact action feed
-        # (payloads + precomputed T_expected snapshots) — replayers never
-        # walk packets their channel has no event in.
-        feeds = decoder.compact_feeds(trace.body)
+        # One pass over the body's packet index builds every channel's
+        # compact action feed (payloads + delta prerequisites) — replayers
+        # never walk packets their channel has no event in.
+        feeds = decoder.compact_feeds(trace.body, trace.packet_index)
         self.coordinator = ReplayCoordinator(self.table.n)
         validate = config.record_output_contents
         if validate:
@@ -247,8 +247,7 @@ class VidiShim(Module):
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
-    @property
-    def replay_done(self) -> bool:
+    def is_replay_done(self) -> bool:
         """All replayers consumed their feeds and have nothing in flight.
 
         The coordinator counts the live replayers down as each one's last
@@ -256,6 +255,8 @@ class VidiShim(Module):
         one comparison instead of a sweep over every replayer.
         """
         return self.coordinator is None or self.coordinator.live == 0
+
+    replay_done = property(is_replay_done)
 
     def reset_state(self) -> None:
         super().reset_state()
@@ -301,7 +302,8 @@ class VidiShim(Module):
         oldest surviving re-anchor point and ``metadata['ring']`` carries
         its ``{ordinal, cycle, checkpoint}`` so replay can restore from
         the checkpoint before driving the suffix. The later re-anchor
-        points become the trace's :attr:`~TraceFile.anchors`.
+        points become the trace's :attr:`~TraceFile.anchors`, and the
+        expansion's packet index its :attr:`~TraceFile.packet_index`.
         """
         if self.store is None or self.encoder is None:
             raise ConfigError("no recording in this configuration")
@@ -319,6 +321,7 @@ class VidiShim(Module):
                 with_validation=self.encoder.record_output_contents,
                 metadata=metadata,
                 anchors=info["anchor_points"],
+                packet_index=info["index"],
             )
         return TraceFile(
             table=self.table,

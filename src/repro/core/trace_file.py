@@ -20,12 +20,12 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.decoder import expand_dedup_stream
 from repro.core.events import ChannelTable
 from repro.core.packets import (DEFAULT_DEDUP_SLOTS, CyclePacket, DedupDict,
-                                PacketLayout, deserialize_packets, layout_at,
+                                PacketLayout, TraceIndex, deserialize_packets,
                                 scan_packet_prefix, serialize_packets)
 from repro.errors import TraceFormatError, TraceIntegrityError
 
@@ -278,13 +278,15 @@ def _expand_v3_frames(frames: List[tuple], table: ChannelTable,
     ``{ordinal, cycle, checkpoint}`` and ``info`` gathers expansion stats.
     ``info["anchor_points"]`` maps the body-relative packet ordinal of
     every later checkpoint-carrying anchor inside the body to that anchor:
-    the points sharded replay cuts at. Each ANCHOR resets the dedup
-    dictionary exactly like the encoder did; anchor ordinals are checked
-    for consistency with the packet count so a mismatched window fails
-    loudly instead of replaying garbage.
+    the points sharded replay cuts at. ``info["index"]`` is the body's
+    :class:`TraceIndex`, from the offsets and layouts the expansion found.
+    Each ANCHOR resets the dedup dictionary exactly like the encoder did;
+    anchor ordinals are checked for consistency with the packet count so a
+    mismatched window fails loudly instead of replaying garbage.
     """
-    dedup = DedupDict(dedup_slots)
+    dedup = DedupDict(dedup_slots, encoding=False)
     body = bytearray()
+    walk: Tuple[List[int], List[PacketLayout]] = ([], [])
     epoch = bytearray()
     # RUN frames within an epoch are segments of one DEFLATE stream
     # (Z_SYNC_FLUSH boundaries); the decompressor persists across frames
@@ -303,7 +305,7 @@ def _expand_v3_frames(frames: List[tuple], table: ChannelTable,
             return True
         n, consumed = expand_dedup_stream(
             epoch, table, with_validation, dedup, body,
-            tolerate_tail=tolerate)
+            tolerate_tail=tolerate, index=walk)
         info["packets"] += n
         info["stream_bytes"] += consumed
         leftover = len(epoch) - consumed
@@ -357,69 +359,9 @@ def _expand_v3_frames(frames: List[tuple], table: ChannelTable,
                              if 0 < k < info["packets"]}
     if start is None:
         start = {"ordinal": 0, "cycle": 0, "checkpoint": None}
-    return bytes(body), start, info
-
-
-class TraceIndex:
-    """Packet ordinal → byte offset map over a trace body.
-
-    Built in one pass that reads only packet *headers* (the fixed-width
-    Starts/Ends bitvectors) and takes each packet's length from its
-    header's memoised :func:`~repro.core.packets.packet_layout` — no
-    contents are decoded and no bytes are copied.
-    With the index, replay and the divergence detector seek to any packet
-    (or slice out any packet range, e.g. a replay shard) in O(1)
-    instead of re-scanning the stream.
-    """
-
-    def __init__(self, body: bytes, table: ChannelTable,
-                 with_validation: bool):
-        self.table = table
-        self.with_validation = with_validation
-        hbytes = 2 * table.bitvec_bytes
-        layouts: Dict[int, PacketLayout] = {}
-        view = memoryview(body)
-        size = len(view)
-        offsets: List[int] = []
-        offset = 0
-        while offset < size:
-            if offset + hbytes > size:
-                raise TraceFormatError(
-                    "trace truncated inside a cycle-packet header")
-            layout = layout_at(view, offset, table, with_validation, layouts)
-            # Lenient like a length walk: only bitvectors too wide to
-            # size a packet stop it (replay and salvage check the rest).
-            if layout.started is None:
-                raise TraceFormatError(layout.start_error)
-            if with_validation and layout.end_error is not None:
-                raise TraceFormatError(layout.end_error)
-            offsets.append(offset)
-            offset += layout.size
-        self.offsets = offsets
-        self.end = size
-        self._body = body
-
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-    def offset_of(self, ordinal: int) -> int:
-        """Byte offset of packet ``ordinal`` (``len(self)`` maps to the end)."""
-        if ordinal == len(self.offsets):
-            return self.end
-        return self.offsets[ordinal]
-
-    def slice(self, start: int, stop: int) -> bytes:
-        """The body bytes spanning packets ``[start, stop)`` — a valid
-        trace body of its own (used to carve replay shards)."""
-        return self._body[self.offset_of(start):self.offset_of(stop)]
-
-    def packet_at(self, ordinal: int) -> CyclePacket:
-        """Decode exactly one packet — the O(1) seek replay and the
-        divergence detector use."""
-        packet, _ = CyclePacket.deserialize(
-            memoryview(self._body), self.offsets[ordinal], self.table,
-            self.with_validation)
-        return packet
+    body = bytes(body)
+    info["index"] = TraceIndex(body, table, with_validation, walk)
+    return body, start, info
 
 
 @dataclass
@@ -437,9 +379,12 @@ class TraceFile:
     # [k, ...) replay from that checkpoint (sharded replay cuts here).
     anchors: Dict[int, Dict[str, Any]] = field(
         default_factory=dict, repr=False, compare=False)
+    # The index of ``body``: the one its dedup expansion found when it was
+    # loaded from a v3 container or a flight recorder's ring, else built
+    # by the first index() call.
+    packet_index: Optional[TraceIndex] = field(
+        default=None, repr=False, compare=False)
     container_stats: Optional[Dict[str, Any]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _index: Optional[TraceIndex] = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
@@ -459,10 +404,10 @@ class TraceFile:
 
     def index(self) -> TraceIndex:
         """The packet-offset index for this body (built once, cached)."""
-        if self._index is None:
-            self._index = TraceIndex(self.body, self.table,
-                                     self.with_validation)
-        return self._index
+        if self.packet_index is None:
+            self.packet_index = TraceIndex(self.body, self.table,
+                                           self.with_validation)
+        return self.packet_index
 
     @property
     def packet_count(self) -> int:
@@ -752,7 +697,7 @@ class TraceFile:
                                 "checkpoint": start["checkpoint"]}
         trace = cls(table=table, body=body, with_validation=with_validation,
                     metadata=metadata, format_version=3,
-                    anchors=info["anchor_points"])
+                    anchors=info["anchor_points"], packet_index=info["index"])
         trace.container_stats = {
             "format": 3,
             "container_bytes": len(blob),

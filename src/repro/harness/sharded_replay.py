@@ -12,7 +12,7 @@ synergy this makes a long replay embarrassingly parallel:
    :attr:`~repro.core.trace_file.TraceFile.anchors`, a map from
    body-relative packet ordinal to ``{ordinal, cycle, checkpoint}``;
 2. slice the trace body at a subset of those ordinals using the
-   :class:`~repro.core.trace_file.TraceIndex` (each slice is a valid
+   :class:`~repro.core.packets.TraceIndex` (each slice is a valid
    standalone trace: the replayers' vector-clock prerequisites shift
    uniformly, because *every* pre-boundary end completed before the
    boundary — that is what quiescence means);

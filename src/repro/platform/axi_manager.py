@@ -127,6 +127,7 @@ class AxiManager(Module):
         return plan
 
     def comb(self) -> None:
+        # Each output is driven only when its value changes.
         iface = self.interface
         # --- write address: issue AW for the next un-issued burst.
         aw_valid = 0
@@ -143,8 +144,10 @@ class AxiManager(Module):
                     "size": 6,            # 2^6 = 64 bytes per beat
                     "id": 0,
                 })
-        iface.aw.valid.drive(aw_valid)
-        iface.aw.payload.drive(aw_payload)
+        if iface.aw.valid.value != aw_valid:
+            iface.aw.valid.drive(aw_valid)
+        if iface.aw.payload.value != aw_payload:
+            iface.aw.payload.drive(aw_payload)
         # --- write data: beats of a burst flow as soon as that burst's AW is
         # *presented* (not completed) — the AXI-legal concurrency the §5.3
         # mutation exploits by completing W before AW.
@@ -170,9 +173,12 @@ class AxiManager(Module):
                     "last": 1 if self._w_sent == burst_end else 0,
                     "id": 0,
                 })
-        iface.w.valid.drive(w_valid)
-        iface.w.payload.drive(w_payload)
-        iface.b.ready.drive(1)
+        if iface.w.valid.value != w_valid:
+            iface.w.valid.drive(w_valid)
+        if iface.w.payload.value != w_payload:
+            iface.w.payload.drive(w_payload)
+        if iface.b.ready.value != 1:
+            iface.b.ready.drive(1)
         # --- read address: one burst at a time, re-issued until all words
         # have been requested.
         ar_valid = 0
@@ -187,9 +193,12 @@ class AxiManager(Module):
                     "size": 6,
                     "id": 0,
                 })
-        iface.ar.valid.drive(ar_valid)
-        iface.ar.payload.drive(ar_payload)
-        iface.r.ready.drive(1)
+        if iface.ar.valid.value != ar_valid:
+            iface.ar.valid.drive(ar_valid)
+        if iface.ar.payload.value != ar_payload:
+            iface.ar.payload.drive(ar_payload)
+        if iface.r.ready.value != 1:
+            iface.r.ready.drive(1)
 
     def seq(self) -> None:
         iface = self.interface

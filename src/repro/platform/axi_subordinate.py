@@ -233,30 +233,47 @@ class AxiSubordinate(Module):
 
     # ------------------------------------------------------------------
     def comb(self) -> None:
+        # Each output is driven only when its value changes: most
+        # evaluations move one or two of the seven.
         iface = self.interface
-        iface.aw.ready.drive(0 if len(self._pending_aw) >= 4 else 1)
-        iface.w.ready.drive(
-            0 if (len(self._pending_w) >= 16 or not self._w_allow) else 1)
+        signal = iface.aw.ready
+        value = 0 if len(self._pending_aw) >= 4 else 1
+        if signal.value != value:
+            signal.drive(value)
+        signal = iface.w.ready
+        value = 0 if (len(self._pending_w) >= 16 or not self._w_allow) else 1
+        if signal.value != value:
+            signal.drive(value)
+        b = iface.b
         if self._b_queue and self._b_queue[0][1] == 0:
-            iface.b.valid.drive(1)
-            iface.b.payload.drive(iface.b.spec.pack(
-                {"id": self._b_queue[0][0], "resp": 0}))
+            valid = 1
+            payload = b.spec.pack({"id": self._b_queue[0][0], "resp": 0})
         else:
-            iface.b.valid.drive(0)
-            iface.b.payload.drive(0)
-        iface.ar.ready.drive(0 if self._read_burst is not None else 1)
+            valid = payload = 0
+        if b.valid.value != valid:
+            b.valid.drive(valid)
+        if b.payload.value != payload:
+            b.payload.drive(payload)
+        signal = iface.ar.ready
+        value = 0 if self._read_burst is not None else 1
+        if signal.value != value:
+            signal.drive(value)
+        r = iface.r
         if self._read_burst is not None and self._r_wait == 0 and self._r_paid:
             addr, remaining, burst_id = self._read_burst
-            iface.r.valid.drive(1)
-            iface.r.payload.drive(iface.r.spec.pack({
+            valid = 1
+            payload = r.spec.pack({
                 "data": self.memory.read_word(addr),
                 "id": burst_id,
                 "resp": 0,
                 "last": 1 if remaining == 1 else 0,
-            }))
+            })
         else:
-            iface.r.valid.drive(0)
-            iface.r.payload.drive(0)
+            valid = payload = 0
+        if r.valid.value != valid:
+            r.valid.drive(valid)
+        if r.payload.value != payload:
+            r.payload.drive(payload)
 
     def seq(self) -> None:
         iface = self.interface

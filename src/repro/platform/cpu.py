@@ -423,12 +423,13 @@ class CpuModel(Module):
         self._live += 1
         self._wake_at = 0
 
-    @property
-    def done(self) -> bool:
+    def is_done(self) -> bool:
         """All threads finished and all engines drained."""
         return (not self._live
                 and all(p.idle for p in self.mmio_ports.values())
                 and (self.dma is None or self.dma.idle))
+
+    done = property(is_done)
 
     # ------------------------------------------------------------------
     @staticmethod

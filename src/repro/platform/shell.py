@@ -263,7 +263,8 @@ class F1Deployment:
                     f"{sim.name}: {what} not reached within "
                     f"{max_cycles} cycles (cycle {sim.cycle})")
             try:
-                sim.run_until(lambda: cpu.done, chunk, what)
+                # The bound method itself: one Python call per cycle.
+                sim.run_until(cpu.is_done, chunk, what)
             except WatchdogTimeout:
                 if sim.cycle >= end:
                     raise WatchdogTimeout(
@@ -319,7 +320,7 @@ class F1Deployment:
                     f"{sim.name}: {self.name}: replay completion not reached "
                     f"within {max_cycles} cycles (cycle {sim.cycle})")
             try:
-                sim.run_until(lambda: self.shim.replay_done, chunk,
+                sim.run_until(shim.is_replay_done, chunk,
                               what=f"{self.name}: replay completion")
                 done = True
             except WatchdogTimeout:

@@ -13,11 +13,13 @@ unit tests use:
 4. assert the results store holds a verdict record for every job;
 5. shut the daemon down gracefully and verify nothing leaked.
 
-Exit code 0 only when every assertion holds.
+Exit code 0 only when every assertion holds. A passing smoke removes its
+scratch data dir; a failing one keeps it and prints its path.
 """
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -54,6 +56,7 @@ def main() -> int:
          "--data-dir", str(data_dir), "--jobs", "2",
          "--cache-dir", str(tmp / "schedules")],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    passed = False
     try:
         _wait_for_service(data_dir, proc)
         client = ServiceClient(data_dir=data_dir)
@@ -109,6 +112,7 @@ def main() -> int:
         assert not (data_dir / SERVICE_FILENAME).exists(), (
             "service.json not cleaned up on shutdown")
         print("serve-smoke: OK")
+        passed = True
         return 0
     finally:
         if proc.poll() is None:
@@ -121,6 +125,10 @@ def main() -> int:
         if out:
             print("--- daemon output ---")
             print(out)
+        if passed:
+            shutil.rmtree(tmp, ignore_errors=True)
+        else:
+            print(f"serve-smoke: data dir kept at {tmp}")
 
 
 if __name__ == "__main__":

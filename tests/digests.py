@@ -15,9 +15,10 @@ with time warp on and once with it off:
 Warp counters are not facts and are not pinned; ``--warped PATH`` writes
 each case's record and replay ``warped_cycles`` to a JSON file, so two
 trees can be compared by hand. ``--calls PATH`` likewise writes each
-case's Python function calls for the record and for the replay (warp
-on), counted as ``sys.setprofile`` "call" events: a cost that repeats
-exactly, so two trees can be compared by it where timings are noise.
+case's Python function calls for the record, the replay and the
+divergence comparison (warp on), counted as ``sys.setprofile`` "call"
+events: a cost that repeats exactly, so two trees can be compared by it
+where timings are noise.
 
     PYTHONPATH=src python tests/digests.py            # check (make digests)
     PYTHONPATH=src python tests/digests.py --write    # re-pin the file
@@ -75,7 +76,8 @@ def _counted(fn, calls):
 def run_case(app: str, seed: int, scheduler: str, flight: bool,
              time_warp: bool, calls: list | None = None) -> tuple:
     """``(facts, warped)`` of one record and replay of ``app``; a
-    ``calls`` list receives the record's and the replay's call counts."""
+    ``calls`` list receives the call counts of the record, the replay and
+    the comparison of their traces."""
     spec = get_app(app)
     deployments = []
     record = _counted(lambda: record_run(
@@ -87,7 +89,7 @@ def run_case(app: str, seed: int, scheduler: str, flight: bool,
     replay = _counted(lambda: replay_run(
         spec, trace, scheduler=scheduler, time_warp=time_warp), calls)
     validation = replay.result["validation"]
-    report = compare_traces(trace, validation)
+    report = _counted(lambda: compare_traces(trace, validation), calls)
     facts = {
         "record_cycles": record.cycles,
         "stall_cycles": record.store_stall_cycles,

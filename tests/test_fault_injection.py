@@ -26,6 +26,7 @@ from repro.errors import (
 from repro.faults import FAULT_KINDS, FaultInjector, FaultPlan, run_campaign
 from repro.harness.runner import bench_config, record_run, replay_run
 from repro.platform.shell import DEFAULT_REPLAY_STALL_BUDGET
+from tests.test_vidi_integration import prefix_sum_clocks
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +247,15 @@ class TestReplayStall:
         stuck = err.channels[0]
         assert stuck["waiting_on"]
         assert "needs" in stuck["waiting_on"][0]
+        # The stuck action's T_expected, rebuilt from its replayer's needs,
+        # is the full prefix-sum clock of the trace.
+        full = prefix_sum_clocks(bad)[stuck["index"]]
+        assert stuck["next_expected"] == full[stuck["actions_consumed"]]
+        assert stuck["waiting_on"] == [
+            f"{bad.table[i].name} (has {have}, needs {need})"
+            for i, (have, need) in enumerate(zip(err.current_clock,
+                                                 stuck["next_expected"]))
+            if have < need]
 
     def test_stall_error_is_watchdog_timeout(self, reference):
         """Existing except-WatchdogTimeout handlers keep working."""

@@ -1,8 +1,9 @@
 """Unit tests for channel replayers with hand-built feeds (§3.5 semantics)."""
 
 from repro.channels import Channel, ChannelSink, ChannelSource, Field, PayloadSpec
-from repro.core.decoder import ReplayAction, ReplayElement
-from repro.core.replayer import ChannelReplayer, ReplayCoordinator, _delta_needs
+from repro.core.decoder import ReplayElement
+from repro.core.replayer import (ChannelReplayer, ReplayCoordinator,
+                                 compile_elements)
 from repro.core.vector_clock import VectorClock
 from repro.sim import Simulator
 
@@ -170,46 +171,58 @@ class TestCoordinator:
 class TestDeltaNeeds:
     """The incremental T_expected check used by the replayer's fast walk.
 
-    ``_delta_needs`` keeps, per action, only the vector-clock entries
-    that *grew* since the previous action. That is equivalent to the
-    full ``geq`` check because actions are consumed strictly in order
-    (earlier entries were already satisfied when the walk advanced) and
-    ``T_current`` is monotone (a satisfied entry stays satisfied).
+    ``compile_elements`` (like ``TraceDecoder.compact_feeds``) keeps, per
+    action, only the vector-clock entries that *grew* since the previous
+    action. That is equivalent to the full ``geq`` check because actions
+    are consumed strictly in order (earlier entries were already
+    satisfied when the walk advanced) and ``T_current`` is monotone (a
+    satisfied entry stays satisfied).
     """
 
     @staticmethod
-    def _actions(*count_rows):
-        return [ReplayAction(word=None, expected=VectorClock(list(row)))
-                for row in count_rows]
+    def _needs(*count_rows):
+        """The needs ``compile_elements`` finds for an output feed whose
+        actions have the full ``T_expected`` clocks ``count_rows``: filler
+        elements carry the ends that raise each clock to the next row."""
+        feed, counts = [], [0] * len(count_rows[0])
+        for row in count_rows:
+            while list(row) != counts:
+                mask = 0
+                for i, (have, want) in enumerate(zip(counts, row)):
+                    if have < want:
+                        mask |= 1 << i
+                        counts[i] += 1
+                feed.append(filler(mask))
+            feed.append(end_element(0))
+        actions, needs = compile_elements(feed, "out", len(counts))
+        assert actions == [None] * len(count_rows)
+        return needs
 
     def test_first_action_keeps_every_nonzero_entry(self):
-        needs = _delta_needs(self._actions((0, 2, 1)))
+        needs = self._needs((0, 2, 1))
         assert needs == [((1, 2), (2, 1))]
 
     def test_later_actions_keep_only_the_increments(self):
-        needs = _delta_needs(self._actions(
-            (1, 0, 0), (1, 0, 0), (1, 3, 0), (2, 3, 1)))
+        needs = self._needs((1, 0, 0), (1, 0, 0), (1, 3, 0), (2, 3, 1))
         assert needs == [((0, 1),), (), ((1, 3),), ((0, 2), (2, 1))]
 
     def test_delta_walk_equals_full_geq_walk(self):
         """Sequential consumption under a monotone clock: the delta check
         admits exactly the same prefix as geq at every step."""
-        actions = self._actions(
-            (0, 0, 0), (1, 0, 0), (1, 2, 0), (1, 2, 0), (2, 2, 3))
-        needs = _delta_needs(actions)
+        rows = [(0, 0, 0), (1, 0, 0), (1, 2, 0), (1, 2, 0), (2, 2, 3)]
+        needs = self._needs(*rows)
         # A monotone sequence of observed T_current states.
         states = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 2),
                   (2, 2, 2), (2, 2, 3), (5, 5, 5)]
         pos_delta = pos_geq = 0
         for counts in states:
             current = VectorClock(list(counts))
-            while (pos_delta < len(actions)
+            while (pos_delta < len(rows)
                    and all(current.counts[i] >= c
                            for i, c in needs[pos_delta])):
                 pos_delta += 1
-            while (pos_geq < len(actions)
-                   and current.geq(actions[pos_geq].expected)):
+            while (pos_geq < len(rows)
+                   and current.geq(VectorClock(list(rows[pos_geq])))):
                 pos_geq += 1
             assert pos_delta == pos_geq
-        assert pos_delta == len(actions)
-
+        assert pos_delta == len(rows)

@@ -5,13 +5,15 @@ Random channel tables, contents and validation payloads, checked three ways:
 * the staged ``serialize_into`` path is byte-identical to the seed
   algorithm (bitvectors + binary-reduction-tree ``pack_contents`` joins);
 * the memoryview deserialize path round-trips every packet exactly;
-* the :class:`~repro.core.trace_file.TraceIndex` agrees with a sequential
+* the :class:`~repro.core.packets.TraceIndex` agrees with a sequential
   scan, its slices are valid standalone bodies, and the one-pass compact
-  feeds match the legacy element-feed compilation;
+  feeds' payload words and delta needs match the legacy element-feed
+  compilation under the delta rule (full prefix-sum clocks, diffed);
 * every header-memoised body walk (decode, salvage scan, index, dedup
-  expansion, compact feeds, divergence records, backref scan, trace
-  comparison) equals a per-packet reference loop kept below, on valid
-  bodies and on truncated or malformed ones, error messages included.
+  expansion and the index it keeps, compact feeds, divergence records,
+  backref scan, trace comparison) equals a per-packet reference loop kept
+  below, on valid bodies and on truncated or malformed ones, error
+  messages included.
 """
 
 import random
@@ -19,7 +21,7 @@ import random
 import pytest
 
 from repro.core.contents_tree import pack_contents, unpack_contents
-from repro.core.decoder import (CompactFeed, ReplayAction, TraceDecoder,
+from repro.core.decoder import (CompactFeed, TraceDecoder,
                                 expand_dedup_stream)
 from repro.core.divergence import (Divergence, DivergenceReport,
                                    _output_end_records, compare_traces)
@@ -37,7 +39,6 @@ from repro.core.packets import (
 )
 from repro.core.replayer import compile_elements
 from repro.core.trace_file import TraceFile, TraceIndex
-from repro.core.vector_clock import VectorClock
 from repro.errors import TraceFormatError
 
 
@@ -205,6 +206,36 @@ class TestTraceIndex:
                 == packets[a:b]
 
 
+def delta_needs(clocks):
+    """The delta rule: per action, the entries of its full ``T_expected``
+    clock that grew since the previous action's (all nonzero for the
+    first)."""
+    needs, prev = [], None
+    for clock in clocks:
+        needs.append(tuple((i, c) for i, c in enumerate(clock)
+                           if c > (prev[i] if prev else 0)))
+        prev = clock
+    return needs
+
+
+def ref_compile_elements(feed, direction, n):
+    """An element feed's payload words and full ``T_expected`` clocks: the
+    replayer's original incremental walk, summing ``ends_mask`` fields."""
+    counts = [0] * n
+    words, clocks = [], []
+    for element in feed:
+        if element.start and direction == "in":
+            words.append(int.from_bytes(element.content, "little"))
+            clocks.append(tuple(counts))
+        elif element.end and direction == "out":
+            words.append(None)
+            clocks.append(tuple(counts))
+        for i in range(n):
+            if (element.ends_mask >> i) & 1:
+                counts[i] += 1
+    return words, clocks
+
+
 class TestCompactFeeds:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("with_validation", [True, False])
@@ -219,7 +250,10 @@ class TestCompactFeeds:
             direction = table[i].direction
             assert feed.direction == direction
             legacy = decoder.channel_feed(packets, i)
-            assert feed.actions == compile_elements(legacy, direction, table.n)
+            words, clocks = ref_compile_elements(legacy, direction, table.n)
+            compiled = (words, delta_needs(clocks))
+            assert (feed.actions, feed.needs) == compiled
+            assert compile_elements(legacy, direction, table.n) == compiled
 
 
 # ----------------------------------------------------------------------
@@ -391,29 +425,27 @@ def ref_expand_dedup_stream(stream, table, with_validation, dedup, out,
 def ref_compact_feeds(blob, table, with_validation):
     n = table.n
     counts = [0] * n
-    feeds = [CompactFeed(i, "in" if table.is_input(i) else "out", [])
-             for i in range(n)]
+    words = [[] for _ in range(n)]
+    clocks = [[] for _ in range(n)]
     view = memoryview(blob)
     offset = 0
     while offset < len(view):
         packet, offset = ref_deserialize(view, offset, table, with_validation)
-        snapshot = None
+        snapshot = tuple(counts)
         if packet.starts:
             for i in iter_bits(packet.starts, n):
-                if snapshot is None:
-                    snapshot = VectorClock(counts)
-                feeds[i].actions.append(ReplayAction(
-                    int.from_bytes(packet.contents[i], "little"), snapshot))
+                words[i].append(int.from_bytes(packet.contents[i], "little"))
+                clocks[i].append(snapshot)
         if packet.ends:
             ended = iter_bits(packet.ends, n)
             for i in ended:
                 if not table.is_input(i):
-                    if snapshot is None:
-                        snapshot = VectorClock(counts)
-                    feeds[i].actions.append(ReplayAction(None, snapshot))
+                    words[i].append(None)
+                    clocks[i].append(snapshot)
             for i in ended:
                 counts[i] += 1
-    return feeds
+    return [CompactFeed(i, "in" if table.is_input(i) else "out", words[i],
+                        delta_needs(clocks[i])) for i in range(n)]
 
 
 def ref_output_end_records(trace, table):
@@ -549,9 +581,14 @@ def malformed(rng, table, blob, offsets):
 
 
 def body_walks(table, body, with_validation):
-    """Each flat-body walk next to its reference loop."""
+    """Each flat-body walk next to its reference loop; the walks that can
+    read a packet index run without one and with a header walk's."""
     trace = TraceFile(table=table, body=body, with_validation=with_validation)
     decoder = TraceDecoder(table, with_validation=with_validation)
+    status, index = outcome(TraceIndex, body, table, with_validation)
+    indexed = TraceFile(table=table, body=body,
+                        with_validation=with_validation,
+                        packet_index=index if status == "ok" else None)
     return {
         "deserialize_packets": (
             outcome(deserialize_packets, body, table, with_validation),
@@ -571,6 +608,12 @@ def body_walks(table, body, with_validation):
         "_output_end_records": (
             outcome(_output_end_records, trace, table),
             outcome(ref_output_end_records, trace, table)),
+        "compact_feeds over an index": (
+            outcome(decoder.compact_feeds, body, indexed.packet_index),
+            outcome(ref_compact_feeds, body, table, with_validation)),
+        "_output_end_records over an index": (
+            outcome(_output_end_records, indexed, table),
+            outcome(ref_output_end_records, trace, table)),
     }
 
 
@@ -583,15 +626,53 @@ def stream_walks(table, stream, with_validation, slots):
                          tolerate_tail=tolerate_tail)
         return n, consumed, bytes(out), dedup.hits, dedup.inserts
 
+    def expanded(tolerate_tail):
+        """The body the expansion writes and the packet index it keeps,
+        as the trace :meth:`TraceFile.from_bytes` would load."""
+        walk, out = ([], []), bytearray()
+        expand_dedup_stream(stream, table, with_validation,
+                            DedupDict(slots, encoding=False), out,
+                            tolerate_tail=tolerate_tail, index=walk)
+        body = bytes(out)
+        return walk[0], TraceFile(
+            table=table, body=body, with_validation=with_validation,
+            packet_index=TraceIndex(body, table, with_validation, walk))
+
+    def ref_expanded(tolerate_tail):
+        out = bytearray()
+        ref_expand_dedup_stream(stream, table, with_validation,
+                                DedupDict(slots), out,
+                                tolerate_tail=tolerate_tail)
+        body = bytes(out)
+        return (ref_index_offsets(body, table, with_validation),
+                TraceFile(table=table, body=body,
+                          with_validation=with_validation))
+
     walks = {
         "_backref_offsets": (
             outcome(_backref_offsets, stream, table, with_validation),
             outcome(ref_backref_offsets, stream, table, with_validation)),
     }
+    decoder = TraceDecoder(table, with_validation=with_validation)
     for tolerate in (False, True):
         walks[f"expand tolerate_tail={tolerate}"] = (
             outcome(expand, expand_dedup_stream, tolerate),
             outcome(expand, ref_expand_dedup_stream, tolerate))
+        got, want = outcome(expanded, tolerate), outcome(ref_expanded, tolerate)
+        if got[0] != "ok" or want[0] != "ok":
+            continue   # the expansion failed alike (compared above)
+        (offsets, trace), (ref_offsets, ref_trace) = got[1], want[1]
+        walks[f"expansion index tolerate_tail={tolerate}"] = (
+            ("ok", offsets), ("ok", ref_offsets))
+        walks[f"compact_feeds over the expansion index "
+              f"tolerate_tail={tolerate}"] = (
+            outcome(decoder.compact_feeds, trace.body, trace.packet_index),
+            outcome(ref_compact_feeds, ref_trace.body, table,
+                    with_validation))
+        walks[f"_output_end_records over the expansion index "
+              f"tolerate_tail={tolerate}"] = (
+            outcome(_output_end_records, trace, table),
+            outcome(ref_output_end_records, ref_trace, table))
     return walks
 
 

@@ -42,14 +42,35 @@ PINNED = {
 }
 
 
+def prefix_sum_clocks(trace):
+    """Per channel, the full ``T_expected`` of each of its replay actions
+    (input starts, output ends): the sum of the ``Ends`` bitvectors of
+    every packet before the action's own."""
+    table = trace.table
+    counts = [0] * table.n
+    clocks = [[] for _ in range(table.n)]
+    for packet in trace.packets():
+        for i in range(table.n):
+            acts = packet.starts if table.is_input(i) else packet.ends
+            if (acts >> i) & 1:
+                clocks[i].append(tuple(counts))
+        for i in range(table.n):
+            counts[i] += (packet.ends >> i) & 1
+    return clocks
+
+
 def replay_checking_wakeups(app, seed=5):
     """Record ``app``, then replay it under event and compiled while a cycle
     hook asserts at every cycle boundary that no gated replayer could
     already act and that ``live`` counts exactly the replayers not done.
+    The ``T_expected`` a gated replayer rebuilds from its needs must equal
+    the prefix-sum clock; rebuilding costs O(position), so that is checked
+    at the first gated action in each power-of-two band of positions.
     Returns ``{kernel: (cycles, validation-trace SHA-256)}``."""
     spec = get_app(app)
     trace = record_run(spec, bench_config(VidiConfig.r2), seed=seed,
                        scheduler="compiled").result["trace"]
+    clocks = prefix_sum_clocks(trace)
     outs = {}
     for kernel in ("event", "compiled"):
         dep = F1Deployment(
@@ -58,11 +79,19 @@ def replay_checking_wakeups(app, seed=5):
             replay_trace=trace, scheduler=kernel)
         shim = dep.shim
         counts = shim.coordinator.current.counts
+        rebuilt = set()
 
-        def audit(cycle, shim=shim, counts=counts, kernel=kernel):
+        def audit(cycle, shim=shim, counts=counts, kernel=kernel,
+                  rebuilt=rebuilt):
             for r in shim.replayers:
-                if r._gated and r._action_pos < len(r.actions):
-                    expected = r.actions[r._action_pos].expected.counts
+                pos = r._action_pos
+                if r._gated and pos < len(r.actions):
+                    expected = clocks[r.index][pos]
+                    band = (r.index, pos.bit_length())
+                    if band not in rebuilt:
+                        rebuilt.add(band)
+                        assert r.expected_at(pos) == expected, (
+                            f"{app}/{kernel}: {r.name} action {pos}")
                     assert any(c < e for c, e in zip(counts, expected)), (
                         f"{app}/{kernel}: {r.name} gated but ready "
                         f"at cycle {cycle}")
