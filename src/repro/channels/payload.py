@@ -75,6 +75,16 @@ class PayloadSpec:
         offset, mask = self._offsets[name]
         return (word >> offset) & mask
 
+    def slots(self, *names: str) -> Tuple[int, ...]:
+        """The ``(offset, mask)`` pairs of ``names``, flattened.
+
+        Per-beat code takes these once, as module constants, then reads a
+        field as ``(word >> offset) & mask`` and builds a word from
+        ``(value & mask) << offset`` terms, exactly as :meth:`unpack` and
+        :meth:`pack` do, with no field dict and no call.
+        """
+        return tuple(part for name in names for part in self._offsets[name])
+
     # ------------------------------------------------------------------
     def to_bytes(self, word: int) -> bytes:
         """Serialize a packed word into ``byte_length`` little-endian bytes."""

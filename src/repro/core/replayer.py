@@ -20,10 +20,10 @@ prerequisite's end, depending on the two replayers' order.
 
 A replayer whose next action is blocked waits on the *first* unmet
 ``(channel, count)`` entry of that action's prerequisites: it registers
-with the coordinator as a waiter on that channel and stays idle (its
-``seq()`` skips the action walk) until a completion on that channel reaches
-the count and releases it. Replay cost therefore follows the completions
-that happen, not the number of replayers.
+with the coordinator as a waiter on that count of that channel and stays
+idle (its ``seq()`` skips the action walk) until the completion that
+brings the channel to the count releases it. Replay cost therefore follows
+the completions that happen, not the number of replayers.
 
 Replayers consume a :class:`~repro.core.decoder.CompactFeed` — only the
 events this channel must gate, each with its delta prerequisites (the
@@ -40,7 +40,7 @@ as ``tests/test_replayer_unit.py`` exercises through the legacy interface.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.channels.handshake import Channel
 from repro.core.decoder import CompactFeed, Needs, ReplayElement
@@ -50,7 +50,16 @@ from repro.sim.module import Module
 
 
 class ReplayCoordinator:
-    """Shared ``T_current``: completed-transaction counts per channel."""
+    """Shared ``T_current`` and the replayers waiting on it.
+
+    ``current`` counts the completed transactions per channel.
+    ``waiters[channel]`` maps a count to the replayers whose action walk
+    stopped on that channel's entry being below it. A replayer registers
+    only on an unmet count, and a completion raises its channel's entry by
+    exactly one, so the completion that reaches a count releases exactly
+    that count's replayers: :meth:`complete` pops one entry and scans
+    nothing.
+    """
 
     def __init__(self, n_channels: int):
         self.current = VectorClock(n_channels)
@@ -60,35 +69,27 @@ class ReplayCoordinator:
         # first). The replay progress watchdog reads this to pin down where
         # a livelocked replay last made forward progress.
         self.last_progress_cycle: Optional[int] = None
-        # Per channel: the (count, replayer) pairs whose walk stopped on
-        # that channel's T_current entry being below ``count``.
-        self.waiters: List[List[Tuple[int, "ChannelReplayer"]]] = [
-            [] for _ in range(n_channels)]
+        self.waiters: List[Dict[int, List["ChannelReplayer"]]] = [
+            {} for _ in range(n_channels)]
         # Replayers with trace actions left or a transaction in flight;
         # replay is done when this reaches zero.
         self.live = 0
 
     def complete(self, index: int, cycle: Optional[int] = None) -> None:
-        """Broadcast that one more transaction finished on ``index``.
-
-        Releases exactly the waiters on ``index`` whose count is now met.
-        """
+        """Broadcast that one more transaction finished on ``index``, and
+        release the replayers waiting for the count it reaches."""
         counts = self.current.counts
-        counts[index] += 1
+        now = counts[index] + 1
+        counts[index] = now
         self.version += 1
         if cycle is not None:
             self.last_progress_cycle = cycle
-        waiters = self.waiters[index]
-        if waiters:
-            now = counts[index]
-            keep = []
-            for entry in waiters:
-                if entry[0] <= now:
-                    replayer = entry[1]
+        waiting = self.waiters[index]
+        if waiting:
+            released = waiting.pop(now, None)
+            if released is not None:
+                for replayer in released:
                     replayer._gated = False
-                else:
-                    keep.append(entry)
-            self.waiters[index] = keep
 
     def reset(self, live: int) -> None:
         """Back to power-on: no completions, no waiters, ``live`` replayers."""
@@ -96,8 +97,8 @@ class ReplayCoordinator:
         counts[:] = [0] * len(counts)
         self.version = 0
         self.last_progress_cycle = None
-        for waiters in self.waiters:
-            waiters.clear()
+        for waiting in self.waiters:
+            waiting.clear()
         self.live = live
 
 
@@ -142,6 +143,11 @@ def compile_elements(feed: Sequence[ReplayElement], direction: str,
 class ChannelReplayer(Module):
     """Replays one channel's recorded transaction events.
 
+    It counts the transactions it replays (``replayed_transactions``) and
+    broadcasts each completion to the coordinator; it keeps no copy of
+    their payloads, which the validation monitor records into the
+    validation trace.
+
     Scheduling: ``comb()`` reads only Python state (pending contents /
     ready credits), so the replayer declares an empty sensitivity set and
     wakes itself from every ``seq()`` site that mutates that state.
@@ -171,7 +177,6 @@ class ChannelReplayer(Module):
         # Output-side receiver state.
         self._ready_credits = 0
         self.replayed_transactions = 0
-        self.validation_contents: List[bytes] = []
         # Set when the action walk stops: blocked on an unmet prerequisite
         # (and registered as a waiter on it) or out of actions. While set,
         # seq() skips the walk; only a release by the coordinator clears
@@ -233,7 +238,6 @@ class ChannelReplayer(Module):
                 self._ready_credits -= 1
                 if self._ready_credits < 0:
                     self._credit_underflow()
-                self.validation_contents.append(channel.payload_bytes())
                 idle = not self._ready_credits
             self.replayed_transactions += 1
             coordinator.complete(
@@ -257,8 +261,10 @@ class ChannelReplayer(Module):
         while pos < n_actions:
             for index, count in needs[pos]:
                 if counts[index] < count:
-                    # Wait for this entry; a release re-runs the walk.
-                    coordinator.waiters[index].append((count, self))
+                    # Wait for this count; the completion that reaches it
+                    # releases us and re-runs the walk.
+                    waiting = coordinator.waiters[index]
+                    waiting.setdefault(count, []).append(self)
                     break
             else:
                 if is_input:
@@ -330,5 +336,4 @@ class ChannelReplayer(Module):
         self._current = None
         self._ready_credits = 0
         self.replayed_transactions = 0
-        self.validation_contents.clear()
         self._gated = False

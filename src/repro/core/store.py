@@ -69,6 +69,9 @@ class TraceStore(Module):
                 f"{STORAGE_WORD_BYTES}-byte word"
             )
         self.staging_bytes = staging_bytes
+        self._fault_bandwidth_factor = 1.0
+        # Also sets _drain_rate, the per-cycle drain in fixed point
+        # (×CREDIT_SCALE), which the factor's setter keeps too.
         self.bandwidth = bandwidth_bytes_per_cycle
         # Bytes not yet in ``data``: a drained front + _staged_bytes staged.
         self._staging = bytearray()
@@ -79,11 +82,10 @@ class TraceStore(Module):
         self.data = bytearray()          # external storage (host DRAM model)
         self.total_packet_bytes = 0      # exact encoded trace length
         self.stall_cycles = 0            # cycles spent with staging full
-        # Fault-injection hooks (repro.faults): an attached injector may
-        # corrupt external storage words at flush time, and a brownout
-        # fault scales the effective drain bandwidth while active.
+        # Fault-injection hook (repro.faults): an attached injector may
+        # corrupt external storage words at flush time (and a brownout
+        # sets fault_bandwidth_factor).
         self.faults = None
-        self.fault_bandwidth_factor = 1.0
         # With nothing staged, seq() only tops up the drain credit; once
         # the credit has saturated at its idle cap the call is a no-op.
         # The guard is also the store's time-warp hint, so a design steps
@@ -92,6 +94,28 @@ class TraceStore(Module):
                            ("sync", "_drain_credit", "_idle_credit_cap"))
 
     # ------------------------------------------------------------------
+    @property
+    def bandwidth(self) -> float:
+        """Drain bandwidth toward external storage, in bytes per cycle."""
+        return self._bandwidth
+
+    @bandwidth.setter
+    def bandwidth(self, value: float) -> None:
+        self._bandwidth = value
+        self._drain_rate = round(value * self._fault_bandwidth_factor
+                                 * CREDIT_SCALE)
+
+    @property
+    def fault_bandwidth_factor(self) -> float:
+        """Scale on the drain bandwidth: 1.0, or a brownout fault's factor
+        while that fault is active."""
+        return self._fault_bandwidth_factor
+
+    @fault_bandwidth_factor.setter
+    def fault_bandwidth_factor(self, value: float) -> None:
+        self._fault_bandwidth_factor = value
+        self._drain_rate = round(self._bandwidth * value * CREDIT_SCALE)
+
     @property
     def free(self) -> int:
         """Staging bytes currently available (back-pressure input)."""
@@ -111,19 +135,24 @@ class TraceStore(Module):
 
     # ------------------------------------------------------------------
     def seq(self) -> None:
-        bandwidth = self.bandwidth * self.fault_bandwidth_factor
+        bw_fp = self._drain_rate
         if self.arbiter is not None:   # its seq() ran first and set this
-            bandwidth = min(bandwidth, self.arbiter.store_budget)
-        bw_fp = round(bandwidth * CREDIT_SCALE)
+            # round() is monotone, so capping the rounded rate by the
+            # rounded budget rounds the capped bandwidth, exactly.
+            budget = round(self.arbiter.store_budget * CREDIT_SCALE)
+            if budget < bw_fp:
+                bw_fp = budget
         staged = self._staged_bytes
+        credit = self._drain_credit + bw_fp
         if not staged:
-            self._drain_credit = min(self._drain_credit + bw_fp,
-                                     self._idle_credit_cap)
+            cap = self._idle_credit_cap
+            self._drain_credit = credit if credit < cap else cap
             return
         if staged == self.staging_bytes:
             self.stall_cycles += 1
-        credit = self._drain_credit + bw_fp
-        spent = min(staged, credit // CREDIT_SCALE)
+        spent = credit // CREDIT_SCALE
+        if staged < spent:
+            spent = staged
         self._staged_bytes = staged - spent
         self._drain_credit = credit - spent * CREDIT_SCALE
         if self.arbiter is not None:

@@ -250,9 +250,8 @@ class RingTraceStore(TraceStore):
             kwargs["bandwidth_bytes_per_cycle"] = bandwidth
         super().__init__(name, arbiter=arbiter, **kwargs)
         self.retain_words = retain_words
-        self.retain_bytes = retain_words * STORAGE_WORD_BYTES
         self._run_bytes = run_bytes
-        self.ring = FrameRing(self.retain_bytes)
+        self.ring = FrameRing(retain_words * STORAGE_WORD_BYTES)
         self._framed_raw = 0          # stream bytes already framed
         # Anchors queued by byte watermark: (watermark, ordinal, cycle,
         # checkpoint-dict). The watermark is total_packet_bytes at request

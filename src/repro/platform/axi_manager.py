@@ -16,12 +16,28 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
-from repro.channels.axi import AxiInterface
+from repro.channels.axi import AXI4_SPECS, AxiInterface
 from repro.errors import SimulationError
 from repro.sim.module import Module
 
 MAX_BURST_BEATS = 8
 FULL_STROBE = (1 << 64) - 1
+
+# The (offset, mask) pair of every field a beat path builds or reads,
+# taken once from AXI4_SPECS: no beat builds a field dict or calls
+# pack/unpack. Every address beat asks for size 6 (2^6 = 64 bytes per
+# beat) with id 0, and every W beat has id 0.
+(_AW_ADDR_AT, _AW_ADDR_MASK, _AW_LEN_AT, _AW_LEN_MASK, _AW_SIZE_AT,
+ _AW_SIZE_MASK) = AXI4_SPECS["aw"].slots("addr", "len", "size")
+_AW_SIZE_64 = (6 & _AW_SIZE_MASK) << _AW_SIZE_AT
+_W_DATA_AT, _W_DATA_MASK, _W_STRB_AT, _W_STRB_MASK = (
+    AXI4_SPECS["w"].slots("data", "strb"))
+_W_LAST_AT = AXI4_SPECS["w"].slots("last")[0]
+(_AR_ADDR_AT, _AR_ADDR_MASK, _AR_LEN_AT, _AR_LEN_MASK, _AR_SIZE_AT,
+ _AR_SIZE_MASK) = AXI4_SPECS["ar"].slots("addr", "len", "size")
+_AR_SIZE_64 = (6 & _AR_SIZE_MASK) << _AR_SIZE_AT
+_R_DATA_AT, _R_DATA_MASK, _R_LAST_AT, _R_LAST_MASK = (
+    AXI4_SPECS["r"].slots("data", "last"))
 
 
 @dataclass
@@ -138,12 +154,11 @@ class AxiManager(Module):
                 burst_len = plan[self._aw_sent_bursts]
                 offset = sum(plan[:self._aw_sent_bursts]) * 64
                 aw_valid = 1
-                aw_payload = iface.aw.spec.pack({
-                    "addr": self._w_desc.addr + offset,
-                    "len": burst_len - 1,
-                    "size": 6,            # 2^6 = 64 bytes per beat
-                    "id": 0,
-                })
+                aw_payload = (
+                    (((self._w_desc.addr + offset) & _AW_ADDR_MASK)
+                     << _AW_ADDR_AT)
+                    | (((burst_len - 1) & _AW_LEN_MASK) << _AW_LEN_AT)
+                    | _AW_SIZE_64)
         if iface.aw.valid.value != aw_valid:
             iface.aw.valid.drive(aw_valid)
         if iface.aw.payload.value != aw_payload:
@@ -167,12 +182,10 @@ class AxiManager(Module):
                         burst_end = acc - 1
                         break
                 w_valid = 1
-                w_payload = iface.w.spec.pack({
-                    "data": data,
-                    "strb": strobe,
-                    "last": 1 if self._w_sent == burst_end else 0,
-                    "id": 0,
-                })
+                w_payload = (
+                    ((data & _W_DATA_MASK) << _W_DATA_AT)
+                    | ((strobe & _W_STRB_MASK) << _W_STRB_AT)
+                    | ((1 if self._w_sent == burst_end else 0) << _W_LAST_AT))
         if iface.w.valid.value != w_valid:
             iface.w.valid.drive(w_valid)
         if iface.w.payload.value != w_payload:
@@ -187,12 +200,12 @@ class AxiManager(Module):
             remaining = self._r_desc.n_words - self._r_requested
             if remaining > 0:
                 ar_valid = 1
-                ar_payload = iface.ar.spec.pack({
-                    "addr": self._r_desc.addr + self._r_requested * 64,
-                    "len": min(remaining, MAX_BURST_BEATS) - 1,
-                    "size": 6,
-                    "id": 0,
-                })
+                ar_payload = (
+                    (((self._r_desc.addr + self._r_requested * 64)
+                      & _AR_ADDR_MASK) << _AR_ADDR_AT)
+                    | (((min(remaining, MAX_BURST_BEATS) - 1) & _AR_LEN_MASK)
+                       << _AR_LEN_AT)
+                    | _AR_SIZE_64)
         if iface.ar.valid.value != ar_valid:
             iface.ar.valid.drive(ar_valid)
         if iface.ar.payload.value != ar_payload:
@@ -239,9 +252,9 @@ class AxiManager(Module):
                 self._ar_issued = True
                 self.wake()
             if iface.r.valid.value and iface.r.ready.value:
-                beat = iface.r.payload_dict()
-                self._r_desc._data.append(beat["data"])
-                if beat["last"]:
+                word = iface.r.payload.value
+                self._r_desc._data.append((word >> _R_DATA_AT) & _R_DATA_MASK)
+                if (word >> _R_LAST_AT) & _R_LAST_MASK:
                     desc = self._r_desc
                     if len(desc._data) >= desc.n_words:
                         self._r_desc = None

@@ -21,7 +21,7 @@ import random
 from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
-from repro.channels.axi import AxiInterface
+from repro.channels.axi import AXI4_SPECS, AXI_LITE_SPECS, AxiInterface
 from repro.sim.memory import WordMemory
 from repro.sim.module import Module
 
@@ -30,6 +30,24 @@ RegWriter = Callable[[int, int], None]
 
 RESPONSE_LATENCY = 1
 """Cycles an AXI-Lite response waits after its request is served."""
+
+# The (offset, mask) pair of every field a beat path reads or builds,
+# taken once from the specs: no beat builds a field dict or calls
+# pack/unpack. Both response channels answer OKAY, a zero resp field.
+_LITE_AW_ADDR_AT, _LITE_AW_ADDR_MASK = AXI_LITE_SPECS["aw"].slots("addr")
+(_LITE_W_DATA_AT, _LITE_W_DATA_MASK, _LITE_W_STRB_AT,
+ _LITE_W_STRB_MASK) = AXI_LITE_SPECS["w"].slots("data", "strb")
+_LITE_AR_ADDR_AT, _LITE_AR_ADDR_MASK = AXI_LITE_SPECS["ar"].slots("addr")
+_LITE_R_DATA_AT, _LITE_R_DATA_MASK = AXI_LITE_SPECS["r"].slots("data")
+(_AW_ADDR_AT, _AW_ADDR_MASK, _AW_LEN_AT, _AW_LEN_MASK, _AW_ID_AT,
+ _AW_ID_MASK) = AXI4_SPECS["aw"].slots("addr", "len", "id")
+(_W_DATA_AT, _W_DATA_MASK, _W_STRB_AT, _W_STRB_MASK, _W_LAST_AT,
+ _W_LAST_MASK) = AXI4_SPECS["w"].slots("data", "strb", "last")
+_B_ID_AT, _B_ID_MASK = AXI4_SPECS["b"].slots("id")
+(_AR_ADDR_AT, _AR_ADDR_MASK, _AR_LEN_AT, _AR_LEN_MASK, _AR_ID_AT,
+ _AR_ID_MASK) = AXI4_SPECS["ar"].slots("addr", "len", "id")
+(_R_DATA_AT, _R_DATA_MASK, _R_ID_AT, _R_ID_MASK, _R_LAST_AT,
+ _R_LAST_MASK) = AXI4_SPECS["r"].slots("data", "id", "last")
 
 
 class AxiLiteSubordinate(Module):
@@ -72,33 +90,49 @@ class AxiLiteSubordinate(Module):
 
     # ------------------------------------------------------------------
     def comb(self) -> None:
+        # Each output is driven only when its value changes. B carries
+        # only its zero resp, so its payload keeps the reset value 0.
         iface = self.interface
-        iface.aw.ready.drive(0 if self._aw is not None or self._b_pending else 1)
-        iface.w.ready.drive(0 if self._w is not None or self._b_pending else 1)
-        if self._b_pending and self._b_wait == 0:
-            iface.b.valid.drive(1)
-            iface.b.payload.drive(iface.b.spec.pack({"resp": 0}))
+        b_pending = self._b_pending
+        signal = iface.aw.ready
+        value = 0 if self._aw is not None or b_pending else 1
+        if signal.value != value:
+            signal.drive(value)
+        signal = iface.w.ready
+        value = 0 if self._w is not None or b_pending else 1
+        if signal.value != value:
+            signal.drive(value)
+        signal = iface.b.valid
+        value = 1 if b_pending and self._b_wait == 0 else 0
+        if signal.value != value:
+            signal.drive(value)
+        r_pending = self._r_pending
+        signal = iface.ar.ready
+        value = 0 if self._ar is not None or r_pending is not None else 1
+        if signal.value != value:
+            signal.drive(value)
+        r = iface.r
+        if r_pending is not None and self._r_wait == 0:
+            valid = 1
+            payload = (r_pending & _LITE_R_DATA_MASK) << _LITE_R_DATA_AT
         else:
-            iface.b.valid.drive(0)
-            iface.b.payload.drive(0)
-        iface.ar.ready.drive(0 if self._ar is not None or self._r_pending is not None else 1)
-        if self._r_pending is not None and self._r_wait == 0:
-            iface.r.valid.drive(1)
-            iface.r.payload.drive(iface.r.spec.pack(
-                {"data": self._r_pending, "resp": 0}))
-        else:
-            iface.r.valid.drive(0)
-            iface.r.payload.drive(0)
+            valid = payload = 0
+        if r.valid.value != valid:
+            r.valid.drive(valid)
+        if r.payload.value != payload:
+            r.payload.drive(payload)
 
     def seq(self) -> None:
         iface = self.interface
         # Write path: accept AW and W independently, commit when both held.
         if iface.aw.valid.value and iface.aw.ready.value:
-            self._aw = iface.aw.spec.extract(iface.aw.payload.value, "addr")
+            self._aw = ((iface.aw.payload.value >> _LITE_AW_ADDR_AT)
+                        & _LITE_AW_ADDR_MASK)
             self.wake()
         if iface.w.valid.value and iface.w.ready.value:
-            w = iface.w.payload_dict()
-            self._w = (w["data"], w["strb"])
+            word = iface.w.payload.value
+            self._w = ((word >> _LITE_W_DATA_AT) & _LITE_W_DATA_MASK,
+                       (word >> _LITE_W_STRB_AT) & _LITE_W_STRB_MASK)
             self.wake()
         if self._aw is not None and self._w is not None and not self._b_pending:
             data, strb = self._w
@@ -128,7 +162,8 @@ class AxiLiteSubordinate(Module):
                 self.wake()
         # Read path.
         if iface.ar.valid.value and iface.ar.ready.value:
-            self._ar = iface.ar.spec.extract(iface.ar.payload.value, "addr")
+            self._ar = ((iface.ar.payload.value >> _LITE_AR_ADDR_AT)
+                        & _LITE_AR_ADDR_MASK)
             self.wake()
         if self._ar is not None and self._r_pending is None:
             self._r_pending = self.reg_read(self._ar) & 0xFFFF_FFFF
@@ -178,6 +213,11 @@ class AxiSubordinate(Module):
     until the next beat's credit is granted, and each R beat is presented
     only once its credit is paid. ``write_observer`` sees every committed
     write beat, the streaming hook the echo-server case studies build on.
+
+    The interface carries the :data:`~repro.channels.axi.AXI4_SPECS`
+    layouts: ``seq()`` reads the AW, W and AR fields and ``comb()`` builds
+    the B and R words by the shifts and masks of this module's constants,
+    so no beat builds a field dict or calls ``pack``/``unpack``.
 
     Scheduling: ``comb()`` reads the burst queues, the latency countdowns
     and the pacing flags, all mutated in ``seq()``, and while it presents
@@ -245,9 +285,10 @@ class AxiSubordinate(Module):
         if signal.value != value:
             signal.drive(value)
         b = iface.b
-        if self._b_queue and self._b_queue[0][1] == 0:
+        b_queue = self._b_queue
+        if b_queue and b_queue[0][1] == 0:
             valid = 1
-            payload = b.spec.pack({"id": self._b_queue[0][0], "resp": 0})
+            payload = (b_queue[0][0] & _B_ID_MASK) << _B_ID_AT
         else:
             valid = payload = 0
         if b.valid.value != valid:
@@ -259,15 +300,14 @@ class AxiSubordinate(Module):
         if signal.value != value:
             signal.drive(value)
         r = iface.r
-        if self._read_burst is not None and self._r_wait == 0 and self._r_paid:
-            addr, remaining, burst_id = self._read_burst
+        burst = self._read_burst
+        if burst is not None and self._r_wait == 0 and self._r_paid:
+            addr, remaining, burst_id = burst
             valid = 1
-            payload = r.spec.pack({
-                "data": self.memory.read_word(addr),
-                "id": burst_id,
-                "resp": 0,
-                "last": 1 if remaining == 1 else 0,
-            })
+            payload = (
+                ((self.memory.read_word(addr) & _R_DATA_MASK) << _R_DATA_AT)
+                | ((burst_id & _R_ID_MASK) << _R_ID_AT)
+                | ((1 if remaining == 1 else 0) << _R_LAST_AT))
         else:
             valid = payload = 0
         if r.valid.value != valid:
@@ -296,12 +336,16 @@ class AxiSubordinate(Module):
                 if self._r_paid:
                     self.wake()
         if iface.aw.valid.value and iface.aw.ready.value:
-            aw = iface.aw.payload_dict()
-            self._pending_aw.append((aw["addr"], aw["len"] + 1, aw["id"]))
+            word = iface.aw.payload.value
+            self._pending_aw.append(((word >> _AW_ADDR_AT) & _AW_ADDR_MASK,
+                                     ((word >> _AW_LEN_AT) & _AW_LEN_MASK) + 1,
+                                     (word >> _AW_ID_AT) & _AW_ID_MASK))
             self.wake()
         if iface.w.valid.value and iface.w.ready.value:
-            w = iface.w.payload_dict()
-            self._pending_w.append((w["data"], w["strb"], w["last"]))
+            word = iface.w.payload.value
+            self._pending_w.append(((word >> _W_DATA_AT) & _W_DATA_MASK,
+                                    (word >> _W_STRB_AT) & _W_STRB_MASK,
+                                    (word >> _W_LAST_AT) & _W_LAST_MASK))
             self.write_beats += 1
             self.wake()
         # Commit beats once their burst's AW is known.
@@ -332,8 +376,10 @@ class AxiSubordinate(Module):
                 self.wake()
         # Read bursts.
         if iface.ar.valid.value and iface.ar.ready.value:
-            ar = iface.ar.payload_dict()
-            self._read_burst = (ar["addr"], ar["len"] + 1, ar["id"])
+            word = iface.ar.payload.value
+            self._read_burst = ((word >> _AR_ADDR_AT) & _AR_ADDR_MASK,
+                                ((word >> _AR_LEN_AT) & _AR_LEN_MASK) + 1,
+                                (word >> _AR_ID_AT) & _AR_ID_MASK)
             self._r_wait = self.read_latency
             if self._rng is not None:
                 self._r_wait += self._rng.randrange(self.jitter + 1)

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
-from repro.channels.axi import AxiInterface
+from repro.channels.axi import AXI4_SPECS, AxiInterface
 from repro.channels.handshake import ChannelSink, ChannelSource
 from repro.errors import SimulationError
 from repro.platform.env import EnvironmentMode
@@ -165,6 +165,11 @@ class MmioPort(Module):
 BURST_GAP = 4
 GAP_JITTER = 3
 
+# A W beat is packed once, by shifts, when its burst is issued (id 0).
+_W_DATA_AT, _W_DATA_MASK, _W_STRB_AT, _W_STRB_MASK = (
+    AXI4_SPECS["w"].slots("data", "strb"))
+_W_LAST_AT = AXI4_SPECS["w"].slots("last")[0]
+
 
 class PcisDmaEngine(Module):
     """Executes byte-accurate burst DMA on the CPU-managed pcis interface."""
@@ -195,7 +200,7 @@ class PcisDmaEngine(Module):
         self.r_sink.seq_idle_when(("nofire", interface.r),
                                   ("falsy", "_ready_now"),
                                   ("none", self, "_await_r"))
-        self._w_beats_left: List[Tuple[int, int, int]] = []  # (data, strb, last)
+        self._w_beats_left: List[int] = []   # packed W words
         self._queue: Deque[Tuple[Any, Callable[[Any], None]]] = deque()
         self._bursts: List[Tuple] = []     # remaining bursts of the active op
         self._callback: Optional[Callable[[Any], None]] = None
@@ -268,9 +273,7 @@ class PcisDmaEngine(Module):
         # Dribble write-data beats of the in-flight burst at link rate.
         if self._w_beats_left and len(self.w_src.queue) < 2:
             if self.pcie is None or self.pcie.request_app():
-                data, strobe, last = self._w_beats_left.pop(0)
-                self.w_src.send({"data": data, "strb": strobe,
-                                 "last": last, "id": 0})
+                self.w_src.send_packed(self._w_beats_left.pop(0))
         if self._gap > 0:
             self._gap -= 1
             return
@@ -302,7 +305,9 @@ class PcisDmaEngine(Module):
                 self.aw_src.send({"addr": burst_addr, "len": len(beats) - 1,
                                   "size": 6, "id": 0})
                 self._w_beats_left = [
-                    (data, strobe, 1 if i == len(beats) - 1 else 0)
+                    ((data & _W_DATA_MASK) << _W_DATA_AT)
+                    | ((strobe & _W_STRB_MASK) << _W_STRB_AT)
+                    | ((1 if i == len(beats) - 1 else 0) << _W_LAST_AT)
                     for i, (data, strobe) in enumerate(beats)
                 ]
                 self._await_b = len(self.b_sink.received)

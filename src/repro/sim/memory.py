@@ -60,7 +60,10 @@ class WordMemory:
 
     def read_word(self, addr: int) -> int:
         """Read one word; uninitialised storage reads as zero."""
-        return self._words.get(self._check(addr), 0)
+        # _check's tests, inline: it is called only to raise its error.
+        if addr % self.word_bytes or not 0 <= addr < self.size_bytes:
+            self._check(addr)
+        return self._words.get(addr // self.word_bytes, 0)
 
     def write_word(self, addr: int, data: int, strobe: int | None = None) -> None:
         """Write one word, honouring the byte strobe mask.
@@ -68,7 +71,9 @@ class WordMemory:
         Bit *i* of ``strobe`` enables byte *i* (little-endian) of the word.
         ``None`` means all bytes enabled.
         """
-        index = self._check(addr)
+        if addr % self.word_bytes or not 0 <= addr < self.size_bytes:
+            self._check(addr)   # raises
+        index = addr // self.word_bytes
         if strobe is None:
             strobe = self._full_strobe
         strobe &= self._full_strobe

@@ -18,10 +18,15 @@ trees can be compared by hand. ``--calls PATH`` likewise writes each
 case's Python function calls for the record, the replay and the
 divergence comparison (warp on), counted as ``sys.setprofile`` "call"
 events: a cost that repeats exactly, so two trees can be compared by it
-where timings are noise.
+where timings are noise. It prints the matrix totals of the three, and
+``--calls-base OLD`` (a ``--calls`` dump written by another tree) also
+prints the base's totals and lists every case with a count above the
+base's.
 
     PYTHONPATH=src python tests/digests.py            # check (make digests)
     PYTHONPATH=src python tests/digests.py --write    # re-pin the file
+    PYTHONPATH=src python tests/digests.py --calls new.json \
+        --calls-base old.json                         # compare call costs
 
 The file is named so that pytest does not collect it: the matrix takes
 tens of seconds, and tier-1 checks one slice of it, every app at seed 5,
@@ -106,6 +111,34 @@ def run_case(app: str, seed: int, scheduler: str, flight: bool,
     return facts, warped
 
 
+CALL_KINDS = ("record", "replay", "compare_traces")
+
+
+def report_calls(counts: dict, base: dict | None) -> None:
+    """Print the matrix's call totals and, against ``base``, every case
+    whose record, replay or comparison count rose."""
+
+    def totals(dump):
+        return " / ".join(f"{sum(case[i] for case in dump.values()):,}"
+                          for i in range(len(CALL_KINDS)))
+
+    print(f"calls ({' / '.join(CALL_KINDS)}): {totals(counts)}")
+    if base is None:
+        return
+    print(f"  base ({len(base)} cases): {totals(base)}")
+    rose = 0
+    for key, case in counts.items():
+        if key not in base:
+            print(f"  NOT IN BASE {key}")
+            continue
+        moves = [f"{kind} {old:,} -> {new:,}" for kind, old, new
+                 in zip(CALL_KINDS, base[key], case) if new > old]
+        if moves:
+            rose += 1
+            print(f"  ROSE {key}: {'; '.join(moves)}")
+    print(f"  {rose} case(s) with a count above the base")
+
+
 def _cases():
     for case in itertools.product(APPS, SEEDS, SCHEDULERS, (False, True)):
         app, seed, scheduler, flight = case
@@ -120,12 +153,21 @@ def main(argv=None) -> int:
     parser.add_argument("--warped", metavar="PATH",
                         help="also write each case's warped cycles here")
     parser.add_argument("--calls", metavar="PATH",
-                        help="also write each case's Python calls here")
+                        help="also write each case's Python calls here "
+                             "and print their totals")
+    parser.add_argument("--calls-base", metavar="OLD",
+                        help="with --calls: list every case whose count "
+                             "is above this --calls dump's")
     args = parser.parse_args(argv)
-    pinned = {}
+    if args.calls_base and not args.calls:
+        parser.error("--calls-base needs --calls")
+    pinned, base = {}, None
     if not args.write:
         with open(PINNED) as fh:
             pinned = json.load(fh)
+    if args.calls_base:
+        with open(args.calls_base) as fh:
+            base = json.load(fh)
     digests, warped_counts, call_counts, failures = {}, {}, {}, []
     t0 = time.perf_counter()
     for time_warp in ((True,) if args.write else (True, False)):
@@ -145,6 +187,8 @@ def main(argv=None) -> int:
             with open(path, "w") as fh:
                 json.dump(dump, fh, indent=1, sort_keys=True)
                 fh.write("\n")
+    if args.calls:
+        report_calls(call_counts, base)
     for key, time_warp, facts, want in failures:
         moved = sorted(name for name in facts
                        if want is None or facts[name] != want.get(name))

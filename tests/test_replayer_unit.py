@@ -27,6 +27,19 @@ def filler(ends_mask: int) -> ReplayElement:
                          ends_mask=ends_mask)
 
 
+def fired_payloads(sim, channel):
+    """Every payload that completes a handshake on ``channel``, read by a
+    cycle hook from the wires of the cycle the handshake fires in."""
+    fired = []
+
+    def sample(_cycle):
+        if channel.valid.value and channel.ready.value:
+            fired.append(channel.payload.value)
+
+    sim.add_cycle_hook(sample)
+    return fired
+
+
 def _dependent_start_gap(prereq_first):
     """Cycles from channel 1's end to channel 0's start that depends on it."""
     sim = Simulator()
@@ -115,13 +128,15 @@ class TestOutputReplayer:
         sim.add(channel)
         sim.add(source)
         sim.add(replayer)
+        fired = fired_payloads(sim, channel)
         source.send({"data": 0xAB})
         source.send({"data": 0xCD})
         sim.run(15)
         # Only one credit was in the trace: the second transaction stalls.
         assert replayer.replayed_transactions == 1
         assert channel.valid.value == 1 and channel.ready.value == 0
-        assert replayer.validation_contents == [(0xAB).to_bytes(2, "little")]
+        assert fired == [0xAB]
+        assert channel.payload.value == 0xCD
 
     def test_end_order_enforced_across_channels(self):
         """Channel 0's end must wait for channel 1's recorded end."""
@@ -152,11 +167,12 @@ class TestOutputReplayer:
         sim.add(channel)
         sim.add(source)
         sim.add(replayer)
+        fired = fired_payloads(sim, channel)
         for value in (0x11, 0x22):
             source.send({"data": value})
         sim.run_until(lambda: replayer.done, max_cycles=30)
-        assert replayer.validation_contents == [
-            (0x11).to_bytes(2, "little"), (0x22).to_bytes(2, "little")]
+        assert fired == [0x11, 0x22]
+        assert replayer.replayed_transactions == 2
 
 
 class TestCoordinator:
@@ -166,6 +182,45 @@ class TestCoordinator:
         coordinator.complete(2)
         assert coordinator.version == v0 + 1
         assert coordinator.current.as_tuple() == (0, 0, 1)
+
+        # Exact-count release, registered by the replayers' own walks: on
+        # channel 1 two wait for count 2, one for 1 and one for 4; one
+        # waits on channel 0 for 1. Each is released by the completion
+        # that reaches its count, and only then.
+        coordinator = ReplayCoordinator(3)
+        waits = [(1, 2), (1, 2), (1, 1), (1, 4), (0, 1)]
+        replayers = []
+        for i, (index, count) in enumerate(waits):
+            feed = [filler(1 << index)] * count + [start_element(i)]
+            replayer = ChannelReplayer(f"r{i}", 2, Channel(f"ch{i}", WORD),
+                                       coordinator, "in", feed)
+            replayer.seq()          # blocked on (index, count): waits
+            replayers.append(replayer)
+        assert coordinator.waiters[1] == {2: replayers[:2],
+                                          1: [replayers[2]],
+                                          4: [replayers[3]]}
+        assert coordinator.waiters[0] == {1: [replayers[4]]}
+
+        def gated():
+            return [r._gated for r in replayers]
+
+        coordinator.complete(1)
+        assert gated() == [True, True, False, True, True]
+        coordinator.complete(1)
+        assert gated() == [False, False, False, True, True]
+        coordinator.complete(2)     # nobody waits on channel 2
+        coordinator.complete(1)     # count 3: nobody waits for it
+        assert gated() == [False, False, False, True, True]
+        # The later count stays registered, and nothing else does.
+        assert coordinator.waiters == [{1: [replayers[4]]},
+                                       {4: [replayers[3]]}, {}]
+        coordinator.complete(0)
+        assert gated() == [False, False, False, True, False]
+        replayers[0].seq()          # its start is now met: out of actions
+        assert replayers[0]._action_pos == 1
+        coordinator.reset(live=5)
+        assert coordinator.waiters == [{}, {}, {}]
+        assert coordinator.current.as_tuple() == (0, 0, 0)
 
 
 class TestDeltaNeeds:
